@@ -449,9 +449,9 @@ def _cmd_three_body_ground(cfg: RunConfig, args, out) -> int:
         "basis_size": basis.size,
     }
     header = ["e_gr", "e_thr", "bound_states", "basis_size"]
-    for R in radii:
+    for R, p in zip(radii, vr.probability_inside(gs, radii)):
         key = f"p_r{_fmt(R)}"
-        row[key] = vr.probability_inside(gs, R)
+        row[key] = float(p)
         header.append(key)
     emit_csv([row], header, out)
     return EXIT_OK
@@ -470,11 +470,11 @@ def _sweep_point(cfg: RunConfig, basis, scale: float, radii) -> dict:
         "e_thr": thr,
         "bound_states": int(np.sum(gs.eigenvalues < thr - ex.EPS_NUM)),
     }
-    for R in radii:
-        row[f"p_r{_fmt(R)}"] = vr.probability_inside(gs, R)
+    for R, p in zip(radii, vr.probability_inside(gs, radii)):
+        row[f"p_r{_fmt(R)}"] = float(p)
     try:
         row["bs_radius"] = fd.radius_at_zero(m, **_grid_kw(cfg))
-    except (fd.PairThresholdError, ValueError):
+    except fd.PairThresholdError:
         row["bs_radius"] = None
     return row
 

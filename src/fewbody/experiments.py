@@ -202,14 +202,8 @@ def spreading_dichotomy(
             )
         if e_rel >= -EPS_NUM:
             raise PathPointUnboundError(f"lost the bound state at target {tgt:.3e}")
-        rows.append(
-            DichotomyRow(
-                couplings=m.couplings,
-                e_gr=e_rel,
-                p_r0=vr.probability_inside(gs, r0),
-                p_r1=vr.probability_inside(gs, 3.0 * r0),
-            )
-        )
+        p_r0, p_r1 = map(float, vr.probability_inside(gs, (r0, 3.0 * r0)))
+        rows.append(DichotomyRow(couplings=m.couplings, e_gr=e_rel, p_r0=p_r0, p_r1=p_r1))
 
     p = [row.p_r0 for row in rows]
     if scenario is Scenario.NO_PAIR_RESONANCE:

@@ -5,7 +5,11 @@ coordinates (zero total angular momentum ansatz).  Overlap and kinetic
 matrix elements are closed form; pair potentials reduce to a 1D radial
 integral against the Gaussian pair-separation density.  The localization
 probability P(R) restricts the 6D density to a ball, which collapses to a
-1D hyperradial quadrature with a Bessel weight.
+1D hyperradial quadrature with a Bessel weight.  All radii of a state come
+from one hyperradial pass; pair Gaussians lying wholly inside the ball take
+the closed-form overlap.  A P(R) outside [0, 1] by more than its rounding
+estimate raises IllConditionedBasisError (CLI exit 3) instead of being
+clamped.
 """
 
 from __future__ import annotations
@@ -15,9 +19,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import ive
+from scipy.special import i1e
 
-from .model import ModelSpec, PAIRS, Quadrature
+from .model import ModelSpec, PAIRS, Quadrature, _gauss_legendre_panels
 from .faddeev import kinematic_rotation, pair_separation_coeffs
 from . import twobody
 
@@ -259,60 +263,116 @@ def bound_state_count(
 # ---------------------------------------------------------------------------
 # localization probability
 
+# A pair Gaussian with beta_min R^2 >= 50 keeps all but
+# e^-50 (1 + 50 + 50^2/2) < 3e-19 of its mass inside the ball (the isotropic
+# 6D tail at beta_min bounds the anisotropic one), so it takes the closed form.
+_INTERIOR = 50.0
+# Gauss-Legendre nodes per hyperradial panel; panels span a ratio of at most 3.
+_NODES_PER_PANEL = 20
+# Pair forms per evaluation block: peak memory is O(_CHUNK * n_rho + N^2).
+_CHUNK = 2048
+# Rounding allowance of P(R) in units of float64 eps * |c|^T Ball |c|: ball
+# entries carry up to ~200 eps of relative error (4.4e-14 measured against
+# finer nodes and the closed form) and the quadratic form adds ~sqrt(N) eps;
+# 1024 covers both up to N ~ 1e5.  Normalization defects of converged ground
+# states stay below 1% of it.
+_ROUNDING_ULPS = 1024
+
 
 def _bessel_ratio_scaled(w: np.ndarray) -> np.ndarray:
-    """exp(-w) * I_1(w)/w evaluated stably from w = 0 through w ~ 1e13."""
+    """exp(-w) * I_1(w)/w for w >= 0; i1e stays exact through w ~ 1e20."""
     w = np.asarray(w, dtype=float)
-    small = np.abs(w) < 1e-6
-    large = w > 1e8  # scipy's ive loses it well above this; use the asymptotic
-    safe = np.where(small | large, 1.0, w)
-    out = ive(1, safe) / safe
-    out = np.where(large, 1.0 / np.sqrt(2.0 * np.pi * np.maximum(w, 1.0) ** 3), out)
-    return np.where(small, (0.5 + w * w / 16.0) * np.exp(-np.abs(w)), out)
+    small = w < 1e-6
+    out = i1e(w) / np.where(small, 1.0, w)
+    out[small] = (0.5 + w[small] ** 2 / 16.0) * np.exp(-w[small])
+    return out
 
 
-def ball_overlap(Ba, Bb, Bc2, R: float, n_rho: int = 160) -> np.ndarray:
-    """Integral of exp(-xi^T B xi) over the 6D ball |xi| <= R, vectorized over forms.
+def _hyperradial_rule(beta_max: float, cuts: np.ndarray):
+    """Nodes and per-radius weights of one cumulative Gauss-Legendre rule.
 
-    Diagonalizing the 2x2 form gives eigenvalues beta1/2; the angular part
-    integrates to a Bessel I_1 weight and a single hyperradial quadrature
-    remains:  2 pi^3 int_0^R rho^5 e^{-mean*rho^2} [I_1(d rho^2)/(d rho^2)] drho.
+    Panels are [0, lo], lo well inside the tightest Gaussian, then geometric
+    panels of ratio at most 3 up to each cut in turn, so every cut is a panel
+    edge.  Column j of the weights integrates rho^5 f(rho) over [0, cuts[j]].
     """
-    tr = 0.5 * (Ba + Bb)
-    gap = np.sqrt(0.25 * (Ba - Bb) ** 2 + Bc2**2)  # |beta2 - beta1| / 2
-    det = Ba * Bb - Bc2**2
+    lo = min(0.05 / math.sqrt(beta_max), 0.25 * cuts[0])
+    edges = [0.0, lo]
+    for b in cuts:
+        n = max(1, math.ceil(math.log(b / edges[-1]) / math.log(3.0)))
+        edges += list(np.geomspace(edges[-1], b, n + 1)[1:])
+    rho, w, _ = _gauss_legendre_panels(edges, [_NODES_PER_PANEL] * (len(edges) - 1))
+    return rho, (w * rho**5)[:, None] * (rho[:, None] < cuts[None, :])
+
+
+def ball_overlap(Ba, Bb, Bc2, R):
+    """Integral of exp(-xi^T B xi) over the 6D ball |xi| <= R, for symmetric N x N forms.
+
+    Diagonalizing each 2x2 form gives eigenvalues beta_min <= beta_max with
+    mean tr and half-gap gap; the angular part integrates to a Bessel I_1
+    weight and one hyperradial integral remains:
+    2 pi^3 int_0^R rho^5 e^{-tr rho^2} [I_1(gap rho^2)/(gap rho^2)] drho.
+
+    R is a scalar (one N x N result) or a 1-D array of radii (one matrix per
+    radius).  All radii come from one hyperradial pass: one cumulative
+    quadrature with a panel edge at every radius, over the upper triangle
+    only (the matrix is symmetric), in fixed-size blocks of pair forms.  A
+    pair whose Gaussian lies wholly inside the ball (beta_min R^2 >= 50)
+    takes the closed-form overlap pi^3/det^{3/2} instead.
+    """
+    radii = np.asarray(R, dtype=float)
+    r = np.atleast_1d(radii)[:, None]
+    iu = np.triu_indices(Ba.shape[0])
+    ba, bb, bc = Ba[iu], Bb[iu], Bc2[iu]
+    tr = 0.5 * (ba + bb)
+    gap = np.sqrt(0.25 * (ba - bb) ** 2 + bc**2)  # |beta2 - beta1| / 2
+    det = ba * bb - bc**2
     beta_min = det / (tr + gap)  # avoids the tr - gap cancellation
-    from .model import _gauss_legendre_panels
+    vals = np.where(r > 0, np.pi**3 / det**1.5, 0.0)
+    quad = (r > 0) & (beta_min * r**2 < _INTERIOR)  # radii x pairs
+    pairs = np.flatnonzero(quad.any(axis=0))
+    if pairs.size:
+        cuts = np.unique(r[quad.any(axis=1), 0])
+        rho, weights = _hyperradial_rule(float(np.max(tr[pairs] + gap[pairs])), cuts)
+        rho2 = rho * rho
+        acc = np.empty((pairs.size, cuts.size))
+        for s in range(0, pairs.size, _CHUNK):
+            p = pairs[s : s + _CHUNK]
+            # exp(-tr rho2) I1(w)/w = exp(-beta_min rho2) * [exp(-w) I1(w)/w]
+            f = _bessel_ratio_scaled(gap[p, None] * rho2) * np.exp(-beta_min[p, None] * rho2)
+            acc[s : s + p.size] = f @ weights
+        col = np.minimum(np.searchsorted(cuts, r[:, 0]), cuts.size - 1)
+        sub = quad[:, pairs]
+        vals[:, pairs] = np.where(sub, 2.0 * np.pi**3 * acc[:, col].T, vals[:, pairs])
+    out = np.empty((r.shape[0], *Ba.shape))
+    out[:, iu[0], iu[1]] = vals
+    out[:, iu[1], iu[0]] = vals
+    return out[0] if radii.ndim == 0 else out
 
-    # geometric panels spanning every Gaussian scale present in the batch,
-    # capped at R; the integrand peaks at rho ~ sqrt(2.5/beta)
-    lo = 0.05 / math.sqrt(float(np.max(tr + gap)))
-    hi = 6.0 / math.sqrt(max(float(np.min(beta_min)), 1e-300))
-    hi = min(hi, R)
-    lo = min(lo, 0.25 * hi)
-    n_panels = max(4, int(math.ceil(math.log(hi / lo) / math.log(3.0))) + 1)
-    edges = [0.0] + list(np.geomspace(lo, hi, n_panels))
-    rho, wr, _ = _gauss_legendre_panels(edges, [max(8, n_rho // n_panels)] * n_panels)
-    rho2 = rho * rho
-    # stable product exp(-tr*rho2) * I1(gap*rho2)/(gap*rho2): ive folds the
-    # exponential growth of I_1 into the damping factor
-    w = gap[..., None] * rho2
-    ratio = _bessel_ratio_scaled(w)
-    damp = np.exp(-beta_min[..., None] * rho2)
-    integ = np.einsum("...r,r->...", ratio * damp, wr * rho**5)
-    return 2.0 * np.pi**3 * integ
 
+def probability_inside(gs: GroundState, R):
+    """P(R): probability mass of the normalized state inside the 6D ball |xi| <= R.
 
-def probability_inside(gs: GroundState, R: float) -> float:
-    """P(R): probability mass of the normalized state inside the 6D ball."""
-    if R <= 0:
-        return 0.0
+    R is a scalar (float result) or a 1-D array of radii (array result), all
+    from one ball_overlap pass.  P is clamped into [0, 1] only within the
+    rounding estimate delta of the quadratic form; beyond it the basis cannot
+    resolve P and IllConditionedBasisError is raised.
+    """
+    radii = np.asarray(R, dtype=float)
     basis = gs.basis
     Ba, Bb, Bc2, _ = _pair_forms(basis)
     snorm = 1.0 / np.sqrt(np.diag(overlap_matrix(basis)))
-    ball = ball_overlap(Ba, Bb, Bc2, R) * np.outer(snorm, snorm)
-    p = float(gs.coefficients @ ball @ gs.coefficients)
-    return min(max(p, 0.0), 1.0)
+    ball = ball_overlap(Ba, Bb, Bc2, radii) * np.outer(snorm, snorm)
+    c, ac = gs.coefficients, np.abs(gs.coefficients)
+    p = np.atleast_1d(ball @ c @ c)
+    # ball entries integrate positive Gaussians, so |Ball| = Ball
+    delta = _ROUNDING_ULPS * np.finfo(float).eps * np.atleast_1d(ball @ ac @ ac)
+    bad = (p < -delta) | (p > 1.0 + delta)
+    if np.any(bad):
+        raise IllConditionedBasisError(
+            f"P(R) = {p[bad]} lies outside [0, 1] beyond its rounding estimate {delta[bad]}"
+        )
+    p = np.clip(p, 0.0, 1.0)
+    return float(p[0]) if radii.ndim == 0 else p
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,5 +392,4 @@ class SpreadingProbe:
 
 def spreading_probe(gs: GroundState, radii: Sequence[float]) -> SpreadingProbe:
     radii = np.asarray(sorted(radii), dtype=float)
-    probs = np.array([probability_inside(gs, R) for R in radii])
-    return SpreadingProbe(radii=radii, probabilities=probs)
+    return SpreadingProbe(radii=radii, probabilities=probability_inside(gs, radii))

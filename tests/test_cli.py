@@ -3,9 +3,11 @@ import sys
 
 import pytest
 
+from fewbody import faddeev as fd
 from fewbody.cli import (
     ConfigError,
     EXIT_CONFIG,
+    EXIT_NUMERIC,
     EXIT_OK,
     ResultStore,
     emit_csv,
@@ -231,3 +233,16 @@ class TestSweepResume:
         assert rc == EXIT_OK
         multi = capsys.readouterr().out
         assert single == multi
+
+    def test_solver_failure_is_not_blanked(self, tmp_path, monkeypatch, capsys):
+        # only a supercritical pair blanks bs_radius; any other failure exits 3
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_CFG)
+
+        def asymmetric(*args, **kwargs):
+            raise ValueError("matrix asymmetry exceeds 1e-12")
+
+        monkeypatch.setattr(fd, "radius_at_zero", asymmetric)
+        rc = main(["three-body", "sweep", "--config", str(cfg), "--quiet"])
+        assert rc == EXIT_NUMERIC
+        assert "matrix asymmetry" in capsys.readouterr().err

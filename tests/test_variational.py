@@ -2,17 +2,30 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import erf
+from hypothesis import given, settings, strategies as st
+from scipy.special import erf, ive
 
 from fewbody import twobody as tb
 from fewbody import variational as vr
+from fewbody.cli import EXIT_NUMERIC, main
+from fewbody.model import _gauss_legendre_panels
 from tests.conftest import GAUSS_LAMBDA_STAR, make_model
+from tests.test_cli import FULL
 
 
 @pytest.fixture(scope="module")
 def small_basis(equal_masses):
     return vr.build_basis(
         vr.BasisSpec(0.3, 10.0, 7, 0.3, 60.0, 8, "frames"), equal_masses
+    )
+
+
+@pytest.fixture(scope="module")
+def wide_basis(equal_masses):
+    # outer scales out to 2000: at R = 1e4 some forms straddle the interior cut
+    # with gap * R^2 above 1e8
+    return vr.build_basis(
+        vr.BasisSpec(0.25, 15.0, 5, 0.25, 2000.0, 7, "frames"), equal_masses
     )
 
 
@@ -208,3 +221,132 @@ class TestLocalization:
         S = vr.overlap_matrix(small_basis)
         sub = np.ix_(range(0, small_basis.size, 7), range(0, small_basis.size, 7))
         assert np.allclose(full[sub], S[sub], rtol=1e-6)
+
+
+def reference_ball_overlap(Ba, Bb, Bc2, R, n_rho=320):
+    """Per-radius ball overlap on an N x N x n_rho tensor, with scipy's ive.
+
+    The kernel the one-pass ball_overlap replaced, kept as its reference:
+    geometric panels capped at R, every form on every node.  Two changes make
+    it converged: n_rho = 320 (at 160 its panels left 1e-8 errors at R = 1e4),
+    and the w > 1e8 branch carries the next two terms of the asymptotic series
+    (the leading term alone is off by 3/(8w)).
+    """
+    tr = 0.5 * (Ba + Bb)
+    gap = np.sqrt(0.25 * (Ba - Bb) ** 2 + Bc2**2)
+    det = Ba * Bb - Bc2**2
+    beta_min = det / (tr + gap)
+    lo = 0.05 / math.sqrt(float(np.max(tr + gap)))
+    hi = min(6.0 / math.sqrt(float(np.min(beta_min))), R)
+    lo = min(lo, 0.25 * hi)
+    n_panels = max(4, int(math.ceil(math.log(hi / lo) / math.log(3.0))) + 1)
+    edges = [0.0] + list(np.geomspace(lo, hi, n_panels))
+    rho, wr, _ = _gauss_legendre_panels(edges, [max(8, n_rho // n_panels)] * n_panels)
+    w = gap[..., None] * rho**2
+    small, large = w < 1e-6, w > 1e8
+    safe = np.where(small | large, 1.0, w)
+    ratio = ive(1, safe) / safe
+    wl = np.maximum(w, 1.0)
+    asym = (1.0 - 3.0 / (8.0 * wl) - 15.0 / (128.0 * wl**2)) / np.sqrt(2.0 * np.pi * wl**3)
+    ratio = np.where(large, asym, ratio)
+    ratio = np.where(small, (0.5 + w * w / 16.0) * np.exp(-w), ratio)
+    damp = np.exp(-beta_min[..., None] * rho**2)
+    return 2.0 * np.pi**3 * np.einsum("...r,r->...", ratio * damp, wr * rho**5)
+
+
+RADII = (0.5, 2.0, 10.0, 30.0, 1e4)
+
+
+class TestBallOverlapReference:
+    @pytest.mark.parametrize("basis_name", ["small_basis", "wide_basis"])
+    def test_entries_match_reference(self, basis_name, request):
+        basis = request.getfixturevalue(basis_name)
+        Ba, Bb, Bc2, det = vr._pair_forms(basis)
+        tr = 0.5 * (Ba + Bb)
+        gap = np.sqrt(0.25 * (Ba - Bb) ** 2 + Bc2**2)
+        beta_min = det / (tr + gap)
+        interior = [beta_min * R**2 >= vr._INTERIOR for R in RADII]
+        # both sides of the closed-form cut, and both Bessel regimes among the
+        # forms that still take the quadrature
+        assert any(m.any() for m in interior) and any((~m).any() for m in interior)
+        assert np.any(gap == 0.0)
+        if basis_name == "wide_basis":
+            assert np.any(~interior[-1] & (gap * RADII[-1] ** 2 > 1e8))
+        # the reference takes forms of any shape: the upper triangle suffices,
+        # the mirror is checked by the symmetry and permutation tests
+        iu = np.triu_indices(basis.size)
+        for R, got in zip(RADII, vr.ball_overlap(Ba, Bb, Bc2, np.array(RADII))):
+            ref = reference_ball_overlap(Ba[iu], Bb[iu], Bc2[iu], R)
+            assert np.max(np.abs(got[iu] / ref - 1.0)) <= 1e-12, R
+
+    def test_multi_radius_equals_per_radius(self, small_basis):
+        Ba, Bb, Bc2, _ = vr._pair_forms(small_basis)
+        radii = np.array([30.0, 0.5, 10.0, 2.0, 1e4])  # unsorted on purpose
+        multi = vr.ball_overlap(Ba, Bb, Bc2, radii)
+        assert multi.shape == (radii.size, small_basis.size, small_basis.size)
+        for R, got in zip(radii, multi):
+            single = vr.ball_overlap(Ba, Bb, Bc2, float(R))
+            assert single.shape == (small_basis.size, small_basis.size)
+            np.testing.assert_allclose(got, single, rtol=1e-13, atol=0.0)
+            np.testing.assert_array_equal(got, got.T)
+
+    def test_bessel_kernel_exact_at_large_w(self):
+        # i1e needs no asymptotic branch: it matches the series through 1e15
+        w = np.geomspace(1e8, 1e15, 29)
+        series = (1.0 - 3.0 / (8.0 * w) - 15.0 / (128.0 * w**2)) / np.sqrt(2.0 * np.pi * w**3)
+        np.testing.assert_allclose(vr._bessel_ratio_scaled(w), series, rtol=4e-16, atol=0.0)
+        # the small-w series joins ive continuously at the 1e-6 switch
+        w = np.array([0.0, 9.9e-7, 1.01e-6])
+        ref = np.array([0.5, *(ive(1, w[1:]) / w[1:])])
+        np.testing.assert_allclose(vr._bessel_ratio_scaled(w), ref, rtol=1e-15, atol=0.0)
+
+
+def inflated_ball(Ba, Bb, Bc2, R):
+    """1.01 x the full overlap: a P(R) of 1.01 whatever the radius."""
+    return 1.01 * np.pi**3 / (Ba * Bb - Bc2**2) ** 1.5
+
+
+@pytest.fixture(scope="module")
+def ground_small(gauss_model_factory, small_basis):
+    return vr.solve_ground(gauss_model_factory(1.0), small_basis)
+
+
+class TestProbabilityInside:
+    def test_scalar_in_scalar_out(self, ground_small):
+        p = vr.probability_inside(ground_small, 5.0)
+        assert isinstance(p, float)
+        ps = vr.probability_inside(ground_small, [0.0, 5.0, 50.0])
+        assert ps.shape == (3,)
+        assert ps[0] == 0.0 and np.isclose(ps[1], p, rtol=1e-13)
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=8, deadline=None)
+    def test_basis_order_invariance(self, ground_small, seed):
+        # only the upper triangle is evaluated; a wrong mirror breaks this
+        gs = ground_small
+        idx = np.random.default_rng(seed).permutation(gs.basis.size)
+        basis = vr.GaussianBasis(a=gs.basis.a[idx], b=gs.basis.b[idx], c=gs.basis.c[idx])
+        permuted = vr.GroundState(
+            energy=gs.energy,
+            coefficients=gs.coefficients[idx],
+            gram=gs.gram[np.ix_(idx, idx)],
+            basis=basis,
+            eigenvalues=gs.eigenvalues,
+        )
+        radii = [2.0, 10.0]
+        np.testing.assert_allclose(
+            vr.probability_inside(permuted, radii), vr.probability_inside(gs, radii),
+            rtol=1e-12, atol=0.0,
+        )
+
+    def test_out_of_range_raises(self, ground_small, monkeypatch):
+        monkeypatch.setattr(vr, "ball_overlap", inflated_ball)
+        with pytest.raises(vr.IllConditionedBasisError, match="rounding estimate"):
+            vr.probability_inside(ground_small, 10.0)
+
+    def test_out_of_range_exits_numeric(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text(FULL)
+        monkeypatch.setattr(vr, "ball_overlap", inflated_ball)
+        assert main(["three-body", "ground", "--config", str(cfg), "--quiet"]) == EXIT_NUMERIC
+        assert "numeric failure" in capsys.readouterr().err
