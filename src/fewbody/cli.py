@@ -295,6 +295,9 @@ class ResultStore:
 
     Re-running a completed point is a no-op; a different config hash refuses
     to append, which keeps resumed sweeps byte-identical to uninterrupted ones.
+    A record is complete once its newline is written: an unterminated last
+    line (a sweep killed mid-append) is dropped and truncated away, so its
+    point is recomputed; any other malformed line is a ConfigError.
     """
 
     def __init__(self, path, config_hash: str):
@@ -302,16 +305,27 @@ class ResultStore:
         self.config_hash = config_hash
         self.rows: dict[int, dict] = {}
         if self.path.exists():
-            for line in self.path.read_text().splitlines():
+            data = self.path.read_bytes()
+            end = data.rfind(b"\n") + 1
+            for lineno, line in enumerate(data[:end].splitlines(), 1):
                 if not line.strip():
                     continue
-                rec = json.loads(line)
-                if rec["config"] != config_hash:
+                try:
+                    rec = json.loads(line)
+                    config, point, row = rec["config"], int(rec["point"]), rec["row"]
+                except (ValueError, KeyError, TypeError) as err:
+                    raise ConfigError(
+                        f"result store {self.path} line {lineno} is malformed ({err})"
+                    ) from None
+                if config != config_hash:
                     raise ConfigError(
                         "result store belongs to a different configuration "
-                        f"({rec['config']} != {config_hash})"
+                        f"({config} != {config_hash})"
                     )
-                self.rows[int(rec["point"])] = rec["row"]
+                self.rows[point] = row
+            if end < len(data):
+                with self.path.open("r+b") as fh:
+                    fh.truncate(end)
 
     def has(self, point: int) -> bool:
         return point in self.rows

@@ -326,39 +326,40 @@ def cross_validate(
 
     The two solvers share no code path; the scan checks radius < 1 wherever
     the variational energy says unbound and radius > 1 wherever it says
-    clearly bound.
+    clearly bound.  Each solver builds its coupling-independent work once
+    (the variational matrices; one block operator per z in z_pair) and
+    every scale of the bisections and the scan reuses it.
     """
-    lo, hi = scale_bracket
-    s_lo, s_hi = lo, hi
-    e_lo = vr.solve_ground(model.with_couplings(model.couplings.scaled(s_lo)), basis).energy
-    e_hi = vr.solve_ground(model.with_couplings(model.couplings.scaled(s_hi)), basis).energy
+    hm = vr.hamiltonian_matrices(model, basis)
+    s_lo, s_hi = scale_bracket
+    e_lo = hm.ground(s_lo).energy
+    e_hi = hm.ground(s_hi).energy
     if not (e_lo >= -EPS_NUM and e_hi < -EPS_NUM):
         raise BracketInvalidError("scale bracket does not straddle the variational threshold")
     while s_hi - s_lo > 1e-4 * s_hi:
         mid = 0.5 * (s_lo + s_hi)
-        e = vr.solve_ground(model.with_couplings(model.couplings.scaled(mid)), basis).energy
-        if e < -EPS_NUM:
+        if hm.ground(mid).energy < -EPS_NUM:
             s_hi = mid
         else:
             s_lo = mid
     s_var = 0.5 * (s_lo + s_hi)
+    scales = [float(s) for s in np.linspace(grid_span[0] * s_var, grid_span[1] * s_var, n_grid)]
+    energies = [hm.ground(s).energy for s in scales]
+    del hm  # the N x N matrices are not needed while the block operators live
 
-    s_bs = fd.bs_threshold_coupling(
-        model, bracket=scale_bracket, tol=2e-4, z_pair=z_pair, **grid_kw
-    )
+    ops = fd.threshold_operators(model, z_pair, **grid_kw)
+    s_bs = fd.threshold_scale(ops, scale_bracket, tol=2e-4)
 
     rows = []
-    for s in np.linspace(grid_span[0] * s_var, grid_span[1] * s_var, n_grid):
-        m = model.with_couplings(model.couplings.scaled(float(s)))
-        e = vr.solve_ground(m, basis).energy
-        rad = fd.radius_at_zero(m, z_pair=z_pair, **grid_kw)
+    for s, e in zip(scales, energies):
+        rad = fd.extrapolated_radius(ops, s)
         if e >= -EPS_NUM:
             ok = rad < 1.0
         elif e < -1e-4:
             ok = rad > 1.0
         else:
             ok = True  # within the numerical dead band either sign is defensible
-        rows.append(CrossValidationRow(scale=float(s), e_gr=float(e), bs_radius=rad, consistent=ok))
+        rows.append(CrossValidationRow(scale=s, e_gr=float(e), bs_radius=rad, consistent=ok))
 
     rel = abs(s_bs - s_var) / s_var
     return CrossValidationReport(

@@ -18,6 +18,12 @@ angular integral because the row resolvent acts on sin(nu r) eigenfunctions:
     D^2  = (p^2 + q^2 - 2 d p q u)/b^2 + z^2       (shared denominator)
 
 T is exactly symmetric under (r,p) <-> (s,q) together with row <-> col.
+
+At fixed z every block is linear in an overall coupling scale s (the
+diagonal fibers carry lam, the cross blocks sqrt(lam_row lam_col)).  A
+threshold search therefore assembles the blocks once per z at the model's
+couplings and rescales them per scale: faddeev_solve(op, scale=s) forms
+(1 - s D)^-1 and s B without touching the assembled blocks.
 """
 
 from __future__ import annotations
@@ -317,7 +323,7 @@ def assemble_block_operator(
                 n_angle=n_angle,
             )
             offdiag[(row, col)] = B
-            offdiag[(col, row)] = B.T.copy()
+            offdiag[(col, row)] = B.T  # a view: both orientations share one buffer
     return BlockOperator(
         z=z,
         pairs=tuple(active),
@@ -341,14 +347,16 @@ class FaddeevSolution:
 
 
 def faddeev_solve(
-    op: BlockOperator, tol: float = 1e-10, maxiter: int = 2000
+    op: BlockOperator, tol: float = 1e-10, maxiter: int = 2000, scale: float = 1.0
 ) -> FaddeevSolution:
     """Principal eigenvalue of the component iteration map.
 
     The map sends the stacked components phi_row to
-    R_row * sum_{col != row} B[row, col] phi_col with
-    R = (1 - diagonal)^-1 applied fiber by fiber; spectral radius one signals
-    a bound state at energy -z^2.
+    R_row * sum_{col != row} s B[row, col] phi_col with
+    R = (1 - s diagonal)^-1 applied fiber by fiber; spectral radius one
+    signals a bound state at energy -z^2.  Every block is linear in the
+    couplings, so s = scale solves the model with all couplings multiplied
+    by s on the blocks assembled at the model's own couplings.
     """
     pairs = op.pairs
     resolvents = {}
@@ -357,12 +365,13 @@ def faddeev_solve(
         n_p, n_x, _ = stack.shape
         R = np.empty_like(stack)
         for i in range(n_p):
-            vals = np.linalg.eigvalsh(stack[i])
+            fiber = scale * stack[i]
+            vals = np.linalg.eigvalsh(fiber)
             if vals[-1] >= 1.0 - 1e-12:
                 raise PairThresholdError(
                     f"pair {pair}: diagonal fiber eigenvalue {vals[-1]:.6f} >= 1 at z={op.z}"
                 )
-            R[i] = np.linalg.inv(np.eye(n_x) - stack[i])
+            R[i] = np.linalg.inv(np.eye(n_x) - fiber)
         resolvents[pair] = R
 
     if len(pairs) < 2:
@@ -394,7 +403,7 @@ def faddeev_solve(
                 if col == row:
                     continue
                 acc += op.offdiagonal[(row, col)] @ comp[col]
-            out[offsets[row] : offsets[row] + dims[row]] = apply_r(row, acc)
+            out[offsets[row] : offsets[row] + dims[row]] = apply_r(row, scale * acc)
         return out
 
     v0 = np.ones(total)
@@ -426,7 +435,7 @@ def faddeev_solve(
     comp = split(vec)
 
     # defect of the un-split component identity at the returned eigenvalue:
-    # radius*(1 - diag) phi - offdiag phi should vanish
+    # radius*(1 - s diag) phi - s offdiag phi should vanish
     defect = 0.0
     for row in pairs:
         grid = op.grids[row]
@@ -436,7 +445,7 @@ def faddeev_solve(
         for col in pairs:
             if col != row:
                 acc += op.offdiagonal[(row, col)] @ comp[col]
-        defect += np.linalg.norm(radius * (comp[row] - diag_applied) - acc) ** 2
+        defect += np.linalg.norm(radius * (comp[row] - scale * diag_applied) - scale * acc) ** 2
     residual = math.sqrt(defect) / max(np.linalg.norm(vec), 1e-300)
 
     return FaddeevSolution(
@@ -448,12 +457,47 @@ def spectral_radius(model: ModelSpec, z: float, **grid_kw) -> float:
     return faddeev_solve(assemble_block_operator(model, z, **grid_kw)).spectral_radius
 
 
+def threshold_operators(model: ModelSpec, z_pair=(1e-2, 1e-3), **grid_kw) -> tuple:
+    """One block operator per z of z_pair, assembled at the model's couplings.
+
+    Every overall coupling scale of the model reuses them through
+    faddeev_solve(..., scale=s).
+    """
+    return tuple(assemble_block_operator(model, z, **grid_kw) for z in z_pair)
+
+
+def extrapolated_radius(ops: Sequence[BlockOperator], scale: float = 1.0) -> float:
+    """Linear-in-z extrapolation to z = 0 of the spectral radius at coupling scale s."""
+    op2, op3 = ops
+    r2 = faddeev_solve(op2, scale=scale).spectral_radius
+    r3 = faddeev_solve(op3, scale=scale).spectral_radius
+    z2, z3 = op2.z, op3.z
+    return float((z2 * r3 - z3 * r2) / (z2 - z3))
+
+
 def radius_at_zero(model: ModelSpec, z_pair=(1e-2, 1e-3), **grid_kw) -> float:
     """Linear-in-z extrapolation of the spectral radius to the threshold point."""
-    z2, z3 = z_pair
-    r2 = spectral_radius(model, z2, **grid_kw)
-    r3 = spectral_radius(model, z3, **grid_kw)
-    return float((z2 * r3 - z3 * r2) / (z2 - z3))
+    return extrapolated_radius(threshold_operators(model, z_pair, **grid_kw))
+
+
+def threshold_scale(
+    ops: Sequence[BlockOperator], bracket: tuple[float, float], tol: float = 1e-3
+) -> float:
+    """Bisect the coupling scale at which the extrapolated radius of ops reaches one."""
+    lo, hi = bracket
+    f_lo = extrapolated_radius(ops, lo) if lo > 0 else 0.0
+    f_hi = extrapolated_radius(ops, hi)
+    if not (f_lo < 1.0 <= f_hi):
+        raise BracketError(
+            f"radius at bracket ends {f_lo:.4f}, {f_hi:.4f} does not straddle 1"
+        )
+    while hi - lo > tol * hi:
+        mid = 0.5 * (lo + hi)
+        if extrapolated_radius(ops, mid) < 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def bs_threshold_coupling(
@@ -464,21 +508,7 @@ def bs_threshold_coupling(
     **grid_kw,
 ) -> float:
     """Overall coupling scale at which the extrapolated spectral radius reaches one."""
-    lo, hi = bracket
-    f_lo = radius_at_zero(model.with_couplings(model.couplings.scaled(lo)), z_pair, **grid_kw) if lo > 0 else 0.0
-    f_hi = radius_at_zero(model.with_couplings(model.couplings.scaled(hi)), z_pair, **grid_kw)
-    if not (f_lo < 1.0 <= f_hi):
-        raise BracketError(
-            f"radius at bracket ends {f_lo:.4f}, {f_hi:.4f} does not straddle 1"
-        )
-    while hi - lo > tol * hi:
-        mid = 0.5 * (lo + hi)
-        f = radius_at_zero(model.with_couplings(model.couplings.scaled(mid)), z_pair, **grid_kw)
-        if f < 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return threshold_scale(threshold_operators(model, z_pair, **grid_kw), bracket, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -602,10 +632,6 @@ def continuity_modulus_check(
     rows = []
     for z1, z2 in z_pairs:
         if row_pair == col_pair:
-            n1 = twobody.mu_max(model.scaled_potential(row_pair), 1.0, z1, quad)
-            norm_diff = abs(
-                n1 - twobody.mu_max(model.scaled_potential(row_pair), 1.0, z2, quad)
-            )
             # the fiber difference norm is bounded by the difference at the
             # smallest wave number; evaluate the matrix difference directly
             m1 = twobody.assemble_bs(model.scaled_potential(row_pair), 1.0, z1, quad).matrix

@@ -9,7 +9,9 @@ The kernel has a derivative kink across r = r', so plain Nystrom stalls at
 O(N^-2).  We therefore correct each row's self-panel with exact product
 weights (the kink is split out and integrated against the panel's Lagrange
 basis by sub-quadrature), after which eigenvalues converge to machine
-precision on modest grids.
+precision on modest grids.  The sub-quadrature points, weights and Lagrange
+values do not depend on k: they are precomputed once per grid, and each k
+applies them in one batched product.
 """
 
 from __future__ import annotations
@@ -77,11 +79,69 @@ def _lagrange_at(nodes: np.ndarray, bw: np.ndarray, t: np.ndarray) -> np.ndarray
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class _ProductCorrection:
+    """k-independent part of the self-panel product weights of one grid.
+
+    Row rows[i] integrates g_k(r_i, t) against the Lagrange basis of its own
+    panel: sub-quadrature points t split at r_i, their weights, and the basis
+    values at t, zero-padded to the widest panel.  The valid (unpadded)
+    entries of the result land at omega[target].
+    """
+
+    rows: np.ndarray  # (m,) corrected row indices
+    points: np.ndarray  # (m, 48) sub-quadrature points
+    weights: np.ndarray  # (m, 48)
+    lagrange: np.ndarray  # (m, 48, width)
+    valid: np.ndarray  # (m, width) mask of the unpadded entries
+    target: tuple  # omega indices of the valid entries, row-major
+
+
+def _product_correction(quad: Quadrature) -> _ProductCorrection:
+    cached = quad._cache.get("product_correction")
+    if cached is not None:
+        return cached
+    r = quad.nodes
+    xs, ws = np.polynomial.legendre.leggauss(24)
+    width = max(hi - lo for _, _, lo, hi in quad.panels)
+    rows, points, weights, lagrange, sizes, starts = [], [], [], [], [], []
+    for a, b, lo, hi in quad.panels:
+        nodes = r[lo:hi]
+        bw = _bary_weights(nodes)
+        for i in np.flatnonzero((a < r) & (r < b)):
+            halves = ((a, r[i]), (r[i], b))
+            t = np.concatenate([0.5 * (bb - aa) * xs + 0.5 * (aa + bb) for aa, bb in halves])
+            lag = np.zeros((t.size, width))
+            lag[:, : hi - lo] = _lagrange_at(nodes, bw, t)
+            rows.append(i)
+            points.append(t)
+            weights.append(np.concatenate([0.5 * (bb - aa) * ws for aa, bb in halves]))
+            lagrange.append(lag)
+            sizes.append(hi - lo)
+            starts.append(lo)
+    rows = np.array(rows)
+    offsets = np.arange(width)[None, :]
+    valid = offsets < np.array(sizes)[:, None]
+    cols = np.array(starts)[:, None] + offsets
+    corr = _ProductCorrection(
+        rows=rows,
+        points=np.array(points),
+        weights=np.array(weights),
+        lagrange=np.array(lagrange),
+        valid=valid,
+        target=(np.broadcast_to(rows[:, None], valid.shape)[valid], cols[valid]),
+    )
+    quad._cache["product_correction"] = corr
+    return corr
+
+
 def greens_matrix(k: float, quad: Quadrature) -> np.ndarray:
     """Symmetric kernel-value matrix G with the diagonal kink product-corrected.
 
     sum_j w_j G[i, j] f(r_j) ~ integral g_k(r_i, r') f(r') dr' to spectral
-    accuracy for f smooth on each panel.  Cached per (k, grid).
+    accuracy for f smooth on each panel.  The k-independent sub-quadrature
+    and Lagrange values of the correction are built once per grid; each k
+    applies them in one batched product.  Cached per (k, grid).
     """
     key = ("G", float(k))
     cached = quad._cache.get(key)
@@ -90,22 +150,9 @@ def greens_matrix(k: float, quad: Quadrature) -> np.ndarray:
 
     r, w = quad.nodes, quad.weights
     omega = reduced_greens(k, r[:, None], r[None, :]) * w[None, :]
-    xs, ws = np.polynomial.legendre.leggauss(24)
-    for a, b, lo, hi in quad.panels:
-        nodes = r[lo:hi]
-        bw = _bary_weights(nodes)
-        for i in range(r.size):
-            ri = r[i]
-            if not (a < ri < b):
-                continue
-            acc = np.zeros(hi - lo)
-            for aa, bb in ((a, ri), (ri, b)):
-                if bb - aa <= 0.0:
-                    continue
-                t = 0.5 * (bb - aa) * xs + 0.5 * (aa + bb)
-                tw = 0.5 * (bb - aa) * ws
-                acc += (reduced_greens(k, ri, t) * tw) @ _lagrange_at(nodes, bw, t)
-            omega[i, lo:hi] = acc
+    corr = _product_correction(quad)
+    g = reduced_greens(k, r[corr.rows, None], corr.points) * corr.weights
+    omega[corr.target] = np.einsum("it,itj->ij", g, corr.lagrange)[corr.valid]
     G = omega / w[None, :]
     G = 0.5 * (G + G.T)
     # the true kernel is pointwise non-negative; interpolation overshoot can

@@ -3,13 +3,15 @@
 Basis functions are exp(-a x^2 - b y^2 - c x.y) on the (12)-frame Jacobi
 coordinates (zero total angular momentum ansatz).  Overlap and kinetic
 matrix elements are closed form; pair potentials reduce to a 1D radial
-integral against the Gaussian pair-separation density.  The localization
-probability P(R) restricts the 6D density to a ball, which collapses to a
-1D hyperradial quadrature with a Bessel weight.  All radii of a state come
-from one hyperradial pass; pair Gaussians lying wholly inside the ball take
-the closed-form overlap.  A P(R) outside [0, 1] by more than its rounding
-estimate raises IllConditionedBasisError (CLI exit 3) instead of being
-clamped.
+integral against the Gaussian pair-separation density.  None of these, nor
+the Gram reduction, depends on the couplings: hamiltonian_matrices builds
+them once and a coupling scan pays one reduced eigensolve per point.  The
+localization probability P(R) restricts the 6D density to a ball, which
+collapses to a 1D hyperradial quadrature with a Bessel weight.  All radii of
+a state come from one hyperradial pass; pair Gaussians lying wholly inside
+the ball take the closed-form overlap.  A P(R) outside [0, 1] by more than
+its rounding estimate raises IllConditionedBasisError (CLI exit 3) instead
+of being clamped.
 """
 
 from __future__ import annotations
@@ -186,18 +188,6 @@ def potential_matrix(
     return S * (cb / np.pi) ** 1.5 * radial
 
 
-def hamiltonian_matrices(model: ModelSpec, basis: GaussianBasis):
-    """(H, S) in the normalized basis (unit Gram diagonal)."""
-    S = overlap_matrix(basis)
-    H = kinetic_matrix(basis)
-    for pair in PAIRS:
-        lam = model.couplings.get(pair)
-        if lam > 0 and not model.potential(pair).is_zero():
-            H = H - lam * potential_matrix(basis, model, pair)
-    norm = 1.0 / np.sqrt(np.diag(S))
-    return H * np.outer(norm, norm), S * np.outer(norm, norm)
-
-
 @dataclass(frozen=True, eq=False)
 class GroundState:
     energy: float
@@ -212,33 +202,86 @@ class GroundState:
             raise ValueError(f"state normalization defect {norm - 1.0:.2e}")
 
 
+@dataclass(frozen=True, eq=False)
+class HamiltonianMatrices:
+    """The coupling-independent matrices of one (model, basis).
+
+    kinetic and the pair potentials (without their couplings) are in the raw
+    basis; norm rescales to unit Gram diagonal, gram is the rescaled overlap
+    and reduction maps onto its retained directions.  ground(s) solves the
+    model with every coupling multiplied by s.
+    """
+
+    basis: GaussianBasis
+    kinetic: np.ndarray
+    potentials: dict  # active pair -> V_pair
+    couplings: dict  # active pair -> the model's coupling
+    norm: np.ndarray
+    gram: np.ndarray
+    reduction: np.ndarray
+
+    def ground(self, scale: float = 1.0) -> GroundState:
+        """Lowest level of H = K - sum_p (s lambda_p) V_p on the retained Gram directions."""
+        H = self.kinetic
+        for pair, V in self.potentials.items():
+            H = H - (self.couplings[pair] * scale) * V
+        H = H * np.outer(self.norm, self.norm)
+        if not np.all(np.isfinite(H)):
+            raise IllConditionedBasisError("non-finite matrix elements")
+        Y = self.reduction
+        evals, evecs = np.linalg.eigh(Y.T @ H @ Y)
+        return GroundState(
+            energy=float(evals[0]),
+            coefficients=Y @ evecs[:, 0],
+            gram=self.gram,
+            basis=self.basis,
+            eigenvalues=evals,
+        )
+
+
+def hamiltonian_matrices(
+    model: ModelSpec, basis: GaussianBasis, gram_floor: float = 1e-12
+) -> HamiltonianMatrices:
+    """Kinetic, overlap and pair-potential matrices plus the spectral-floor Gram reduction.
+
+    None of them depends on the couplings, so a scan over the overall
+    coupling scale builds them once and pays one reduced eigensolve per point.
+    """
+    active = [
+        pair
+        for pair in PAIRS
+        if model.couplings.get(pair) > 0 and not model.potential(pair).is_zero()
+    ]
+    S = overlap_matrix(basis)
+    norm = 1.0 / np.sqrt(np.diag(S))
+    S = S * np.outer(norm, norm)
+    if not np.all(np.isfinite(S)):
+        raise IllConditionedBasisError("non-finite matrix elements")
+    vals, vecs = np.linalg.eigh(S)
+    keep = vals > gram_floor * vals[-1]
+    if not np.any(keep):
+        raise IllConditionedBasisError("Gram spectrum collapsed under the floor")
+    return HamiltonianMatrices(
+        basis=basis,
+        kinetic=kinetic_matrix(basis),
+        potentials={pair: potential_matrix(basis, model, pair) for pair in active},
+        couplings={pair: model.couplings.get(pair) for pair in active},
+        norm=norm,
+        gram=S,
+        reduction=vecs[:, keep] / np.sqrt(vals[keep])[None, :],
+    )
+
+
 def solve_ground(
     model: ModelSpec,
     basis: GaussianBasis,
     gram_floor: float = 1e-12,
 ) -> GroundState:
     """Generalized symmetric eigensolve with spectral-floor Gram regularization."""
-    H, S = hamiltonian_matrices(model, basis)
-    if not (np.all(np.isfinite(H)) and np.all(np.isfinite(S))):
-        raise IllConditionedBasisError("non-finite matrix elements")
-    vals, vecs = np.linalg.eigh(S)
-    keep = vals > gram_floor * vals[-1]
-    if not np.any(keep):
-        raise IllConditionedBasisError("Gram spectrum collapsed under the floor")
-    Y = vecs[:, keep] / np.sqrt(vals[keep])[None, :]
-    Hp = Y.T @ H @ Y
-    evals, evecs = np.linalg.eigh(Hp)
-    coeff = Y @ evecs[:, 0]
-    return GroundState(
-        energy=float(evals[0]),
-        coefficients=coeff,
-        gram=S,
-        basis=basis,
-        eigenvalues=evals,
-    )
+    return hamiltonian_matrices(model, basis, gram_floor).ground()
 
 
-def hvz_bottom(model: ModelSpec, quad: Optional[Quadrature] = None) -> float:
+def hvz_bottom(model: ModelSpec) -> float:
     """Bottom of the essential spectrum: the lowest pair level, or zero."""
     bottom = 0.0
     for pair in PAIRS:

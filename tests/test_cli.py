@@ -135,6 +135,28 @@ class TestResultStore:
             ResultStore(path, "other")
 
 
+    def test_torn_tail_dropped_and_truncated(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        s1 = ResultStore(path, "abc")
+        s1.record(0, {"x": 1.0})
+        s1.record(1, {"x": 2.0})
+        whole = path.read_bytes()
+        path.write_bytes(whole + b'{"config": "abc", "point": 2, "ro')
+        s2 = ResultStore(path, "abc")
+        assert s2.ordered_rows() == [{"x": 1.0}, {"x": 2.0}] and not s2.has(2)
+        assert path.read_bytes() == whole
+        s2.record(2, {"x": 3.0})
+        assert ResultStore(path, "abc").ordered_rows() == [{"x": 1.0}, {"x": 2.0}, {"x": 3.0}]
+
+    @pytest.mark.parametrize("bad", [b"{not json", b'{"config": "abc"}', b"[1, 2]"])
+    def test_malformed_interior_line_refused(self, tmp_path, bad):
+        path = tmp_path / "store.jsonl"
+        ResultStore(path, "abc").record(0, {"x": 1.0})
+        path.write_bytes(bad + b"\n" + path.read_bytes())
+        with pytest.raises(ConfigError, match="line 1 is malformed"):
+            ResultStore(path, "abc")
+
+
 class TestMainEntry:
     def test_threshold_deterministic(self, cfg_file, capsys):
         rc1 = main(["two-body", "threshold", "--config", str(cfg_file), "--quiet"])
@@ -221,6 +243,25 @@ class TestSweepResume:
         assert rc == EXIT_OK
         resumed = capsys.readouterr().out
         assert resumed == full
+
+    def test_resume_after_torn_append(self, tmp_path, capsys):
+        # a sweep killed mid-append leaves two whole records and a torn third
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_CFG.replace("scale_grid = 0.6,0.9", "scale_grid = 0.6,0.75,0.9"))
+        store = tmp_path / "rows.jsonl"
+        rc = main(["three-body", "sweep", "--config", str(cfg), "--quiet",
+                   "--store", str(store)])
+        assert rc == EXIT_OK
+        full = capsys.readouterr().out
+        records = store.read_bytes().splitlines(keepends=True)
+        assert len(records) == 3
+
+        store.write_bytes(records[0] + records[1] + records[2][: len(records[2]) // 2])
+        rc = main(["three-body", "sweep", "--config", str(cfg), "--quiet",
+                   "--store", str(store)])
+        assert rc == EXIT_OK
+        assert capsys.readouterr().out == full
+        assert store.read_bytes() == b"".join(records)
 
     def test_threads_do_not_change_output(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"

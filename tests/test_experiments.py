@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fewbody import experiments as ex
+from fewbody import faddeev as fd
 from fewbody import variational as vr
 from tests.conftest import GAUSS_LAMBDA_STAR, make_model
 
@@ -107,6 +108,36 @@ class TestEfimovGuards:
     def test_needs_two_resonant_pairs(self, gauss_model_factory, tiny_basis):
         with pytest.raises(ex.PairDriftError):
             ex.efimov_scan(gauss_model_factory(0.8), tiny_basis)
+
+
+class TestCrossValidateReuse:
+    KW = dict(n_x=12, n_p_per_panel=4, z_pair=(2e-2, 5e-3))
+
+    @pytest.mark.parametrize("bracket,n_grid", [((0.9, 1.2), 2), ((0.95, 1.15), 3)])
+    def test_one_assembly_per_z(self, gauss_model_factory, tiny_basis, monkeypatch,
+                                bracket, n_grid):
+        calls = []
+        assemble = fd.assemble_block_operator
+
+        def counting(model, z, **kw):
+            calls.append(z)
+            return assemble(model, z, **kw)
+
+        monkeypatch.setattr(fd, "assemble_block_operator", counting)
+        m = gauss_model_factory(0.8)
+        report = ex.cross_validate(m, tiny_basis, scale_bracket=bracket, n_grid=n_grid, **self.KW)
+        assert len(report.rows) == n_grid
+        assert sorted(calls) == sorted(self.KW["z_pair"])
+
+    def test_scan_matches_fresh_solves(self, gauss_model_factory, tiny_basis):
+        m = gauss_model_factory(0.8)
+        report = ex.cross_validate(m, tiny_basis, scale_bracket=(0.9, 1.2), n_grid=2, **self.KW)
+        grid_kw = {k: v for k, v in self.KW.items() if k != "z_pair"}
+        for row in report.rows:
+            scaled = m.with_couplings(m.couplings.scaled(row.scale))
+            assert row.e_gr == vr.solve_ground(scaled, tiny_basis).energy
+            ref = fd.radius_at_zero(scaled, self.KW["z_pair"], **grid_kw)
+            assert row.bs_radius == pytest.approx(ref, rel=1e-12)
 
 
 @pytest.fixture(scope="module")

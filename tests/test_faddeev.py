@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad as adaptive_quad
 
-from fewbody.model import MassSet, PotentialSpec, make_jacobi_frame
+from fewbody.model import MassSet, PotentialSpec, Quadrature, make_jacobi_frame
 from fewbody import faddeev as fd
 from fewbody import twobody as tb
 from tests.conftest import make_model
@@ -338,3 +338,65 @@ class TestFaddeevSolve:
         lo = fd.radius_at_zero(m.with_couplings(m.couplings.scaled(s * (1 - 10 * tol))), **kw)
         hi = fd.radius_at_zero(m.with_couplings(m.couplings.scaled(s * (1 + 10 * tol))), **kw)
         assert lo < 1.0 < hi
+
+
+def reassembled_threshold(model, bracket, tol, z_pair, **grid_kw):
+    """The threshold bisection with both blocks reassembled at every coupling scale."""
+
+    def radius(s):
+        return fd.radius_at_zero(model.with_couplings(model.couplings.scaled(s)), z_pair, **grid_kw)
+
+    lo, hi = bracket
+    if not radius(lo) < 1.0 <= radius(hi):
+        raise fd.BracketError("bracket does not straddle 1")
+    while hi - lo > tol * hi:
+        mid = 0.5 * (lo + hi)
+        if radius(mid) < 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class TestCouplingScale:
+    KW = dict(n_x=12, n_p_per_panel=4)
+
+    @pytest.fixture(scope="class")
+    def unequal_model(self, gaussian_well):
+        # distinct couplings and masses: every block carries its own scale
+        masses = MassSet(1.0, 1.6, 0.7)
+        fractions = (0.75, 0.6, 0.85)
+        lams = []
+        for pair, f in zip(("12", "13", "23"), fractions):
+            pot = gaussian_well.dilated(make_jacobi_frame(masses, pair).alpha)
+            lams.append(f / tb.mu_max(pot, 1.0, 0.0, Quadrature.for_potential(pot)))
+        return make_model(masses, gaussian_well, tuple(lams))
+
+    @pytest.mark.parametrize("z", [0.1, 1e-2])
+    def test_scaled_solve_matches_rescaled_model(self, unequal_model, z):
+        op = fd.assemble_block_operator(unequal_model, z, **self.KW)
+        for s in (0.4, 0.9, 1.1):
+            sol = fd.faddeev_solve(op, scale=s)
+            scaled = unequal_model.with_couplings(unequal_model.couplings.scaled(s))
+            ref = fd.spectral_radius(scaled, z, **self.KW)
+            assert sol.spectral_radius == pytest.approx(ref, rel=1e-12)
+            assert sol.residual < 1e-10
+
+    def test_supercritical_scale_raises(self, gauss_model_factory):
+        op = fd.assemble_block_operator(gauss_model_factory(0.8), 0.05, **self.KW)
+        fd.faddeev_solve(op, scale=1.2)  # pairs at 0.96 lam*: still below threshold
+        with pytest.raises(fd.PairThresholdError):
+            fd.faddeev_solve(op, scale=1.5)
+
+    def test_threshold_equals_reassembled_bisection(self, gauss_model_factory):
+        m = gauss_model_factory(0.9)
+        kw = dict(z_pair=(2e-2, 5e-3), **self.KW)
+        s = fd.bs_threshold_coupling(m, bracket=(0.7, 1.05), tol=1e-2, **kw)
+        ref = reassembled_threshold(m, (0.7, 1.05), 1e-2, **kw)
+        assert s == pytest.approx(ref, rel=1e-12)
+
+    def test_extrapolation_matches_radius_at_zero(self, unequal_model):
+        ops = fd.threshold_operators(unequal_model, (2e-2, 5e-3), **self.KW)
+        scaled = unequal_model.with_couplings(unequal_model.couplings.scaled(1.1))
+        ref = fd.radius_at_zero(scaled, (2e-2, 5e-3), **self.KW)
+        assert fd.extrapolated_radius(ops, 1.1) == pytest.approx(ref, rel=1e-12)

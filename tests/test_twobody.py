@@ -50,6 +50,53 @@ class TestAssembly:
         assert abs(mu2 - 1.7 * mu1) < 1e-12
 
 
+def reference_greens_matrix(k: float, quad: Quadrature) -> np.ndarray:
+    """The per-row product-corrected kernel matrix, one Lagrange evaluation per row."""
+    r, w = quad.nodes, quad.weights
+    omega = tb.reduced_greens(k, r[:, None], r[None, :]) * w[None, :]
+    xs, ws = np.polynomial.legendre.leggauss(24)
+    for a, b, lo, hi in quad.panels:
+        nodes = r[lo:hi]
+        bw = tb._bary_weights(nodes)
+        for i in range(r.size):
+            ri = r[i]
+            if not (a < ri < b):
+                continue
+            acc = np.zeros(hi - lo)
+            for aa, bb in ((a, ri), (ri, b)):
+                t = 0.5 * (bb - aa) * xs + 0.5 * (aa + bb)
+                tw = 0.5 * (bb - aa) * ws
+                acc += (tb.reduced_greens(k, ri, t) * tw) @ tb._lagrange_at(nodes, bw, t)
+            omega[i, lo:hi] = acc
+    G = omega / w[None, :]
+    G = 0.5 * (G + G.T)
+    np.clip(G, 0.0, None, out=G)
+    return G
+
+
+class TestGreensMatrixReference:
+    # k = 0 and k below the cutoff take the min(r, r') kernel; the rest the
+    # exponential one, from the near-threshold fibers out to deep decay
+    K_VALUES = (0.0, 0.5 * tb.K_ZERO_CUTOFF, 1e-6, 1e-3, 0.05, 0.7, 3.0, 25.0)
+
+    @pytest.mark.parametrize("grid", [
+        dict(r_max=12.0, n=16),  # the default panels, uneven panel sizes
+        dict(r_max=8.0, n=40, edges=[0.0, 0.3, 1.0, 2.5, 8.0]),
+    ])
+    def test_matches_per_row_loop(self, grid):
+        for k in self.K_VALUES:
+            G = tb.greens_matrix(k, Quadrature.build(**grid))
+            ref = reference_greens_matrix(k, Quadrature.build(**grid))
+            assert np.max(np.abs(G - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_correction_built_once_per_grid(self, gaussian_well):
+        quad = Quadrature.for_potential(gaussian_well, n=16)
+        tb.greens_matrix(0.1, quad)
+        corr = quad._cache["product_correction"]
+        tb.greens_matrix(0.2, quad)
+        assert quad._cache["product_correction"] is corr
+
+
 class TestEigenpair:
     def test_zero_matrix_degenerate(self, square_well, sw_quad):
         op = tb.assemble_bs(square_well, 0.0, 0.1, sw_quad)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -140,18 +141,28 @@ class TestSolveGround:
         assert gs.energy < -1e-3
 
     def test_relabeling_symmetry(self, equal_masses, gaussian_well, small_basis):
+        # equal masses on a frames basis: every assignment of three couplings
+        # to the pairs gives the same spectrum
         lam = GAUSS_LAMBDA_STAR
-        for perm in ((lam, 0.8 * lam, 0.6 * lam), (0.6 * lam, lam, 0.8 * lam)):
-            pass
-        e1 = vr.solve_ground(
-            make_model(equal_masses, gaussian_well, (lam, 0.8 * lam, 0.6 * lam)),
-            small_basis,
-        ).energy
-        e2 = vr.solve_ground(
-            make_model(equal_masses, gaussian_well, (0.6 * lam, lam, 0.8 * lam)),
-            small_basis,
-        ).energy
-        assert abs(e1 - e2) < 1e-8 * max(abs(e1), 1e-10)
+        energies = [
+            vr.solve_ground(make_model(equal_masses, gaussian_well, perm), small_basis).energy
+            for perm in itertools.permutations((lam, 0.8 * lam, 0.6 * lam))
+        ]
+        assert len(energies) == 6
+        for e in energies[1:]:
+            assert abs(e - energies[0]) < 1e-8 * max(abs(energies[0]), 1e-10)
+
+    def test_scaled_matrices_equal_rescaled_model(self, equal_masses, gaussian_well, small_basis):
+        # H = K - sum (s lam_p) V_p in the same order as a fresh solve: bit for bit
+        lam = GAUSS_LAMBDA_STAR
+        m = make_model(equal_masses, gaussian_well, (0.9 * lam, 0.7 * lam, 0.0))
+        hm = vr.hamiltonian_matrices(m, small_basis)
+        assert set(hm.potentials) == {"12", "13"}
+        for s in (0.5, 1.0, 1.3):
+            gs = hm.ground(s)
+            ref = vr.solve_ground(m.with_couplings(m.couplings.scaled(s)), small_basis)
+            assert gs.energy == ref.energy
+            assert np.array_equal(gs.coefficients, ref.coefficients)
 
     def test_gram_floor_error(self, gauss_model_factory, small_basis):
         with pytest.raises(vr.IllConditionedBasisError):
