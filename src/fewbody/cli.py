@@ -759,6 +759,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CONFIG
 
     if args.seed is not None:
+        # the effective seed, not the file text, enters config_hash(): a store
+        # written under one random basis refuses a resume under another
+        cfg.raw[("numerics", "seed")] = str(args.seed)
+        object.__setattr__(cfg, "seed", args.seed)
         object.__setattr__(
             cfg, "basis_spec",
             vr.BasisSpec(**{**cfg.basis_spec.__dict__, "seed": args.seed}),

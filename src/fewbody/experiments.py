@@ -40,23 +40,6 @@ class Scenario(Enum):
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    lambda12: float
-    theta: float
-    lam: float
-    e_gr: float
-    e_thr: float
-    p_r0: float
-    p_r1: float
-    bs_radius: Optional[float]
-    bound_states: Optional[int]
-
-    def __post_init__(self):
-        if self.e_gr > self.e_thr + 1e-8:
-            raise ValueError("ground energy above the essential-spectrum bottom")
-
-
-@dataclass(frozen=True)
 class DichotomyRow:
     couplings: CouplingConfig
     e_gr: float
@@ -328,17 +311,19 @@ def cross_validate(
     the variational energy says unbound and radius > 1 wherever it says
     clearly bound.  Each solver builds its coupling-independent work once
     (the variational matrices; one block operator per z in z_pair) and
-    every scale of the bisections and the scan reuses it.
+    every scale of the bisections and the scan reuses it.  The variational
+    bisection asks for the lowest level alone; the scan rows take the full
+    ground solve, so their energies equal solve_ground's.
     """
     hm = vr.hamiltonian_matrices(model, basis)
     s_lo, s_hi = scale_bracket
-    e_lo = hm.ground(s_lo).energy
-    e_hi = hm.ground(s_hi).energy
+    e_lo = hm.energy(s_lo)
+    e_hi = hm.energy(s_hi)
     if not (e_lo >= -EPS_NUM and e_hi < -EPS_NUM):
         raise BracketInvalidError("scale bracket does not straddle the variational threshold")
     while s_hi - s_lo > 1e-4 * s_hi:
         mid = 0.5 * (s_lo + s_hi)
-        if hm.ground(mid).energy < -EPS_NUM:
+        if hm.energy(mid) < -EPS_NUM:
             s_hi = mid
         else:
             s_lo = mid

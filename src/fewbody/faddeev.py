@@ -19,11 +19,21 @@ angular integral because the row resolvent acts on sin(nu r) eigenfunctions:
 
 T is exactly symmetric under (r,p) <-> (s,q) together with row <-> col.
 
+Within one operator (one z, one set of grid arguments) blocks are keyed by
+what goes into them: a grid by the scaled well, a diagonal stack by the well
+and its coupling, a cross block by both wells, both couplings, |a|, |b| and
+the signed d of the rotation (only a^2, |b|^3 and d enter T).  Equal masses therefore build one grid, one
+diagonal stack and one cross block per z, and every (row, col) entry points
+at that buffer.
+
 At fixed z every block is linear in an overall coupling scale s (the
 diagonal fibers carry lam, the cross blocks sqrt(lam_row lam_col)).  A
 threshold search therefore assembles the blocks once per z at the model's
-couplings and rescales them per scale: faddeev_solve(op, scale=s) forms
-(1 - s D)^-1 and s B without touching the assembled blocks.
+couplings, together with one eigendecomposition D = U Lambda U^T per
+diagonal fiber, and rescales per scale.  The iteration map (1 - s D)^-1 s B
+is similar to the symmetric C B C with C = U diag(sqrt(s/(1 - s Lambda))) U^T
+(Birman-Schwinger symmetrization), so faddeev_solve(op, scale=s) runs a
+symmetric Lanczos solve on it without touching the assembled blocks.
 """
 
 from __future__ import annotations
@@ -261,22 +271,24 @@ def assemble_offdiagonal_block(
 class BlockOperator:
     """Assembled coupled-pair system at spectral point z (energy -z^2).
 
-    Diagonal entries are kept in their momentum-fibered form; off-diagonal
-    entries are dense cross-frame matrices.  Couplings are folded in
-    symmetrically (sqrt(lam_row * lam_col) on each block).
+    Diagonal entries are kept in their momentum-fibered form, each with its
+    batched eigendecomposition (Lambda, U) of shapes (n_p, n_x) and
+    (n_p, n_x, n_x); off-diagonal entries are dense cross-frame matrices.
+    Couplings are folded in symmetrically (sqrt(lam_row * lam_col) on each
+    block).  Pairs whose blocks have equal content share one buffer.
     """
 
     z: float
     pairs: tuple[str, ...]
     grids: dict
     diagonal: dict  # pair -> (n_p, n_x, n_x)
+    spectra: dict  # pair -> (Lambda, U) of the diagonal fibers
     offdiagonal: dict  # (row, col) -> matrix
     couplings: dict
 
     def diag_norm(self, pair: str) -> float:
         """Operator norm of the pair's diagonal block (sup over momentum fibers)."""
-        stack = self.diagonal[pair]
-        return max(float(np.linalg.eigvalsh(stack[i])[-1]) for i in range(stack.shape[0]))
+        return float(np.max(self.spectra[pair][0][:, -1]))
 
     def dim(self) -> int:
         return sum(self.grids[p].dim for p in self.pairs)
@@ -290,37 +302,50 @@ def assemble_block_operator(
     p_max: float = 4.0,
     n_angle: int = 32,
 ) -> BlockOperator:
-    """Build all active blocks of the coupled system for the given model."""
+    """Build all active blocks of the coupled system for the given model.
+
+    Each grid, diagonal stack (with its eigendecomposition) and cross block
+    is built once per distinct content key and shared by every pair that
+    has that key.
+    """
     active = [
         pair
         for pair in PAIRS
         if model.couplings.get(pair) > 0 and not model.potential(pair).is_zero()
     ]
-    grids = {
-        pair: build_mixed_grid(model.scaled_potential(pair), z, n_x, n_p_per_panel, p_max)
-        for pair in active
-    }
-    diagonal = {
-        pair: assemble_diagonal_block(
-            model.scaled_potential(pair), model.couplings.get(pair), z, grids[pair]
+    built: dict = {}
+
+    def shared(key, build):
+        if key not in built:
+            built[key] = build()
+        return built[key]
+
+    pots = {pair: model.scaled_potential(pair) for pair in active}
+    lams = {pair: model.couplings.get(pair) for pair in active}
+    grids, diagonal, spectra = {}, {}, {}
+    for pair in active:
+        grids[pair] = shared(
+            ("grid", pots[pair]),
+            lambda: build_mixed_grid(pots[pair], z, n_x, n_p_per_panel, p_max),
         )
-        for pair in active
-    }
+        key = (pots[pair], lams[pair])
+        diagonal[pair] = shared(
+            ("diag",) + key,
+            lambda: assemble_diagonal_block(pots[pair], lams[pair], z, grids[pair]),
+        )
+        spectra[pair] = shared(("eigh",) + key, lambda: np.linalg.eigh(diagonal[pair]))
     offdiag = {}
     for i, row in enumerate(active):
         for col in active[i + 1 :]:
-            B = assemble_offdiagonal_block(
-                model.masses,
-                row,
-                col,
-                model.scaled_potential(row),
-                model.scaled_potential(col),
-                model.couplings.get(row),
-                model.couplings.get(col),
-                z,
-                grids[row],
-                grids[col],
-                n_angle=n_angle,
+            R = kinematic_rotation(model.masses, row, col)
+            key = ("cross", pots[row], pots[col], lams[row], lams[col],
+                   abs(R[0, 0]), abs(R[0, 1]), R[1, 1])
+            B = shared(
+                key,
+                lambda: assemble_offdiagonal_block(
+                    model.masses, row, col, pots[row], pots[col], lams[row], lams[col],
+                    z, grids[row], grids[col], n_angle=n_angle,
+                ),
             )
             offdiag[(row, col)] = B
             offdiag[(col, row)] = B.T  # a view: both orientations share one buffer
@@ -329,8 +354,9 @@ def assemble_block_operator(
         pairs=tuple(active),
         grids=grids,
         diagonal=diagonal,
+        spectra=spectra,
         offdiagonal=offdiag,
-        couplings={pair: model.couplings.get(pair) for pair in active},
+        couplings=lams,
     )
 
 
@@ -346,6 +372,12 @@ class FaddeevSolution:
     z: float
 
 
+# Lanczos subspace of the symmetric solve: the Perron level is well separated,
+# so a small subspace restarts cheaply (Lehoucq, Sorensen & Yang, ARPACK
+# Users' Guide, 1998).
+_LANCZOS_NCV = 6
+
+
 def faddeev_solve(
     op: BlockOperator, tol: float = 1e-10, maxiter: int = 2000, scale: float = 1.0
 ) -> FaddeevSolution:
@@ -357,22 +389,21 @@ def faddeev_solve(
     signals a bound state at energy -z^2.  Every block is linear in the
     couplings, so s = scale solves the model with all couplings multiplied
     by s on the blocks assembled at the model's own couplings.
+
+    The map is similar to the symmetric half-resolvent form C B C with
+    C = U diag(sqrt(s/(1 - s Lambda))) U^T per fiber, from the stored
+    eigendecomposition D = U Lambda U^T, so a symmetric Lanczos solve (eigsh)
+    finds the radius and phi = C y the component vector.  If ARPACK does not
+    converge, power iteration on the map itself takes over.  The residual is
+    the defect of the un-split component identity in the original coordinates.
     """
     pairs = op.pairs
-    resolvents = {}
     for pair in pairs:
-        stack = op.diagonal[pair]
-        n_p, n_x, _ = stack.shape
-        R = np.empty_like(stack)
-        for i in range(n_p):
-            fiber = scale * stack[i]
-            vals = np.linalg.eigvalsh(fiber)
-            if vals[-1] >= 1.0 - 1e-12:
-                raise PairThresholdError(
-                    f"pair {pair}: diagonal fiber eigenvalue {vals[-1]:.6f} >= 1 at z={op.z}"
-                )
-            R[i] = np.linalg.inv(np.eye(n_x) - fiber)
-        resolvents[pair] = R
+        top = scale * float(np.max(op.spectra[pair][0][:, -1]))
+        if top >= 1.0 - 1e-12:
+            raise PairThresholdError(
+                f"pair {pair}: diagonal fiber eigenvalue {top:.6f} >= 1 at z={op.z}"
+            )
 
     if len(pairs) < 2:
         # fewer than two coupled pairs: no exchange driving, radius vanishes
@@ -389,36 +420,51 @@ def faddeev_solve(
     def split(v):
         return {p: v[offsets[p] : offsets[p] + dims[p]] for p in pairs}
 
-    def apply_r(pair, vec):
-        grid = op.grids[pair]
-        x = vec.reshape(grid.n_p, grid.n_x)
-        return np.einsum("pij,pj->pi", resolvents[pair], x).ravel()
+    half = {}
+    for pair in pairs:
+        vals, vecs = op.spectra[pair]
+        c = np.sqrt(scale / (1.0 - scale * vals))
+        half[pair] = (vecs * c[:, None, :]) @ vecs.transpose(0, 2, 1)
 
-    def matvec(v):
+    def fibered(mats, v):
+        """Per-fiber matrices of each pair applied to the stacked vector v."""
+        out = np.empty_like(v)
+        for pair, x in split(v).items():
+            grid = op.grids[pair]
+            y = np.einsum("pij,pj->pi", mats[pair], x.reshape(grid.n_p, grid.n_x))
+            out[offsets[pair] : offsets[pair] + dims[pair]] = y.ravel()
+        return out
+
+    def exchange(v):
+        """sum_{col != row} B[row, col] v_col for every row."""
         comp = split(v)
         out = np.zeros_like(v)
         for row in pairs:
-            acc = np.zeros(dims[row])
+            acc = out[offsets[row] : offsets[row] + dims[row]]
             for col in pairs:
-                if col == row:
-                    continue
-                acc += op.offdiagonal[(row, col)] @ comp[col]
-            out[offsets[row] : offsets[row] + dims[row]] = apply_r(row, scale * acc)
+                if col != row:
+                    acc += op.offdiagonal[(row, col)] @ comp[col]
         return out
 
     v0 = np.ones(total)
-    lin = scipy.sparse.linalg.LinearOperator((total, total), matvec=matvec)
+    lin = scipy.sparse.linalg.LinearOperator(
+        (total, total),
+        matvec=lambda y: fibered(half, exchange(fibered(half, y))),
+        dtype=float,
+    )
     try:
-        vals, vecs = scipy.sparse.linalg.eigs(
-            lin, k=1, which="LM", v0=v0, maxiter=maxiter, tol=tol
+        vals, vecs = scipy.sparse.linalg.eigsh(
+            lin, k=1, which="LM", v0=v0, ncv=_LANCZOS_NCV, maxiter=maxiter, tol=tol
         )
-        radius = float(np.abs(vals[0]))
-        vec = np.real(vecs[:, 0])
+        radius = float(abs(vals[0]))
+        vec = fibered(half, vecs[:, 0])
+        vec /= np.linalg.norm(vec)
     except scipy.sparse.linalg.ArpackNoConvergence:
+        # C C = (1 - s D)^-1 s: the iteration map in the original coordinates
         vec = v0 / np.linalg.norm(v0)
         radius = 0.0
         for _ in range(maxiter):
-            w = matvec(vec)
+            w = fibered(half, fibered(half, exchange(vec)))
             nrm = np.linalg.norm(w)
             if nrm == 0:
                 radius = 0.0
@@ -436,17 +482,9 @@ def faddeev_solve(
 
     # defect of the un-split component identity at the returned eigenvalue:
     # radius*(1 - s diag) phi - s offdiag phi should vanish
-    defect = 0.0
-    for row in pairs:
-        grid = op.grids[row]
-        x = comp[row].reshape(grid.n_p, grid.n_x)
-        diag_applied = np.einsum("pij,pj->pi", op.diagonal[row], x).ravel()
-        acc = np.zeros(dims[row])
-        for col in pairs:
-            if col != row:
-                acc += op.offdiagonal[(row, col)] @ comp[col]
-        defect += np.linalg.norm(radius * (comp[row] - scale * diag_applied) - scale * acc) ** 2
-    residual = math.sqrt(defect) / max(np.linalg.norm(vec), 1e-300)
+    defect = vec - scale * fibered(op.diagonal, vec)
+    defect = radius * defect - scale * exchange(vec)
+    residual = float(np.linalg.norm(defect)) / max(np.linalg.norm(vec), 1e-300)
 
     return FaddeevSolution(
         spectral_radius=radius, components=comp, residual=residual, z=op.z

@@ -31,10 +31,6 @@ from .model import PotentialSpec, Quadrature, ZeroPotentialError
 K_ZERO_CUTOFF = 1e-12
 
 
-class DegenerateEigenvalueError(RuntimeError):
-    """Top of the spectrum is not isolated."""
-
-
 class NotAtThresholdError(ValueError):
     """Resonance data requested away from the coupling-constant threshold."""
 
@@ -321,25 +317,6 @@ def w_decomposition_probe(
         z_norm = float(np.max(np.abs(np.linalg.eigvalsh(Z))))
         rows.append(WProbeRow(k=float(k), w_norm=float(w_norm), akw=float(a * k * w_norm), z_norm=z_norm))
     return rows
-
-
-def rho0_surrogate(
-    pot: PotentialSpec,
-    res: ResonanceData,
-    quad: Quadrature,
-    gap_floor: float = 0.05,
-    k_grid: Optional[np.ndarray] = None,
-) -> float:
-    """Largest probed k at which the top eigenvalue keeps a gap >= gap_floor."""
-    if k_grid is None:
-        k_grid = np.geomspace(1e-4, 1.0, 25)
-    best = 0.0
-    for k in k_grid:
-        op = assemble_bs(pot, res.lambda_star, float(k), quad)
-        vals = np.linalg.eigvalsh(op.matrix)
-        if vals[-1] - vals[-2] >= gap_floor:
-            best = float(k)
-    return best
 
 
 # ---------------------------------------------------------------------------

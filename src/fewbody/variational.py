@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
+import scipy.linalg
 from scipy.special import i1e
 
 from .model import ModelSpec, PAIRS, Quadrature, _gauss_legendre_panels
@@ -220,8 +221,8 @@ class HamiltonianMatrices:
     gram: np.ndarray
     reduction: np.ndarray
 
-    def ground(self, scale: float = 1.0) -> GroundState:
-        """Lowest level of H = K - sum_p (s lambda_p) V_p on the retained Gram directions."""
+    def _reduced(self, scale: float) -> np.ndarray:
+        """H = K - sum_p (s lambda_p) V_p on the retained Gram directions."""
         H = self.kinetic
         for pair, V in self.potentials.items():
             H = H - (self.couplings[pair] * scale) * V
@@ -229,14 +230,22 @@ class HamiltonianMatrices:
         if not np.all(np.isfinite(H)):
             raise IllConditionedBasisError("non-finite matrix elements")
         Y = self.reduction
-        evals, evecs = np.linalg.eigh(Y.T @ H @ Y)
+        return Y.T @ H @ Y
+
+    def ground(self, scale: float = 1.0) -> GroundState:
+        """Lowest level of H at coupling scale s, its state and the full retained spectrum."""
+        evals, evecs = np.linalg.eigh(self._reduced(scale))
         return GroundState(
             energy=float(evals[0]),
-            coefficients=Y @ evecs[:, 0],
+            coefficients=self.reduction @ evecs[:, 0],
             gram=self.gram,
             basis=self.basis,
             eigenvalues=evals,
         )
+
+    def energy(self, scale: float = 1.0) -> float:
+        """Lowest level of H at coupling scale s alone: no state, no other levels."""
+        return float(scipy.linalg.eigvalsh(self._reduced(scale), subset_by_index=[0, 0])[0])
 
 
 def hamiltonian_matrices(

@@ -263,6 +263,37 @@ class TestSweepResume:
         assert capsys.readouterr().out == full
         assert store.read_bytes() == b"".join(records)
 
+    def test_seed_enters_store_hash(self, tmp_path, capsys):
+        # a random basis: the effective seed picks it, so it keys the store
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_CFG.replace("p_per_panel = 4", "p_per_panel = 4\nbasis.n_random = 3\nseed = 7"))
+
+        def sweep(store, *seed):
+            rc = main(["three-body", "sweep", "--config", str(cfg), "--quiet",
+                       "--store", str(store), *seed])
+            return rc, capsys.readouterr()
+
+        seeded = tmp_path / "seeded.jsonl"
+        rc, first = sweep(seeded, "--seed", "1")
+        assert rc == EXIT_OK
+        stored = seeded.read_bytes()
+        rc, refused = sweep(seeded, "--seed", "2")
+        assert rc == EXIT_CONFIG and "different configuration" in refused.err
+        rc, resumed = sweep(seeded, "--seed", "1")
+        assert rc == EXIT_OK and resumed.out == first.out
+        assert seeded.read_bytes() == stored
+
+        # without --seed the hash is that of the file text, as before
+        plain = tmp_path / "plain.jsonl"
+        rc, first = sweep(plain)
+        assert rc == EXIT_OK
+        assert ResultStore(plain, parse_config(cfg).config_hash()).has(0)
+        rc, resumed = sweep(plain)
+        assert rc == EXIT_OK and resumed.out == first.out
+        # an override equal to the file's seed is the same effective config
+        rc, resumed = sweep(plain, "--seed", "7")
+        assert rc == EXIT_OK and resumed.out == first.out
+
     def test_threads_do_not_change_output(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(SWEEP_CFG)

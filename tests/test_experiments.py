@@ -172,21 +172,3 @@ class TestBorromeanDoubleResonance:
         m = make_model(equal_masses, gaussian_well, (lam, lam, 0.0), eps=0.05)
         scan = ex.efimov_scan(m, wide_basis)
         assert scan.count >= 2
-
-
-class TestSweepRow:
-    def test_energy_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            ex.SweepRow(
-                lambda12=1.0, theta=1.0, lam=1.0,
-                e_gr=0.5, e_thr=0.0, p_r0=0.5, p_r1=0.7,
-                bs_radius=None, bound_states=0,
-            )
-
-    def test_valid_row(self):
-        row = ex.SweepRow(
-            lambda12=1.0, theta=1.0, lam=1.0,
-            e_gr=-0.2, e_thr=0.0, p_r0=0.5, p_r1=0.7,
-            bs_radius=0.9, bound_states=1,
-        )
-        assert row.e_gr <= row.e_thr

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad as adaptive_quad
 
 from fewbody.model import MassSet, PotentialSpec, Quadrature, make_jacobi_frame
 from fewbody import faddeev as fd
 from fewbody import twobody as tb
-from tests.conftest import make_model
+from tests.conftest import GAUSS_LAMBDA_STAR, make_model
 
 masses_st = st.floats(min_value=0.1, max_value=20.0, allow_nan=False)
 
@@ -358,19 +359,20 @@ def reassembled_threshold(model, bracket, tol, z_pair, **grid_kw):
     return 0.5 * (lo + hi)
 
 
+@pytest.fixture(scope="module")
+def unequal_model(gaussian_well):
+    # distinct couplings and masses: every block carries its own scale
+    masses = MassSet(1.0, 1.6, 0.7)
+    fractions = (0.75, 0.6, 0.85)
+    lams = []
+    for pair, f in zip(("12", "13", "23"), fractions):
+        pot = gaussian_well.dilated(make_jacobi_frame(masses, pair).alpha)
+        lams.append(f / tb.mu_max(pot, 1.0, 0.0, Quadrature.for_potential(pot)))
+    return make_model(masses, gaussian_well, tuple(lams))
+
+
 class TestCouplingScale:
     KW = dict(n_x=12, n_p_per_panel=4)
-
-    @pytest.fixture(scope="class")
-    def unequal_model(self, gaussian_well):
-        # distinct couplings and masses: every block carries its own scale
-        masses = MassSet(1.0, 1.6, 0.7)
-        fractions = (0.75, 0.6, 0.85)
-        lams = []
-        for pair, f in zip(("12", "13", "23"), fractions):
-            pot = gaussian_well.dilated(make_jacobi_frame(masses, pair).alpha)
-            lams.append(f / tb.mu_max(pot, 1.0, 0.0, Quadrature.for_potential(pot)))
-        return make_model(masses, gaussian_well, tuple(lams))
 
     @pytest.mark.parametrize("z", [0.1, 1e-2])
     def test_scaled_solve_matches_rescaled_model(self, unequal_model, z):
@@ -400,3 +402,130 @@ class TestCouplingScale:
         scaled = unequal_model.with_couplings(unequal_model.couplings.scaled(1.1))
         ref = fd.radius_at_zero(scaled, (2e-2, 5e-3), **self.KW)
         assert fd.extrapolated_radius(ops, 1.1) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("z", [0.1, 1e-2])
+    def test_symmetric_solve_matches_iteration_map(self, unequal_model, z):
+        op = fd.assemble_block_operator(unequal_model, z, **self.KW)
+        for s in (0.4, 0.9, 1.1):
+            ref = reference_radius(op, s)
+            assert fd.faddeev_solve(op, scale=s).spectral_radius == pytest.approx(ref, rel=1e-12)
+
+    def test_power_iteration_fallback(self, unequal_model, monkeypatch):
+        op = fd.assemble_block_operator(unequal_model, 1e-2, **self.KW)
+        lanczos = fd.faddeev_solve(op, scale=0.9)
+        calls = []
+
+        def no_convergence(*args, **kwargs):
+            calls.append(kwargs)
+            raise scipy.sparse.linalg.ArpackNoConvergence(
+                "ARPACK error -1: No convergence", np.empty(0), np.empty((0, 0))
+            )
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        power = fd.faddeev_solve(op, scale=0.9)
+        assert len(calls) == 1
+        assert power.spectral_radius == pytest.approx(lanczos.spectral_radius, rel=1e-8)
+        assert power.residual < 1e-8
+
+    @given(s=st.floats(min_value=1e-3, max_value=1.5))
+    @settings(max_examples=8, deadline=None)
+    def test_blocks_linear_in_coupling_scale(self, unequal_model, s):
+        # the scale= reuse rests on this: every block of the s-scaled model is s x the block
+        kw = dict(n_x=8, n_p_per_panel=3)
+        op = fd.assemble_block_operator(unequal_model, 0.05, **kw)
+        scaled = unequal_model.with_couplings(unequal_model.couplings.scaled(s))
+        op_s = fd.assemble_block_operator(scaled, 0.05, **kw)
+        blocks = [(op.diagonal, op_s.diagonal), (op.offdiagonal, op_s.offdiagonal)]
+        for unit, rescaled in blocks:
+            assert unit.keys() == rescaled.keys()
+            for key in unit:
+                ref = s * unit[key]
+                assert np.max(np.abs(rescaled[key] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def reference_radius(op, scale):
+    """The former solve: eigs on the iteration map (1 - s D)^-1 s B, fiber by fiber."""
+    pairs = op.pairs
+    bounds = np.cumsum([0] + [op.grids[p].dim for p in pairs])
+    resolvents = {
+        p: np.linalg.inv(np.eye(op.grids[p].n_x) - scale * op.diagonal[p]) for p in pairs
+    }
+
+    def matvec(v):
+        out = np.zeros_like(v)
+        for i, row in enumerate(pairs):
+            acc = sum(
+                op.offdiagonal[(row, col)] @ v[bounds[j] : bounds[j + 1]]
+                for j, col in enumerate(pairs)
+                if col != row
+            )
+            grid = op.grids[row]
+            x = (scale * acc).reshape(grid.n_p, grid.n_x)
+            out[bounds[i] : bounds[i + 1]] = np.einsum("pij,pj->pi", resolvents[row], x).ravel()
+        return out
+
+    n = int(bounds[-1])
+    lin = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=float)
+    vals, _ = scipy.sparse.linalg.eigs(lin, k=1, which="LM", v0=np.ones(n), tol=1e-10, maxiter=2000)
+    return float(abs(vals[0]))
+
+
+def per_pair_blocks(model, z, n_x, n_p_per_panel, p_max=4.0, n_angle=32):
+    """Blocks assembled pair by pair, each pair on its own grid: no content keys."""
+    pairs = [p for p in ("12", "13", "23") if model.couplings.get(p) > 0]
+    pots = {p: model.scaled_potential(p) for p in pairs}
+    lams = {p: model.couplings.get(p) for p in pairs}
+    grids = {p: fd.build_mixed_grid(pots[p], z, n_x, n_p_per_panel, p_max) for p in pairs}
+    diagonal = {p: fd.assemble_diagonal_block(pots[p], lams[p], z, grids[p]) for p in pairs}
+    offdiag = {}
+    for i, row in enumerate(pairs):
+        for col in pairs[i + 1 :]:
+            offdiag[(row, col)] = fd.assemble_offdiagonal_block(
+                model.masses, row, col, pots[row], pots[col], lams[row], lams[col],
+                z, grids[row], grids[col], n_angle=n_angle,
+            )
+    return diagonal, offdiag
+
+
+class TestContentKeyedBlocks:
+    KW = dict(n_x=12, n_p_per_panel=4)
+    UPPER = (("12", "13"), ("12", "23"), ("13", "23"))
+
+    def test_equal_masses_share_one_buffer(self, gauss_model_factory):
+        op = fd.assemble_block_operator(gauss_model_factory(0.8), 0.05, **self.KW)
+        g, d, e = op.grids["12"], op.diagonal["12"], op.spectra["12"]
+        assert all(op.grids[p] is g and op.diagonal[p] is d and op.spectra[p] is e
+                   for p in ("13", "23"))
+        B = op.offdiagonal[("12", "13")]
+        for row, col in self.UPPER:
+            assert op.offdiagonal[(row, col)] is B
+            assert np.shares_memory(op.offdiagonal[(col, row)], B)
+
+    def test_unequal_masses_build_distinct_blocks(self, unequal_model):
+        op = fd.assemble_block_operator(unequal_model, 0.05, **self.KW)
+        assert len({id(op.offdiagonal[key]) for key in self.UPPER}) == 3
+        assert len({id(op.diagonal[p]) for p in op.pairs}) == 3
+        assert len({id(op.grids[p]) for p in op.pairs}) == 3
+
+    @pytest.mark.parametrize("model_name", ["equal", "equal-masses-distinct-couplings", "unequal"])
+    def test_blocks_equal_per_pair_assembly(
+        self, model_name, equal_masses, gaussian_well, gauss_model_factory, unequal_model
+    ):
+        lam = GAUSS_LAMBDA_STAR
+        model = {
+            "equal": gauss_model_factory(0.8),
+            "equal-masses-distinct-couplings": make_model(
+                equal_masses, gaussian_well, (0.8 * lam, 0.7 * lam, 0.8 * lam)
+            ),
+            "unequal": unequal_model,
+        }[model_name]
+        op = fd.assemble_block_operator(model, 0.05, **self.KW)
+        diagonal, offdiag = per_pair_blocks(model, 0.05, **self.KW)
+        for p in op.pairs:
+            assert np.array_equal(op.diagonal[p], diagonal[p])
+            vals, vecs = op.spectra[p]
+            assert np.allclose(vecs @ (vals[..., None] * vecs.transpose(0, 2, 1)), diagonal[p],
+                               rtol=0.0, atol=1e-14)
+        for (row, col), B in offdiag.items():
+            assert np.array_equal(op.offdiagonal[(row, col)], B)
+            assert np.array_equal(op.offdiagonal[(col, row)], B.T)

@@ -225,10 +225,6 @@ class TestWProbe:
             mu = tb.principal_eigenpair(op).mu
             assert 1.0 / (1.0 - mu) < 2.1
 
-    def test_rho0_surrogate_positive(self, square_well, sw_quad, sw_resonance):
-        rho0 = tb.rho0_surrogate(square_well, sw_resonance, sw_quad)
-        assert rho0 > 1e-3
-
 
 class TestClassification:
     def test_unbound_with_margin(self, square_well, sw_quad):

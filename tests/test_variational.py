@@ -163,6 +163,10 @@ class TestSolveGround:
             ref = vr.solve_ground(m.with_couplings(m.couplings.scaled(s)), small_basis)
             assert gs.energy == ref.energy
             assert np.array_equal(gs.coefficients, ref.coefficients)
+            # the lowest-level-only solve: another LAPACK driver, same level to
+            # rounding, which scales with the spectral width of H, not with |E|
+            width = np.max(np.abs(gs.eigenvalues))
+            assert abs(hm.energy(s) - gs.energy) <= 1e-13 * width
 
     def test_gram_floor_error(self, gauss_model_factory, small_basis):
         with pytest.raises(vr.IllConditionedBasisError):
