@@ -121,7 +121,6 @@ class RunConfig:
     model: ModelSpec
     basis_spec: vr.BasisSpec
     raw: dict  # (section, key) -> string, defaults included
-    seed: Optional[int]
 
     def get(self, section: str, key: str) -> str:
         return self.raw[(section, key)]
@@ -268,7 +267,7 @@ def parse_config(path) -> RunConfig:
         if float(raw[(s, key)]) <= 0:
             raise ConfigError(f"{s}.{key} must be positive")
 
-    return RunConfig(model=model, basis_spec=basis_spec, raw=raw, seed=seed)
+    return RunConfig(model=model, basis_spec=basis_spec, raw=raw)
 
 
 # ---------------------------------------------------------------------------
@@ -575,13 +574,8 @@ def _cmd_three_body_theta0(cfg: RunConfig, args, out) -> int:
     basis = _basis(cfg)
     bracket = tuple(cfg.floats("experiment", "theta_bracket"))
     pair = cfg.get("experiment", "vary_pair")
-    tol = args.tol or 1e-4
-    theta0 = ex.find_theta0(cfg.model, bracket, basis, tol=tol, pair=pair)
-    emit_csv(
-        [{"pair": pair, "theta0": theta0, "tol": tol}],
-        ["pair", "theta0", "tol"],
-        out,
-    )
+    theta0 = ex.find_theta0(cfg.model, bracket, basis, pair=pair)
+    emit_csv([{"pair": pair, "theta0": theta0}], ["pair", "theta0"], out)
     return EXIT_OK
 
 
@@ -762,7 +756,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # the effective seed, not the file text, enters config_hash(): a store
         # written under one random basis refuses a resume under another
         cfg.raw[("numerics", "seed")] = str(args.seed)
-        object.__setattr__(cfg, "seed", args.seed)
         object.__setattr__(
             cfg, "basis_spec",
             vr.BasisSpec(**{**cfg.basis_spec.__dict__, "seed": args.seed}),
@@ -778,11 +771,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     out = _open_out(args)
     try:
         return handler(cfg, args, out)
-    except ConfigError as err:
+    except (ConfigError, ex.BracketInvalidError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except (
-        ex.BracketInvalidError,
         ex.PathPointUnboundError,
         ex.PairDriftError,
         fd.PairThresholdError,

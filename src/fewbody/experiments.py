@@ -2,7 +2,8 @@
 
 All 3-body numbers here are arbitrated by two solvers that share no code
 path: the variational correlated-Gaussian diagonalization and the coupled
-pair-component spectral radius.
+pair-component spectral radius.  A variational threshold or target energy
+on an affine coupling path is one definite-pencil eigensolve, not a search.
 """
 
 from __future__ import annotations
@@ -57,77 +58,63 @@ class DichotomyReport:
     ceiling_factor: float
 
 
+def _path_couplings(model: ModelSpec, knob: str, v: float) -> CouplingConfig:
+    """Couplings at knob value v: "scale" multiplies them all, a pair name sets that one."""
+    if knob == "scale":
+        return model.couplings.scaled(v)
+    return model.couplings.replace(knob, v)
+
+
+def _knob_at_level(
+    hm: vr.HamiltonianMatrices,
+    model: ModelSpec,
+    knob: str,
+    bracket: tuple[float, float],
+    target: float,
+) -> float:
+    """Knob value in the bracket where E_gr - hvz_bottom(lower end) = target < 0.
+
+    One HamiltonianMatrices.crossing eigensolve.  BracketInvalidError when the
+    level is already at or below target at the lower end, still above it at
+    the upper end, or the HVZ bottom moved (a pair crossed its own threshold).
+    """
+    lo, hi = bracket
+    if not lo < hi:
+        raise BracketInvalidError(f"empty bracket {bracket}")
+    start, end = _path_couplings(model, knob, lo), _path_couplings(model, knob, hi)
+    bottom = vr.hvz_bottom(model.with_couplings(start))
+    try:
+        t = hm.crossing(start, end, bottom + target)
+    except np.linalg.LinAlgError as err:
+        raise BracketInvalidError(
+            f"E_gr already at or below {target:.3e} at {knob}={lo} ({err})"
+        ) from err
+    if t > 1.0:
+        raise BracketInvalidError(f"E_gr still above {target:.3e} at {knob}={hi}")
+    v = lo + t * (hi - lo)
+    moved = vr.hvz_bottom(model.with_couplings(_path_couplings(model, knob, v)))
+    if moved != bottom:
+        raise BracketInvalidError(
+            f"HVZ bottom moved from {bottom:.3e} to {moved:.3e} by {knob}={v}: "
+            "a pair crossed its own threshold"
+        )
+    return v
+
+
 def find_theta0(
     model: ModelSpec,
     theta_bracket: tuple[float, float],
     basis: vr.GaussianBasis,
-    tol: float = 1e-4,
     pair: str = "13",
 ) -> float:
     """Coupling of `pair` at which the 3-body level detaches from threshold.
 
-    Bisection on the variational ground energy crossing -EPS_NUM; the
-    couplings of the other pairs are taken from the model as-is.
+    Where the variational ground energy reaches -EPS_NUM below the HVZ
+    bottom, from one pencil eigensolve; the couplings of the other pairs are
+    taken from the model as-is.
     """
-    lo, hi = theta_bracket
-    if not lo < hi:
-        raise BracketInvalidError("empty theta bracket")
-
-    def energy(theta: float) -> float:
-        m = model.with_couplings(model.couplings.replace(pair, theta))
-        return vr.solve_ground(m, basis).energy - vr.hvz_bottom(m)
-
-    e_lo, e_hi = energy(lo), energy(hi)
-    if e_lo < -EPS_NUM:
-        raise BracketInvalidError(f"already bound at theta={lo} (E={e_lo:.3e})")
-    if e_hi > -1e-6:
-        raise BracketInvalidError(f"not bound at theta={hi} (E={e_hi:.3e})")
-    while hi - lo > tol * hi:
-        mid = 0.5 * (lo + hi)
-        if energy(mid) < -EPS_NUM:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
-def _couplings_at_energy(
-    model: ModelSpec,
-    basis: vr.GaussianBasis,
-    target: float,
-    vary: str,
-    bracket: tuple[float, float],
-    rel_tol: float = 0.02,
-) -> tuple[ModelSpec, float, vr.GroundState]:
-    """Tune one knob (overall "scale" or a pair coupling) until E_gr hits target < 0."""
-
-    def at(v: float) -> ModelSpec:
-        if vary == "scale":
-            return model.with_couplings(model.couplings.scaled(v))
-        return model.with_couplings(model.couplings.replace(vary, v))
-
-    def energy(v: float):
-        m = at(v)
-        gs = vr.solve_ground(m, basis)
-        return gs.energy - vr.hvz_bottom(m), m, gs
-
-    lo, hi = bracket
-    e_lo = energy(lo)[0]
-    e_hi = energy(hi)[0]
-    if not (e_hi < target < max(e_lo, -EPS_NUM)):
-        raise BracketInvalidError(
-            f"target {target:.3e} outside bracket energies ({e_lo:.3e}, {e_hi:.3e})"
-        )
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        e, m, gs = energy(mid)
-        if abs(e - target) <= rel_tol * abs(target):
-            return m, e, gs
-        if e > target:
-            lo = mid
-        else:
-            hi = mid
-    raise PathPointUnboundError(f"could not settle E_gr near {target:.3e}")
+    hi = model.with_couplings(_path_couplings(model, pair, theta_bracket[1]))
+    return _knob_at_level(vr.hamiltonian_matrices(hi, basis), model, pair, theta_bracket, -EPS_NUM)
 
 
 def spreading_dichotomy(
@@ -143,10 +130,12 @@ def spreading_dichotomy(
 ) -> DichotomyReport:
     """P(R0) along a coupling path whose ground energy rises to the threshold.
 
-    no-pair-resonance: every pair must hold the R7 margin along the path and
-    the verdict demands inf P(R0) >= floor.  pair-resonance: pair (12) pinned
-    at its coupling threshold; the verdict demands a monotone drop of P(R0)
-    below ceiling_factor times its first value.
+    no-pair-resonance: all couplings scaled over scale_bracket; every pair
+    must hold the R7 margin along the path and the verdict demands
+    inf P(R0) >= floor.  pair-resonance: pair (12) pinned at its coupling
+    threshold and lambda13 tuned up to the model's value; the verdict demands
+    a monotone drop of P(R0) below ceiling_factor times its first value.
+    Each row sits where one pencil eigensolve puts E_gr at its target.
     """
     depth = max(model.potential(p).depth for p in PAIRS)
     targets = sorted((abs(t) * depth for t in energy_targets), reverse=True)
@@ -155,10 +144,28 @@ def spreading_dichotomy(
     if quad is None:
         quad = Quadrature.build(r_max=12.0 * model.max_range())
 
+    if scenario is Scenario.NO_PAIR_RESONANCE:
+        knob, bracket = "scale", scale_bracket
+    else:
+        lam12 = model.couplings.lambda12
+        cls = tb.classify_pair(
+            model.scaled_potential("12"), lam12, quad, model.couplings.margin_epsilon
+        )
+        if cls.category is not tb.PairClass.RESONANT:
+            raise PairDriftError(
+                f"pair 12 must sit at its coupling threshold (got {cls.category.value})"
+            )
+        theta_hi = model.couplings.lambda13
+        knob, bracket = "13", (1e-6 * theta_hi, theta_hi)
+    hm = vr.hamiltonian_matrices(
+        model.with_couplings(_path_couplings(model, knob, bracket[1])), basis
+    )
+
     rows: list[DichotomyRow] = []
     for tgt in targets:
+        v = _knob_at_level(hm, model, knob, bracket, -tgt)
+        m = model.with_couplings(_path_couplings(model, knob, v))
         if scenario is Scenario.NO_PAIR_RESONANCE:
-            m, e_rel, gs = _couplings_at_energy(model, basis, -tgt, "scale", scale_bracket)
             for pair in PAIRS:
                 lam = m.couplings.get(pair)
                 if lam == 0.0:
@@ -170,19 +177,8 @@ def spreading_dichotomy(
                     raise PairDriftError(
                         f"pair {pair} classified {cls.category.value} at scale path point"
                     )
-        else:
-            lam12 = model.couplings.lambda12
-            cls = tb.classify_pair(
-                model.scaled_potential("12"), lam12, quad, model.couplings.margin_epsilon
-            )
-            if cls.category is not tb.PairClass.RESONANT:
-                raise PairDriftError(
-                    f"pair 12 must sit at its coupling threshold (got {cls.category.value})"
-                )
-            theta_hi = model.couplings.lambda13
-            m, e_rel, gs = _couplings_at_energy(
-                model, basis, -tgt, "13", (1e-6 * theta_hi, theta_hi)
-            )
+        gs = hm.ground(m.couplings)
+        e_rel = gs.energy - vr.hvz_bottom(m)
         if e_rel >= -EPS_NUM:
             raise PathPointUnboundError(f"lost the bound state at target {tgt:.3e}")
         p_r0, p_r1 = map(float, vr.probability_inside(gs, (r0, 3.0 * r0)))
@@ -309,27 +305,17 @@ def cross_validate(
 
     The two solvers share no code path; the scan checks radius < 1 wherever
     the variational energy says unbound and radius > 1 wherever it says
-    clearly bound.  Each solver builds its coupling-independent work once
-    (the variational matrices; one block operator per z in z_pair) and
-    every scale of the bisections and the scan reuses it.  The variational
-    bisection asks for the lowest level alone; the scan rows take the full
+    clearly bound.  Each solver builds its coupling-independent work once:
+    the variational matrices, and one block operator per z in z_pair.  The
+    variational threshold (E_gr = -EPS_NUM; the HVZ bottom is zero on any
+    valid bracket) is one pencil eigensolve, the coupled-solver one a
+    bisection on the extrapolated radius.  The scan rows take the full
     ground solve, so their energies equal solve_ground's.
     """
     hm = vr.hamiltonian_matrices(model, basis)
-    s_lo, s_hi = scale_bracket
-    e_lo = hm.energy(s_lo)
-    e_hi = hm.energy(s_hi)
-    if not (e_lo >= -EPS_NUM and e_hi < -EPS_NUM):
-        raise BracketInvalidError("scale bracket does not straddle the variational threshold")
-    while s_hi - s_lo > 1e-4 * s_hi:
-        mid = 0.5 * (s_lo + s_hi)
-        if hm.energy(mid) < -EPS_NUM:
-            s_hi = mid
-        else:
-            s_lo = mid
-    s_var = 0.5 * (s_lo + s_hi)
+    s_var = _knob_at_level(hm, model, "scale", scale_bracket, -EPS_NUM)
     scales = [float(s) for s in np.linspace(grid_span[0] * s_var, grid_span[1] * s_var, n_grid)]
-    energies = [hm.ground(s).energy for s in scales]
+    energies = [hm.ground(model.couplings.scaled(s)).energy for s in scales]
     del hm  # the N x N matrices are not needed while the block operators live
 
     ops = fd.threshold_operators(model, z_pair, **grid_kw)

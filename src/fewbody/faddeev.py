@@ -52,6 +52,7 @@ from .model import (
     PAIRS,
     PotentialSpec,
     Quadrature,
+    _gauss_legendre_panels,
     kernel_constants,
 )
 from . import twobody
@@ -169,8 +170,6 @@ def build_mixed_grid(
     x_quad = Quadrature.for_potential(pot_scaled, n=n_x)
     edges = momentum_edges(z, p_max)
     counts = [n_p_per_panel] * (len(edges) - 1)
-    from .model import _gauss_legendre_panels
-
     pn, pw, _ = _gauss_legendre_panels(edges, counts)
     return MixedGrid(x_quad=x_quad, p_nodes=pn, p_weights=pw, p_edges=tuple(edges))
 
@@ -760,8 +759,6 @@ def j_epsilon_divergence(
     linear fit of J against log(1/z) (the divergence is logarithmic).
     """
     edges = [0.0, 0.25 * r_max, 0.5 * r_max, r_max]
-    from .model import _gauss_legendre_panels
-
     r, wr, _ = _gauss_legendre_panels(edges, [n_r // 2, n_r // 4, n_r // 4])
     gr = np.asarray(g(r), dtype=float)
     if np.any(gr < 0):

@@ -70,9 +70,6 @@ class PotentialSpec:
         vals = np.array([p[1] for p in self.table])
         return np.interp(r, radii, vals, left=vals[0], right=0.0)
 
-    def sqrt_value(self, r):
-        return np.sqrt(self.value(r))
-
     def is_nonnegative(self) -> bool:
         if self.kind == "tabulated":
             return all(v >= 0.0 for _, v in self.table)
@@ -415,9 +412,6 @@ class ValidationReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def failures(self) -> list[RequirementCheck]:
-        return [c for c in self.checks if not c.passed]
 
 
 def minimal_envelope_b1(pot: PotentialSpec, b2: float, r_max: Optional[float] = None) -> float:

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.linalg
 from scipy.special import i1e
 
-from .model import ModelSpec, PAIRS, Quadrature, _gauss_legendre_panels
+from .model import CouplingConfig, ModelSpec, PAIRS, Quadrature, _gauss_legendre_panels
 from .faddeev import kinematic_rotation, pair_separation_coeffs
 from . import twobody
 
@@ -209,32 +209,37 @@ class HamiltonianMatrices:
 
     kinetic and the pair potentials (without their couplings) are in the raw
     basis; norm rescales to unit Gram diagonal, gram is the rescaled overlap
-    and reduction maps onto its retained directions.  ground(s) solves the
-    model with every coupling multiplied by s.
+    and reduction maps onto its retained directions (Gram = identity there).
+    H = K - sum_p lambda_p V_p is evaluated at any coupling vector; only the
+    pairs active in the model it was built from carry a potential, so a
+    coupling path is served by the matrices of its upper end.
     """
 
     basis: GaussianBasis
     kinetic: np.ndarray
     potentials: dict  # active pair -> V_pair
-    couplings: dict  # active pair -> the model's coupling
     norm: np.ndarray
     gram: np.ndarray
     reduction: np.ndarray
 
-    def _reduced(self, scale: float) -> np.ndarray:
-        """H = K - sum_p (s lambda_p) V_p on the retained Gram directions."""
-        H = self.kinetic
-        for pair, V in self.potentials.items():
-            H = H - (self.couplings[pair] * scale) * V
-        H = H * np.outer(self.norm, self.norm)
-        if not np.all(np.isfinite(H)):
+    def _project(self, M: np.ndarray) -> np.ndarray:
+        """M in the unit-diagonal basis, restricted to the retained Gram directions."""
+        M = M * np.outer(self.norm, self.norm)
+        if not np.all(np.isfinite(M)):
             raise IllConditionedBasisError("non-finite matrix elements")
         Y = self.reduction
-        return Y.T @ H @ Y
+        return Y.T @ M @ Y
 
-    def ground(self, scale: float = 1.0) -> GroundState:
-        """Lowest level of H at coupling scale s, its state and the full retained spectrum."""
-        evals, evecs = np.linalg.eigh(self._reduced(scale))
+    def _reduced(self, couplings: CouplingConfig) -> np.ndarray:
+        """H = K - sum_p lambda_p V_p on the retained Gram directions."""
+        H = self.kinetic
+        for pair, V in self.potentials.items():
+            H = H - couplings.get(pair) * V
+        return self._project(H)
+
+    def ground(self, couplings: CouplingConfig) -> GroundState:
+        """Lowest level of H at the given couplings, its state and the full retained spectrum."""
+        evals, evecs = np.linalg.eigh(self._reduced(couplings))
         return GroundState(
             energy=float(evals[0]),
             coefficients=self.reduction @ evecs[:, 0],
@@ -243,9 +248,23 @@ class HamiltonianMatrices:
             eigenvalues=evals,
         )
 
-    def energy(self, scale: float = 1.0) -> float:
-        """Lowest level of H at coupling scale s alone: no state, no other levels."""
-        return float(scipy.linalg.eigvalsh(self._reduced(scale), subset_by_index=[0, 0])[0])
+    def crossing(self, start: CouplingConfig, end: CouplingConfig, level: float) -> float:
+        """Smallest t > 0 at which the lowest level of H(start + t (end - start)) is `level`.
+
+        H(t) = H(start) - t W with W = sum_p (end_p - start_p) V_p, so that is
+        t* = 1/mu_max of the definite pencil W phi = mu (H(start) - level) phi
+        (Birman-Schwinger in a finite basis; Parlett, The Symmetric Eigenvalue
+        Problem, 1998), or inf when mu_max <= 0.  numpy.linalg.LinAlgError if
+        H(start) - level is not positive definite (a level at or below it).
+        """
+        A = self._reduced(start)
+        A[np.diag_indices_from(A)] -= level
+        W = self._project(
+            sum((end.get(pair) - start.get(pair)) * V for pair, V in self.potentials.items())
+        )
+        n = A.shape[0]
+        mu = scipy.linalg.eigh(W, A, subset_by_index=[n - 1, n - 1], eigvals_only=True)[0]
+        return float(1.0 / mu) if mu > 0 else math.inf
 
 
 def hamiltonian_matrices(
@@ -253,8 +272,8 @@ def hamiltonian_matrices(
 ) -> HamiltonianMatrices:
     """Kinetic, overlap and pair-potential matrices plus the spectral-floor Gram reduction.
 
-    None of them depends on the couplings, so a scan over the overall
-    coupling scale builds them once and pays one reduced eigensolve per point.
+    None of them depends on the couplings, so a coupling scan or path builds
+    them once and pays one reduced eigensolve per point.
     """
     active = [
         pair
@@ -274,7 +293,6 @@ def hamiltonian_matrices(
         basis=basis,
         kinetic=kinetic_matrix(basis),
         potentials={pair: potential_matrix(basis, model, pair) for pair in active},
-        couplings={pair: model.couplings.get(pair) for pair in active},
         norm=norm,
         gram=S,
         reduction=vecs[:, keep] / np.sqrt(vals[keep])[None, :],
@@ -287,7 +305,7 @@ def solve_ground(
     gram_floor: float = 1e-12,
 ) -> GroundState:
     """Generalized symmetric eigensolve with spectral-floor Gram regularization."""
-    return hamiltonian_matrices(model, basis, gram_floor).ground()
+    return hamiltonian_matrices(model, basis, gram_floor).ground(model.couplings)
 
 
 def hvz_bottom(model: ModelSpec) -> float:

@@ -201,6 +201,33 @@ class TestMainEntry:
         assert "envelope[12]" in capsys.readouterr().out
 
 
+THETA0_CFG = FULL.replace("lambda13 = 2.1472\n", "").replace(
+    "k_list = 1e-2,1e-3", "theta_bracket = 1.8788,3.4892"
+)
+
+
+class TestTheta0:
+    def test_header_and_exit(self, tmp_path, capsys):
+        cfg = tmp_path / "theta0.cfg"
+        cfg.write_text(THETA0_CFG)
+        rc = main(["three-body", "theta0", "--config", str(cfg), "--quiet"])
+        assert rc == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "pair,theta0" and len(lines) == 2
+        pair, theta0 = lines[1].split(",")
+        assert pair == "13" and 1.8788 < float(theta0) < 3.4892
+
+    def test_invalid_bracket_exits_config(self, tmp_path, capsys):
+        # pairs 12 and 23 at 0.8 lam*: the level is still unbound at the upper end
+        cfg = tmp_path / "theta0.cfg"
+        cfg.write_text(THETA0_CFG.replace("theta_bracket = 1.8788,3.4892",
+                                          "theta_bracket = 0.1,0.2"))
+        rc = main(["three-body", "theta0", "--config", str(cfg), "--quiet"])
+        assert rc == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and "still above" in captured.err
+
+
 SWEEP_CFG = """\
 [model]
 pair12.kind = gaussian

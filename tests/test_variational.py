@@ -159,14 +159,10 @@ class TestSolveGround:
         hm = vr.hamiltonian_matrices(m, small_basis)
         assert set(hm.potentials) == {"12", "13"}
         for s in (0.5, 1.0, 1.3):
-            gs = hm.ground(s)
+            gs = hm.ground(m.couplings.scaled(s))
             ref = vr.solve_ground(m.with_couplings(m.couplings.scaled(s)), small_basis)
             assert gs.energy == ref.energy
             assert np.array_equal(gs.coefficients, ref.coefficients)
-            # the lowest-level-only solve: another LAPACK driver, same level to
-            # rounding, which scales with the spectral width of H, not with |E|
-            width = np.max(np.abs(gs.eigenvalues))
-            assert abs(hm.energy(s) - gs.energy) <= 1e-13 * width
 
     def test_gram_floor_error(self, gauss_model_factory, small_basis):
         with pytest.raises(vr.IllConditionedBasisError):
