@@ -123,7 +123,10 @@ class RunConfig:
     raw: dict  # (section, key) -> string, defaults included
 
     def get(self, section: str, key: str) -> str:
-        return self.raw[(section, key)]
+        try:
+            return self.raw[(section, key)]
+        except KeyError:
+            raise ConfigError(f"missing key {section}.{key}") from None
 
     def floats(self, section: str, key: str) -> list[float]:
         return [float(tok) for tok in self.get(section, key).split(",") if tok.strip()]
@@ -340,9 +343,6 @@ class ResultStore:
                 + "\n"
             )
 
-    def ordered_rows(self) -> list[dict]:
-        return [self.rows[i] for i in sorted(self.rows)]
-
 
 # ---------------------------------------------------------------------------
 # shared helpers
@@ -508,15 +508,13 @@ def _cmd_three_body_sweep(cfg: RunConfig, args, out) -> int:
         i, s = item
         return i, _sweep_point(cfg, basis, s, radii)
 
-    if args.threads > 1 and len(pending) > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(work, pending))
-    else:
-        results = [work(item) for item in pending]
-    for i, row in results:
-        rows_by_index[i] = row
-        if store is not None:
-            store.record(i, row)
+    # rows are kept as they return, so a failed point loses none before it
+    with ThreadPoolExecutor(max_workers=max(args.threads, 1)) as pool:
+        lazy_map = pool.map if args.threads > 1 and len(pending) > 1 else map
+        for i, row in lazy_map(work, pending):
+            rows_by_index[i] = row
+            if store is not None:
+                store.record(i, row)
 
     rows = [rows_by_index[i] for i in sorted(rows_by_index)]
     header = ["scale", "lambda12", "lambda13", "lambda23", "e_gr", "e_thr", "bound_states"]
@@ -778,7 +776,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ex.PathPointUnboundError,
         ex.PairDriftError,
         fd.PairThresholdError,
-        fd.BracketError,
         fd.AngleQuadratureError,
         tb.IntegrationUnderresolvedError,
         tb.NotAtThresholdError,

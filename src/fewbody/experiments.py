@@ -306,11 +306,13 @@ def cross_validate(
     The two solvers share no code path; the scan checks radius < 1 wherever
     the variational energy says unbound and radius > 1 wherever it says
     clearly bound.  Each solver builds its coupling-independent work once:
-    the variational matrices, and one block operator per z in z_pair.  The
-    variational threshold (E_gr = -EPS_NUM; the HVZ bottom is zero on any
-    valid bracket) is one pencil eigensolve, the coupled-solver one a
-    bisection on the extrapolated radius.  The scan rows take the full
-    ground solve, so their energies equal solve_ground's.
+    the variational matrices, and one block operator per z in z_pair.  Each
+    threshold is an eigensolve, not a search: the variational one
+    (E_gr = -EPS_NUM; the HVZ bottom is zero on any valid bracket) one
+    pencil eigensolve, the coupled-solver one a Lanczos solve per z
+    (fd.threshold_scale).  Either outside scale_bracket, lo < s <= hi, is a
+    BracketInvalidError.  The scan rows take the full ground solve, so their
+    energies equal solve_ground's.
     """
     hm = vr.hamiltonian_matrices(model, basis)
     s_var = _knob_at_level(hm, model, "scale", scale_bracket, -EPS_NUM)
@@ -319,7 +321,11 @@ def cross_validate(
     del hm  # the N x N matrices are not needed while the block operators live
 
     ops = fd.threshold_operators(model, z_pair, **grid_kw)
-    s_bs = fd.threshold_scale(ops, scale_bracket, tol=2e-4)
+    s_bs = fd.threshold_scale(ops)
+    if not scale_bracket[0] < s_bs <= scale_bracket[1]:
+        raise BracketInvalidError(
+            f"coupled-solver threshold scale {s_bs:.6g} outside the bracket {scale_bracket}"
+        )
 
     rows = []
     for s, e in zip(scales, energies):

@@ -27,13 +27,17 @@ diagonal stack and one cross block per z, and every (row, col) entry points
 at that buffer.
 
 At fixed z every block is linear in an overall coupling scale s (the
-diagonal fibers carry lam, the cross blocks sqrt(lam_row lam_col)).  A
-threshold search therefore assembles the blocks once per z at the model's
-couplings, together with one eigendecomposition D = U Lambda U^T per
-diagonal fiber, and rescales per scale.  The iteration map (1 - s D)^-1 s B
-is similar to the symmetric C B C with C = U diag(sqrt(s/(1 - s Lambda))) U^T
-(Birman-Schwinger symmetrization), so faddeev_solve(op, scale=s) runs a
-symmetric Lanczos solve on it without touching the assembled blocks.
+diagonal fibers carry lam, the cross blocks sqrt(lam_row lam_col)), so the
+blocks are assembled once per z at the model's couplings, together with one
+eigendecomposition D = U Lambda U^T per diagonal fiber.  The iteration map
+(1 - s D)^-1 s B is similar to the symmetric C B C with
+C = U diag(sqrt(s/(1 - s Lambda))) U^T (Birman-Schwinger symmetrization), so
+faddeev_solve(op, scale=s) runs a symmetric Lanczos solve on it without
+touching the assembled blocks.  The map has eigenvalue one exactly when 1/s
+is an eigenvalue of the stacked D + B, the Gram form of the pair wells, so
+bound_scale(op) is s_z = 1/mu_max(D + B) from one more Lanczos solve, with
+s_z <= 1/Lambda_max of every pair by interlacing; threshold_scale
+extrapolates s_z linearly to z = 0.  No search is run.
 """
 
 from __future__ import annotations
@@ -64,10 +68,6 @@ class PairThresholdError(RuntimeError):
 
 class AngleQuadratureError(RuntimeError):
     """Doubling the angle rule moved a block norm beyond tolerance."""
-
-
-class BracketError(ValueError):
-    """Root bracket does not straddle the target."""
 
 
 def t_function(p):
@@ -285,12 +285,16 @@ class BlockOperator:
     offdiagonal: dict  # (row, col) -> matrix
     couplings: dict
 
-    def diag_norm(self, pair: str) -> float:
-        """Operator norm of the pair's diagonal block (sup over momentum fibers)."""
-        return float(np.max(self.spectra[pair][0][:, -1]))
-
     def dim(self) -> int:
         return sum(self.grids[p].dim for p in self.pairs)
+
+    def slices(self) -> dict:
+        """pair -> slice of its component in the stacked vector."""
+        out, off = {}, 0
+        for pair in self.pairs:
+            out[pair] = slice(off, off + self.grids[pair].dim)
+            off = out[pair].stop
+        return out
 
 
 def assemble_block_operator(
@@ -371,10 +375,63 @@ class FaddeevSolution:
     z: float
 
 
-# Lanczos subspace of the symmetric solve: the Perron level is well separated,
+def _split(op: BlockOperator, v: np.ndarray) -> dict:
+    """The stacked vector v as its pair components (views)."""
+    return {pair: v[sl] for pair, sl in op.slices().items()}
+
+
+def _fibered(op: BlockOperator, mats: dict, v: np.ndarray) -> np.ndarray:
+    """Per-fiber matrices mats[pair], shape (n_p, n_x, n_x), applied to the stacked v."""
+    out = np.empty_like(v)
+    for pair, sl in op.slices().items():
+        grid = op.grids[pair]
+        y = np.einsum("pij,pj->pi", mats[pair], v[sl].reshape(grid.n_p, grid.n_x))
+        out[sl] = y.ravel()
+    return out
+
+
+def _exchange(op: BlockOperator, v: np.ndarray) -> np.ndarray:
+    """sum_{col != row} B[row, col] v_col for every row of the stacked v."""
+    comp = _split(op, v)
+    out = np.zeros_like(v)
+    for row, acc in _split(op, out).items():
+        for col in op.pairs:
+            if col != row:
+                acc += op.offdiagonal[(row, col)] @ comp[col]
+    return out
+
+
+# Lanczos subspace of the symmetric solves: the top level is well separated,
 # so a small subspace restarts cheaply (Lehoucq, Sorensen & Yang, ARPACK
 # Users' Guide, 1998).
 _LANCZOS_NCV = 6
+
+
+def _top_eigenpair(n: int, matvec, tol: float = 1e-10, maxiter: int = 2000):
+    """(|eigenvalue|, unit eigenvector) of largest magnitude of a symmetric map on R^n.
+
+    A symmetric Lanczos solve (eigsh) from the all-ones vector; if ARPACK
+    does not converge, power iteration on the same map takes over and stops
+    once the Rayleigh-quotient residual is below tol times the eigenvalue.
+    """
+    v0 = np.ones(n)
+    lin = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=float)
+    try:
+        vals, vecs = scipy.sparse.linalg.eigsh(
+            lin, k=1, which="LM", v0=v0, ncv=_LANCZOS_NCV, maxiter=maxiter, tol=tol
+        )
+        return float(abs(vals[0])), vecs[:, 0]
+    except scipy.sparse.linalg.ArpackNoConvergence:
+        vec = v0 / np.linalg.norm(v0)
+        theta = 0.0
+        for _ in range(maxiter):
+            w = matvec(vec)
+            theta = float(vec @ w)
+            nrm = np.linalg.norm(w)
+            if nrm == 0.0 or np.linalg.norm(w - theta * vec) <= tol * abs(theta):
+                break
+            vec = w / nrm
+        return abs(theta), vec
 
 
 def faddeev_solve(
@@ -391,10 +448,10 @@ def faddeev_solve(
 
     The map is similar to the symmetric half-resolvent form C B C with
     C = U diag(sqrt(s/(1 - s Lambda))) U^T per fiber, from the stored
-    eigendecomposition D = U Lambda U^T, so a symmetric Lanczos solve (eigsh)
-    finds the radius and phi = C y the component vector.  If ARPACK does not
-    converge, power iteration on the map itself takes over.  The residual is
-    the defect of the un-split component identity in the original coordinates.
+    eigendecomposition D = U Lambda U^T, so a symmetric Lanczos solve (eigsh,
+    with power iteration as its fallback) finds the radius and phi = C y the
+    component vector.  The residual is the defect of the un-split component
+    identity in the original coordinates.
     """
     pairs = op.pairs
     for pair in pairs:
@@ -409,84 +466,29 @@ def faddeev_solve(
         comp = {p: np.zeros(op.grids[p].dim) for p in pairs}
         return FaddeevSolution(0.0, comp, 0.0, op.z)
 
-    dims = {pair: op.grids[pair].dim for pair in pairs}
-    offsets, off = {}, 0
-    for pair in pairs:
-        offsets[pair] = off
-        off += dims[pair]
-    total = off
-
-    def split(v):
-        return {p: v[offsets[p] : offsets[p] + dims[p]] for p in pairs}
-
     half = {}
     for pair in pairs:
         vals, vecs = op.spectra[pair]
         c = np.sqrt(scale / (1.0 - scale * vals))
         half[pair] = (vecs * c[:, None, :]) @ vecs.transpose(0, 2, 1)
 
-    def fibered(mats, v):
-        """Per-fiber matrices of each pair applied to the stacked vector v."""
-        out = np.empty_like(v)
-        for pair, x in split(v).items():
-            grid = op.grids[pair]
-            y = np.einsum("pij,pj->pi", mats[pair], x.reshape(grid.n_p, grid.n_x))
-            out[offsets[pair] : offsets[pair] + dims[pair]] = y.ravel()
-        return out
-
-    def exchange(v):
-        """sum_{col != row} B[row, col] v_col for every row."""
-        comp = split(v)
-        out = np.zeros_like(v)
-        for row in pairs:
-            acc = out[offsets[row] : offsets[row] + dims[row]]
-            for col in pairs:
-                if col != row:
-                    acc += op.offdiagonal[(row, col)] @ comp[col]
-        return out
-
-    v0 = np.ones(total)
-    lin = scipy.sparse.linalg.LinearOperator(
-        (total, total),
-        matvec=lambda y: fibered(half, exchange(fibered(half, y))),
-        dtype=float,
+    radius, y = _top_eigenpair(
+        op.dim(), lambda y: _fibered(op, half, _exchange(op, _fibered(op, half, y))),
+        tol, maxiter,
     )
-    try:
-        vals, vecs = scipy.sparse.linalg.eigsh(
-            lin, k=1, which="LM", v0=v0, ncv=_LANCZOS_NCV, maxiter=maxiter, tol=tol
-        )
-        radius = float(abs(vals[0]))
-        vec = fibered(half, vecs[:, 0])
-        vec /= np.linalg.norm(vec)
-    except scipy.sparse.linalg.ArpackNoConvergence:
-        # C C = (1 - s D)^-1 s: the iteration map in the original coordinates
-        vec = v0 / np.linalg.norm(v0)
-        radius = 0.0
-        for _ in range(maxiter):
-            w = fibered(half, fibered(half, exchange(vec)))
-            nrm = np.linalg.norm(w)
-            if nrm == 0:
-                radius = 0.0
-                break
-            new = w / nrm
-            if abs(nrm - radius) < tol * max(nrm, 1.0):
-                radius = nrm
-                vec = new
-                break
-            radius, vec = nrm, new
-
+    vec = _fibered(op, half, y)
+    vec /= np.linalg.norm(vec)
     if vec[np.argmax(np.abs(vec))] < 0:
         vec = -vec
-    comp = split(vec)
 
     # defect of the un-split component identity at the returned eigenvalue:
     # radius*(1 - s diag) phi - s offdiag phi should vanish
-    defect = vec - scale * fibered(op.diagonal, vec)
-    defect = radius * defect - scale * exchange(vec)
+    defect = vec - scale * _fibered(op, op.diagonal, vec)
+    defect = radius * defect - scale * _exchange(op, vec)
     residual = float(np.linalg.norm(defect)) / max(np.linalg.norm(vec), 1e-300)
 
     return FaddeevSolution(
-        spectral_radius=radius, components=comp, residual=residual, z=op.z
+        spectral_radius=radius, components=_split(op, vec), residual=residual, z=op.z
     )
 
 
@@ -503,13 +505,15 @@ def threshold_operators(model: ModelSpec, z_pair=(1e-2, 1e-3), **grid_kw) -> tup
     return tuple(assemble_block_operator(model, z, **grid_kw) for z in z_pair)
 
 
+def _to_zero(ops: Sequence[BlockOperator], values: Sequence[float]) -> float:
+    """Linear-in-z extrapolation to z = 0 of values taken at the z of the two ops."""
+    (z2, z3), (v2, v3) = (op.z for op in ops), values
+    return float((z2 * v3 - z3 * v2) / (z2 - z3))
+
+
 def extrapolated_radius(ops: Sequence[BlockOperator], scale: float = 1.0) -> float:
     """Linear-in-z extrapolation to z = 0 of the spectral radius at coupling scale s."""
-    op2, op3 = ops
-    r2 = faddeev_solve(op2, scale=scale).spectral_radius
-    r3 = faddeev_solve(op3, scale=scale).spectral_radius
-    z2, z3 = op2.z, op3.z
-    return float((z2 * r3 - z3 * r2) / (z2 - z3))
+    return _to_zero(ops, [faddeev_solve(op, scale=scale).spectral_radius for op in ops])
 
 
 def radius_at_zero(model: ModelSpec, z_pair=(1e-2, 1e-3), **grid_kw) -> float:
@@ -517,35 +521,35 @@ def radius_at_zero(model: ModelSpec, z_pair=(1e-2, 1e-3), **grid_kw) -> float:
     return extrapolated_radius(threshold_operators(model, z_pair, **grid_kw))
 
 
-def threshold_scale(
-    ops: Sequence[BlockOperator], bracket: tuple[float, float], tol: float = 1e-3
-) -> float:
-    """Bisect the coupling scale at which the extrapolated radius of ops reaches one."""
-    lo, hi = bracket
-    f_lo = extrapolated_radius(ops, lo) if lo > 0 else 0.0
-    f_hi = extrapolated_radius(ops, hi)
-    if not (f_lo < 1.0 <= f_hi):
-        raise BracketError(
-            f"radius at bracket ends {f_lo:.4f}, {f_hi:.4f} does not straddle 1"
+def bound_scale(op: BlockOperator) -> float:
+    """Coupling scale s_z at which the coupled system has a level at -z^2.
+
+    The iteration map has eigenvalue one exactly when 1/s is an eigenvalue
+    of the stacked diagonal-plus-exchange operator D + B, which is positive
+    semidefinite, so s_z = 1/mu_max(D + B) from one symmetric Lanczos solve.
+    PairThresholdError when fewer than two pairs are coupled: nothing then
+    binds the three bodies.
+    """
+    if len(op.pairs) < 2:
+        raise PairThresholdError(
+            f"{len(op.pairs)} coupled pair(s) at z={op.z}: no three-body level"
         )
-    while hi - lo > tol * hi:
-        mid = 0.5 * (lo + hi)
-        if extrapolated_radius(ops, mid) < 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    mu, _ = _top_eigenpair(op.dim(), lambda v: _fibered(op, op.diagonal, v) + _exchange(op, v))
+    return 1.0 / mu
 
 
-def bs_threshold_coupling(
-    model: ModelSpec,
-    bracket: tuple[float, float],
-    tol: float = 1e-3,
-    z_pair=(1e-2, 1e-3),
-    **grid_kw,
-) -> float:
-    """Overall coupling scale at which the extrapolated spectral radius reaches one."""
-    return threshold_scale(threshold_operators(model, z_pair, **grid_kw), bracket, tol)
+def threshold_scale(ops: Sequence[BlockOperator]) -> float:
+    """Coupling scale of ops' model at which the three-body level reaches z = 0.
+
+    bound_scale at each z of ops, extrapolated linearly to z = 0 like the
+    radius: two eigensolves, no search.
+    """
+    return _to_zero(ops, [bound_scale(op) for op in ops])
+
+
+def bs_threshold_coupling(model: ModelSpec, z_pair=(1e-2, 1e-3), **grid_kw) -> float:
+    """Overall coupling scale at which the model's coupled system binds at z = 0."""
+    return threshold_scale(threshold_operators(model, z_pair, **grid_kw))
 
 
 # ---------------------------------------------------------------------------

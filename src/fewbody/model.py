@@ -84,15 +84,6 @@ class PotentialSpec:
             return PotentialSpec("tabulated", depth=self.depth, table=tab)
         return PotentialSpec(self.kind, depth=self.depth, range=self.range / alpha)
 
-    def with_depth_factor(self, s: float) -> "PotentialSpec":
-        """Potential with depth (and table values) multiplied by s >= 0."""
-        if s < 0:
-            raise ValueError("depth factor must be >= 0")
-        if self.kind == "tabulated":
-            tab = tuple((r, v * s) for r, v in self.table)
-            return PotentialSpec("tabulated", depth=self.depth * s, table=tab)
-        return PotentialSpec(self.kind, depth=self.depth * s, range=self.range)
-
     def is_zero(self) -> bool:
         if self.kind == "tabulated":
             return all(v == 0.0 for _, v in self.table)

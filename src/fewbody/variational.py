@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 import scipy.linalg
@@ -443,23 +443,3 @@ def probability_inside(gs: GroundState, R):
         )
     p = np.clip(p, 0.0, 1.0)
     return float(p[0]) if radii.ndim == 0 else p
-
-
-@dataclass(frozen=True, eq=False)
-class SpreadingProbe:
-    radii: np.ndarray
-    probabilities: np.ndarray
-
-    def __post_init__(self):
-        if np.any(np.diff(self.radii) <= 0):
-            raise ValueError("radii must increase")
-        p = self.probabilities
-        if np.any(p < -1e-12) or np.any(p > 1.0 + 1e-12):
-            raise ValueError("probabilities must lie in [0, 1]")
-        if np.any(np.diff(p) < -1e-9):
-            raise ValueError("P(R) must be non-decreasing in R")
-
-
-def spreading_probe(gs: GroundState, radii: Sequence[float]) -> SpreadingProbe:
-    radii = np.asarray(sorted(radii), dtype=float)
-    return SpreadingProbe(radii=radii, probabilities=probability_inside(gs, radii))

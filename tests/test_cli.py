@@ -3,7 +3,9 @@ import sys
 
 import pytest
 
+from fewbody import cli
 from fewbody import faddeev as fd
+from fewbody import variational as vr
 from fewbody.cli import (
     ConfigError,
     EXIT_CONFIG,
@@ -126,7 +128,7 @@ class TestResultStore:
         s1.record(1, {"x": 99.0})  # idempotent: second write ignored
         s2 = ResultStore(path, "abc")
         assert s2.has(0) and s2.has(1)
-        assert s2.ordered_rows() == [{"x": 1.0}, {"x": 2.0}]
+        assert s2.rows == {0: {"x": 1.0}, 1: {"x": 2.0}}
 
     def test_hash_mismatch_refused(self, tmp_path):
         path = tmp_path / "store.jsonl"
@@ -143,10 +145,10 @@ class TestResultStore:
         whole = path.read_bytes()
         path.write_bytes(whole + b'{"config": "abc", "point": 2, "ro')
         s2 = ResultStore(path, "abc")
-        assert s2.ordered_rows() == [{"x": 1.0}, {"x": 2.0}] and not s2.has(2)
+        assert s2.rows == {0: {"x": 1.0}, 1: {"x": 2.0}}
         assert path.read_bytes() == whole
         s2.record(2, {"x": 3.0})
-        assert ResultStore(path, "abc").ordered_rows() == [{"x": 1.0}, {"x": 2.0}, {"x": 3.0}]
+        assert ResultStore(path, "abc").rows == {0: {"x": 1.0}, 1: {"x": 2.0}, 2: {"x": 3.0}}
 
     @pytest.mark.parametrize("bad", [b"{not json", b'{"config": "abc"}', b"[1, 2]"])
     def test_malformed_interior_line_refused(self, tmp_path, bad):
@@ -200,6 +202,33 @@ class TestMainEntry:
         assert rc == EXIT_OK
         assert "envelope[12]" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command,key", [
+        ("theta0", "experiment.theta_bracket"),
+        ("sweep", "experiment.scale_grid"),
+    ])
+    def test_missing_key_without_default_exits_config(self, tmp_path, capsys, command, key):
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text(FULL.replace("scale_grid = 0.5,0.9\n", ""))
+        rc = main(["three-body", command, "--config", str(cfg), "--quiet"])
+        assert rc == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"missing key {key}" in captured.err
+
+
+CV_CFG = FULL.replace("basis.n_x = 6", "basis.n_x = 6\nfaddeev_nodes = 14\np_per_panel = 4")
+
+
+class TestCrossValidate:
+    def test_coupled_threshold_outside_bracket_exits_config(self, tmp_path, monkeypatch,
+                                                            capsys):
+        cfg = tmp_path / "cv.cfg"
+        cfg.write_text(CV_CFG)
+        monkeypatch.setattr(fd, "threshold_scale", lambda ops: 1.5)
+        rc = main(["three-body", "cross-validate", "--config", str(cfg), "--quiet"])
+        assert rc == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and "coupled-solver threshold scale 1.5" in captured.err
+
 
 THETA0_CFG = FULL.replace("lambda13 = 2.1472\n", "").replace(
     "k_list = 1e-2,1e-3", "theta_bracket = 1.8788,3.4892"
@@ -252,6 +281,39 @@ radii = 10.0
 
 
 class TestSweepResume:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_failed_point_keeps_earlier_rows(self, tmp_path, monkeypatch, capsys, threads):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_CFG.replace("scale_grid = 0.6,0.9", "scale_grid = 0.6,0.75,0.9"))
+        store = tmp_path / "rows.jsonl"
+        rc = main(["three-body", "sweep", "--config", str(cfg), "--quiet"])
+        assert rc == EXIT_OK
+        full = capsys.readouterr().out
+
+        point = cli._sweep_point
+        computed = []
+
+        def failing_third(cfg, basis, scale, radii):
+            if scale == 0.9:
+                raise vr.IllConditionedBasisError("injected failure at the third point")
+            return point(cfg, basis, scale, radii)
+
+        def counting(cfg, basis, scale, radii):
+            computed.append(scale)
+            return point(cfg, basis, scale, radii)
+
+        argv = ["three-body", "sweep", "--config", str(cfg), "--quiet", "--store", str(store),
+                "--threads", threads]
+        monkeypatch.setattr(cli, "_sweep_point", failing_third)
+        assert main(argv) == EXIT_NUMERIC
+        assert capsys.readouterr().out == ""
+        assert len(store.read_text().splitlines()) == 2
+
+        monkeypatch.setattr(cli, "_sweep_point", counting)
+        assert main(argv) == EXIT_OK
+        assert computed == [0.9]
+        assert capsys.readouterr().out == full
+
     def test_interrupt_and_resume_identical(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(SWEEP_CFG)

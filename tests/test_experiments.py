@@ -299,6 +299,30 @@ class TestCrossValidateReuse:
         )
         assert abs(report.variational_scale - ref) <= 1e-4 * ref
 
+    @pytest.mark.parametrize("n_grid", [2, 3])
+    def test_two_radius_solves_per_scan_point(self, gauss_model_factory, tiny_basis,
+                                               monkeypatch, n_grid):
+        # the coupled threshold is an eigensolve: only the scan rows solve for radii
+        calls = []
+        solve = fd.faddeev_solve
+
+        def counting(op, **kw):
+            calls.append(op.z)
+            return solve(op, **kw)
+
+        monkeypatch.setattr(fd, "faddeev_solve", counting)
+        ex.cross_validate(gauss_model_factory(0.8), tiny_basis, scale_bracket=(0.9, 1.2),
+                          n_grid=n_grid, **self.KW)
+        assert len(calls) == 2 * n_grid
+
+    @pytest.mark.parametrize("s_bs", [0.9, 1.2 * (1 + 1e-9), 2.0])
+    def test_coupled_threshold_outside_bracket(self, gauss_model_factory, tiny_basis,
+                                               monkeypatch, s_bs):
+        monkeypatch.setattr(fd, "threshold_scale", lambda ops: s_bs)
+        with pytest.raises(ex.BracketInvalidError, match="coupled-solver threshold"):
+            ex.cross_validate(gauss_model_factory(0.8), tiny_basis, scale_bracket=(0.9, 1.2),
+                              n_grid=2, **self.KW)
+
     def test_lower_end_already_bound(self, gauss_model_factory, tiny_basis):
         with pytest.raises(ex.BracketInvalidError, match="already at or below"):
             ex.cross_validate(gauss_model_factory(0.8), tiny_basis, scale_bracket=(1.2, 1.3),

@@ -52,10 +52,10 @@ class TestPotentialSpec:
         r = np.linspace(0, 3, 17)
         assert np.allclose(d.value(r), g.value(2.0 * r))
 
-    def test_depth_factor_and_zero(self):
-        g = PotentialSpec("gaussian", depth=1.0, range=1.0)
-        assert g.with_depth_factor(0.0).is_zero()
-        assert np.isclose(g.with_depth_factor(2.5).value(0.7), 2.5 * g.value(0.7))
+    def test_zero_depth_is_zero(self):
+        assert PotentialSpec("gaussian", depth=0.0, range=1.0).is_zero()
+        assert not PotentialSpec("gaussian", depth=1.0, range=1.0).is_zero()
+        assert PotentialSpec("tabulated", table=((0.5, 0.0), (1.0, 0.0))).is_zero()
 
 
 class TestMassesAndFrames:

@@ -208,9 +208,9 @@ class TestLocalization:
 
     def test_monotone_probe(self, gauss_model_factory, small_basis):
         gs = vr.solve_ground(gauss_model_factory(1.0), small_basis)
-        probe = vr.spreading_probe(gs, [1.0, 2.0, 5.0, 10.0, 50.0])
-        assert np.all(np.diff(probe.probabilities) >= -1e-9)
-        assert np.all((probe.probabilities >= 0) & (probe.probabilities <= 1))
+        p = vr.probability_inside(gs, [1.0, 2.0, 5.0, 10.0, 50.0])
+        assert np.all(np.diff(p) >= -1e-9)
+        assert np.all((p >= 0) & (p <= 1))
 
     def test_ball_overlap_isotropic_analytic(self):
         # equal widths: the ball integral collapses to an incomplete gamma
