@@ -12,7 +12,6 @@ import configparser
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -123,19 +122,16 @@ class RunConfig:
     raw: dict  # (section, key) -> string, defaults included
 
     def get(self, section: str, key: str) -> str:
-        try:
-            return self.raw[(section, key)]
-        except KeyError:
-            raise ConfigError(f"missing key {section}.{key}") from None
+        return _read(self.raw, section, key)
 
     def floats(self, section: str, key: str) -> list[float]:
-        return [float(tok) for tok in self.get(section, key).split(",") if tok.strip()]
+        return _read(self.raw, section, key, _float_list)
 
     def float(self, section: str, key: str) -> float:
-        return float(self.get(section, key))
+        return _read(self.raw, section, key, float)
 
     def int(self, section: str, key: str) -> int:
-        return int(self.get(section, key))
+        return _read(self.raw, section, key, int)
 
     def config_hash(self) -> str:
         lines = [
@@ -152,6 +148,22 @@ class RunConfig:
                 print(f"[{s}]", file=stream)
                 cur = s
             print(f"{k} = {v}", file=stream)
+
+
+def _float_list(text: str) -> list[float]:
+    return [float(tok) for tok in text.split(",") if tok.strip()]
+
+
+def _read(raw: dict, section: str, key: str, convert=str):
+    """raw[(section, key)] through convert; missing or malformed is a ConfigError."""
+    try:
+        text = raw[(section, key)]
+    except KeyError:
+        raise ConfigError(f"missing key {section}.{key}") from None
+    try:
+        return convert(text)
+    except ValueError as err:
+        raise ConfigError(f"invalid value {section}.{key} = {text!r} ({err})") from None
 
 
 def _find_line(path: Path, key: str) -> int:
@@ -210,16 +222,10 @@ def parse_config(path) -> RunConfig:
             raw[(section, key)] = value.strip()
 
     try:
-        masses = MassSet(
-            float(raw[("model", "m1")]),
-            float(raw[("model", "m2")]),
-            float(raw[("model", "m3")]),
-        )
+        masses = MassSet(*(_read(raw, "model", m, float) for m in ("m1", "m2", "m3")))
         couplings = CouplingConfig(
-            lambda12=float(raw[("model", "lambda12")]),
-            lambda13=float(raw[("model", "lambda13")]),
-            lambda23=float(raw[("model", "lambda23")]),
-            margin_epsilon=float(raw[("model", "margin_epsilon")]),
+            *(_read(raw, "model", f"lambda{p}", float) for p in PAIRS),
+            margin_epsilon=_read(raw, "model", "margin_epsilon", float),
         )
     except ValueError as err:
         raise ConfigError(f"invalid model values: {err}") from err
@@ -236,25 +242,21 @@ def parse_config(path) -> RunConfig:
     except ValueError as err:
         raise ConfigError(f"invalid model: {err}") from err
 
-    corr_raw = raw[("numerics", "basis.correlations")]
-    correlations = (
-        "frames"
-        if corr_raw.strip() == "frames"
-        else tuple(float(t) for t in corr_raw.split(",") if t.strip())
-    )
-    seed_raw = raw.get(("numerics", "seed"), "").strip()
-    seed = int(seed_raw) if seed_raw else None
     try:
         basis_spec = vr.BasisSpec(
-            scale_min_x=float(raw[("numerics", "basis.scale_min_x")]),
-            scale_max_x=float(raw[("numerics", "basis.scale_max_x")]),
-            n_x=int(raw[("numerics", "basis.n_x")]),
-            scale_min_y=float(raw[("numerics", "basis.scale_min_y")]),
-            scale_max_y=float(raw[("numerics", "basis.scale_max_y")]),
-            n_y=int(raw[("numerics", "basis.n_y")]),
-            correlations=correlations,
-            n_random=int(raw[("numerics", "basis.n_random")]),
-            seed=seed,
+            scale_min_x=_read(raw, "numerics", "basis.scale_min_x", float),
+            scale_max_x=_read(raw, "numerics", "basis.scale_max_x", float),
+            n_x=_read(raw, "numerics", "basis.n_x", int),
+            scale_min_y=_read(raw, "numerics", "basis.scale_min_y", float),
+            scale_max_y=_read(raw, "numerics", "basis.scale_max_y", float),
+            n_y=_read(raw, "numerics", "basis.n_y", int),
+            correlations=_read(
+                raw, "numerics", "basis.correlations",
+                lambda t: "frames" if t.strip() == "frames" else tuple(_float_list(t)),
+            ),
+            n_random=_read(raw, "numerics", "basis.n_random", int),
+            seed=_read(raw, "numerics", "seed", int)
+            if raw.get(("numerics", "seed"), "").strip() else None,
             symmetrize_12=raw[("numerics", "basis.symmetrize_12")].lower()
             in ("true", "1", "yes"),
         )
@@ -267,7 +269,7 @@ def parse_config(path) -> RunConfig:
         ("experiment", "floor"),
         ("experiment", "ceiling_factor"),
     ):
-        if float(raw[(s, key)]) <= 0:
+        if _read(raw, s, key, float) <= 0:
             raise ConfigError(f"{s}.{key} must be positive")
 
     return RunConfig(model=model, basis_spec=basis_spec, raw=raw)
@@ -328,9 +330,6 @@ class ResultStore:
             if end < len(data):
                 with self.path.open("r+b") as fh:
                     fh.truncate(end)
-
-    def has(self, point: int) -> bool:
-        return point in self.rows
 
     def record(self, point: int, row: dict) -> None:
         if point in self.rows:
@@ -450,71 +449,63 @@ def _cmd_two_body_w_probe(cfg: RunConfig, args, out) -> int:
     return EXIT_OK
 
 
+def _ground_columns(gs: vr.GroundState, thr: float, ball, radii) -> dict:
+    """e_gr, e_thr, bound_states and one p_r<R> per radius of a variational ground state."""
+    row = {"e_gr": gs.energy, "e_thr": thr,
+           "bound_states": int(np.sum(gs.eigenvalues < thr - ex.EPS_NUM))}
+    for R, p in zip(radii, vr.probability_inside(ball, gs.coefficients)):
+        row[f"p_r{_fmt(R)}"] = float(p)
+    return row
+
+
 def _cmd_three_body_ground(cfg: RunConfig, args, out) -> int:
     basis = _basis(cfg)
-    gs = vr.solve_ground(cfg.model, basis)
-    thr = vr.hvz_bottom(cfg.model)
     radii = cfg.floats("experiment", "radii")
-    row = {
-        "e_gr": gs.energy,
-        "e_thr": thr,
-        "bound_states": int(np.sum(gs.eigenvalues < thr - ex.EPS_NUM)),
-        "basis_size": basis.size,
-    }
-    header = ["e_gr", "e_thr", "bound_states", "basis_size"]
-    for R, p in zip(radii, vr.probability_inside(gs, radii)):
-        key = f"p_r{_fmt(R)}"
-        row[key] = float(p)
-        header.append(key)
-    emit_csv([row], header, out)
+    gs = vr.solve_ground(cfg.model, basis)
+    row = _ground_columns(gs, vr.hvz_bottom(cfg.model), vr.ball_matrices(basis, radii), radii)
+    header = ["e_gr", "e_thr", "bound_states", "basis_size"] + [f"p_r{_fmt(R)}" for R in radii]
+    emit_csv([{**row, "basis_size": basis.size}], header, out)
     return EXIT_OK
 
 
-def _sweep_point(cfg: RunConfig, basis, scale: float, radii) -> dict:
+def _sweep_point(cfg: RunConfig, shared, scale: float, radii) -> dict:
+    """One sweep row; shared = (HamiltonianMatrices, ball matrices, threshold operators)."""
+    hm, ball, ops = shared
     m = cfg.model.with_couplings(cfg.model.couplings.scaled(scale))
-    gs = vr.solve_ground(m, basis)
-    thr = vr.hvz_bottom(m)
     row = {
         "scale": scale,
         "lambda12": m.couplings.lambda12,
         "lambda13": m.couplings.lambda13,
         "lambda23": m.couplings.lambda23,
-        "e_gr": gs.energy,
-        "e_thr": thr,
-        "bound_states": int(np.sum(gs.eigenvalues < thr - ex.EPS_NUM)),
+        **_ground_columns(hm.ground(m.couplings), vr.hvz_bottom(m), ball, radii),
     }
-    for R, p in zip(radii, vr.probability_inside(gs, radii)):
-        row[f"p_r{_fmt(R)}"] = float(p)
     try:
-        row["bs_radius"] = fd.radius_at_zero(m, **_grid_kw(cfg))
+        row["bs_radius"] = fd.extrapolated_radius(ops, scale)
     except fd.PairThresholdError:
         row["bs_radius"] = None
     return row
 
 
 def _cmd_three_body_sweep(cfg: RunConfig, args, out) -> int:
-    basis = _basis(cfg)
     radii = cfg.floats("experiment", "radii")
     scales = cfg.floats("experiment", "scale_grid")
     if not scales:
         raise ConfigError("experiment.scale_grid must list sweep points")
     store = ResultStore(args.store, cfg.config_hash()) if args.store else None
-    pending = [
-        (i, s) for i, s in enumerate(scales) if store is None or not store.has(i)
-    ]
     rows_by_index: dict[int, dict] = {} if store is None else dict(store.rows)
-
-    def work(item):
-        i, s = item
-        return i, _sweep_point(cfg, basis, s, radii)
-
-    # rows are kept as they return, so a failed point loses none before it
-    with ThreadPoolExecutor(max_workers=max(args.threads, 1)) as pool:
-        lazy_map = pool.map if args.threads > 1 and len(pending) > 1 else map
-        for i, row in lazy_map(work, pending):
-            rows_by_index[i] = row
-            if store is not None:
-                store.record(i, row)
+    pending = [(i, s) for i, s in enumerate(scales) if i not in rows_by_index]
+    if pending:  # the coupling-independent work: built once, scaled per point
+        basis = _basis(cfg)
+        shared = (
+            vr.hamiltonian_matrices(cfg.model, basis),
+            vr.ball_matrices(basis, radii),
+            fd.threshold_operators(cfg.model, **_grid_kw(cfg)),
+        )
+    # each row is stored as it is made, so a failed point loses none before it
+    for i, s in pending:
+        rows_by_index[i] = row = _sweep_point(cfg, shared, s, radii)
+        if store is not None:
+            store.record(i, row)
 
     rows = [rows_by_index[i] for i in sorted(rows_by_index)]
     header = ["scale", "lambda12", "lambda13", "lambda23", "e_gr", "e_thr", "bound_states"]
@@ -527,12 +518,11 @@ def _cmd_three_body_sweep(cfg: RunConfig, args, out) -> int:
 def _cmd_three_body_dichotomy(cfg: RunConfig, args, out) -> int:
     basis = _basis(cfg)
     scenario = ex.Scenario(args.scenario or cfg.get("experiment", "scenario"))
-    r0_raw = cfg.raw.get(("experiment", "r0"))
     report = ex.spreading_dichotomy(
         scenario,
         cfg.model,
         basis,
-        r0=float(r0_raw) if r0_raw else None,
+        r0=cfg.float("experiment", "r0") if cfg.raw.get(("experiment", "r0")) else None,
         energy_targets=cfg.floats("experiment", "energy_targets"),
         floor=cfg.float("experiment", "floor"),
         ceiling_factor=cfg.float("experiment", "ceiling_factor"),
@@ -663,8 +653,7 @@ def _cmd_checks_jlog(cfg: RunConfig, args, out) -> int:
 
 
 def _cmd_checks_merkuriev(cfg: RunConfig, args, out) -> int:
-    r0_raw = cfg.raw.get(("experiment", "r0"))
-    r0 = float(r0_raw) if r0_raw else 1.0
+    r0 = cfg.float("experiment", "r0") if cfg.raw.get(("experiment", "r0")) else 1.0
     rows = [
         {"k": m.k, "r": m.r, "p_closed": m.closed_form, "p_quadrature": m.quadrature}
         for m in ex.merkuriev_spreading(sorted(cfg.floats("experiment", "k_list")), r0)
@@ -711,9 +700,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
         p.add_argument("--quiet", action="store_true", help="suppress the config echo")
 
     for group, names in (
@@ -730,6 +717,8 @@ def build_parser() -> argparse.ArgumentParser:
             if group == "two-body":
                 p.add_argument("--pair", default="12", choices=list(PAIRS))
                 p.add_argument("--k", type=float, default=None)
+            if (group, name) == ("two-body", "threshold"):
+                p.add_argument("--tol", type=float, default=None)
             if (group, name) == ("three-body", "sweep"):
                 p.add_argument("--store", default=None,
                                help="JSONL result store for resumable sweeps")

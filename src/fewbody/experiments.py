@@ -135,7 +135,8 @@ def spreading_dichotomy(
     inf P(R0) >= floor.  pair-resonance: pair (12) pinned at its coupling
     threshold and lambda13 tuned up to the model's value; the verdict demands
     a monotone drop of P(R0) below ceiling_factor times its first value.
-    Each row sits where one pencil eigensolve puts E_gr at its target.
+    Each row sits where one pencil eigensolve puts E_gr at its target; one
+    ball build serves P(R0) and P(3 R0) of every row.
     """
     depth = max(model.potential(p).depth for p in PAIRS)
     targets = sorted((abs(t) * depth for t in energy_targets), reverse=True)
@@ -161,6 +162,7 @@ def spreading_dichotomy(
         model.with_couplings(_path_couplings(model, knob, bracket[1])), basis
     )
 
+    ball = vr.ball_matrices(basis, (r0, 3.0 * r0))
     rows: list[DichotomyRow] = []
     for tgt in targets:
         v = _knob_at_level(hm, model, knob, bracket, -tgt)
@@ -181,7 +183,7 @@ def spreading_dichotomy(
         e_rel = gs.energy - vr.hvz_bottom(m)
         if e_rel >= -EPS_NUM:
             raise PathPointUnboundError(f"lost the bound state at target {tgt:.3e}")
-        p_r0, p_r1 = map(float, vr.probability_inside(gs, (r0, 3.0 * r0)))
+        p_r0, p_r1 = map(float, vr.probability_inside(ball, gs.coefficients))
         rows.append(DichotomyRow(couplings=m.couplings, e_gr=e_rel, p_r0=p_r0, p_r1=p_r1))
 
     p = [row.p_r0 for row in rows]

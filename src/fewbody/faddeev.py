@@ -461,8 +461,8 @@ def faddeev_solve(
                 f"pair {pair}: diagonal fiber eigenvalue {top:.6f} >= 1 at z={op.z}"
             )
 
-    if len(pairs) < 2:
-        # fewer than two coupled pairs: no exchange driving, radius vanishes
+    if len(pairs) < 2 or scale == 0.0:
+        # fewer than two coupled pairs, or none at scale 0: the map is zero
         comp = {p: np.zeros(op.grids[p].dim) for p in pairs}
         return FaddeevSolution(0.0, comp, 0.0, op.z)
 

@@ -7,11 +7,11 @@ integral against the Gaussian pair-separation density.  None of these, nor
 the Gram reduction, depends on the couplings: hamiltonian_matrices builds
 them once and a coupling scan pays one reduced eigensolve per point.  The
 localization probability P(R) restricts the 6D density to a ball, which
-collapses to a 1D hyperradial quadrature with a Bessel weight.  All radii of
-a state come from one hyperradial pass; pair Gaussians lying wholly inside
-the ball take the closed-form overlap.  A P(R) outside [0, 1] by more than
-its rounding estimate raises IllConditionedBasisError (CLI exit 3) instead
-of being clamped.
+collapses to a 1D hyperradial quadrature with a Bessel weight.  The ball
+matrices of all radii come from one hyperradial pass per basis; each state
+then costs one quadratic form.  A P(R) outside [0, 1] by more than its
+rounding estimate raises IllConditionedBasisError (CLI exit 3) instead of
+being clamped.
 """
 
 from __future__ import annotations
@@ -194,7 +194,6 @@ class GroundState:
     energy: float
     coefficients: np.ndarray  # in the unit-diagonal normalized basis
     gram: np.ndarray
-    basis: GaussianBasis
     eigenvalues: np.ndarray  # full retained spectrum, ascending
 
     def __post_init__(self):
@@ -215,7 +214,6 @@ class HamiltonianMatrices:
     coupling path is served by the matrices of its upper end.
     """
 
-    basis: GaussianBasis
     kinetic: np.ndarray
     potentials: dict  # active pair -> V_pair
     norm: np.ndarray
@@ -244,7 +242,6 @@ class HamiltonianMatrices:
             energy=float(evals[0]),
             coefficients=self.reduction @ evecs[:, 0],
             gram=self.gram,
-            basis=self.basis,
             eigenvalues=evals,
         )
 
@@ -290,7 +287,6 @@ def hamiltonian_matrices(
     if not np.any(keep):
         raise IllConditionedBasisError("Gram spectrum collapsed under the floor")
     return HamiltonianMatrices(
-        basis=basis,
         kinetic=kinetic_matrix(basis),
         potentials={pair: potential_matrix(basis, model, pair) for pair in active},
         norm=norm,
@@ -419,20 +415,25 @@ def ball_overlap(Ba, Bb, Bc2, R):
     return out[0] if radii.ndim == 0 else out
 
 
-def probability_inside(gs: GroundState, R):
-    """P(R): probability mass of the normalized state inside the 6D ball |xi| <= R.
+def ball_matrices(basis: GaussianBasis, R):
+    """ball_overlap of the basis, in the unit-diagonal normalization of state coefficients.
 
-    R is a scalar (float result) or a 1-D array of radii (array result), all
-    from one ball_overlap pass.  P is clamped into [0, 1] only within the
-    rounding estimate delta of the quadratic form; beyond it the basis cannot
-    resolve P and IllConditionedBasisError is raised.
+    It depends on (basis, radii) only: build it once, then P(R) per state.
     """
-    radii = np.asarray(R, dtype=float)
-    basis = gs.basis
     Ba, Bb, Bc2, _ = _pair_forms(basis)
     snorm = 1.0 / np.sqrt(np.diag(overlap_matrix(basis)))
-    ball = ball_overlap(Ba, Bb, Bc2, radii) * np.outer(snorm, snorm)
-    c, ac = gs.coefficients, np.abs(gs.coefficients)
+    return ball_overlap(Ba, Bb, Bc2, R) * np.outer(snorm, snorm)
+
+
+def probability_inside(ball: np.ndarray, coefficients: np.ndarray):
+    """P(R): probability mass of the normalized state inside the 6D ball |xi| <= R.
+
+    ball is ball_matrices(basis, R), coefficients a GroundState's on that
+    basis; a float for a scalar R, an array for a 1-D array of radii.  P is
+    clamped into [0, 1] only within the rounding estimate delta of the
+    quadratic form; beyond it IllConditionedBasisError is raised.
+    """
+    c, ac = coefficients, np.abs(coefficients)
     p = np.atleast_1d(ball @ c @ c)
     # ball entries integrate positive Gaussians, so |Ball| = Ball
     delta = _ROUNDING_ULPS * np.finfo(float).eps * np.atleast_1d(ball @ ac @ ac)
@@ -442,4 +443,4 @@ def probability_inside(gs: GroundState, R):
             f"P(R) = {p[bad]} lies outside [0, 1] beyond its rounding estimate {delta[bad]}"
         )
     p = np.clip(p, 0.0, 1.0)
-    return float(p[0]) if radii.ndim == 0 else p
+    return float(p[0]) if ball.ndim == 2 else p

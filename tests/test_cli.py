@@ -1,6 +1,8 @@
+import csv
 import io
 import sys
 
+import numpy as np
 import pytest
 
 from fewbody import cli
@@ -100,6 +102,48 @@ class TestParseConfig:
         assert parse_config(a).config_hash() == parse_config(c).config_hash()
 
 
+class TestConfigValues:
+    # a key read at parse time and one read only by the subcommand alike
+    @pytest.mark.parametrize("section,key,value", [
+        ("experiment", "k_list", "0.1,x"),
+        ("experiment", "r0", "x"),
+        ("experiment", "floor", "x"),
+        ("experiment", "ceiling_factor", "x"),
+        ("numerics", "threshold_tol", "x"),
+        ("numerics", "resonance_tol", "x"),
+        ("numerics", "seed", "x"),
+        ("numerics", "basis.correlations", "0.1,x"),
+    ])
+    def test_non_number_exits_config(self, tmp_path, capsys, section, key, value):
+        cfg = tmp_path / "m.cfg"
+        text = FULL.replace("k_list = 1e-2,1e-3\n", "")
+        cfg.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n"))
+        rc = main(["checks", "merkuriev", "--config", str(cfg), "--quiet"])
+        assert rc == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error" in captured.err and f"{section}.{key}" in captured.err
+
+
+class TestOptions:
+    def test_tol_only_on_two_body_threshold(self, cfg_file, capsys):
+        rc = main(["two-body", "threshold", "--config", str(cfg_file), "--quiet", "--tol", "1e-6"])
+        assert rc == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[1].endswith(",9.9999999999999995e-07")
+        for command in (["two-body", "mu-curve"], ["three-body", "theta0"], ["validate-config"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*command, "--config", str(cfg_file), "--quiet", "--tol", "1e-6"])
+            assert exc.value.code == EXIT_CONFIG
+            assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+    def test_threads_is_not_an_option(self, cfg_file, capsys):
+        for command in (["three-body", "sweep"], ["two-body", "threshold"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*command, "--config", str(cfg_file), "--quiet", "--threads", "2"])
+            assert exc.value.code == EXIT_CONFIG
+            assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+
 class TestEmitCsv:
     def test_header_only_for_empty(self):
         buf = io.StringIO()
@@ -127,7 +171,7 @@ class TestResultStore:
         s1.record(0, {"x": 1.0})
         s1.record(1, {"x": 99.0})  # idempotent: second write ignored
         s2 = ResultStore(path, "abc")
-        assert s2.has(0) and s2.has(1)
+        assert 0 in s2.rows and 1 in s2.rows
         assert s2.rows == {0: {"x": 1.0}, 1: {"x": 2.0}}
 
     def test_hash_mismatch_refused(self, tmp_path):
@@ -281,8 +325,7 @@ radii = 10.0
 
 
 class TestSweepResume:
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_failed_point_keeps_earlier_rows(self, tmp_path, monkeypatch, capsys, threads):
+    def test_failed_point_keeps_earlier_rows(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(SWEEP_CFG.replace("scale_grid = 0.6,0.9", "scale_grid = 0.6,0.75,0.9"))
         store = tmp_path / "rows.jsonl"
@@ -293,17 +336,16 @@ class TestSweepResume:
         point = cli._sweep_point
         computed = []
 
-        def failing_third(cfg, basis, scale, radii):
+        def failing_third(cfg, shared, scale, radii):
             if scale == 0.9:
                 raise vr.IllConditionedBasisError("injected failure at the third point")
-            return point(cfg, basis, scale, radii)
+            return point(cfg, shared, scale, radii)
 
-        def counting(cfg, basis, scale, radii):
+        def counting(cfg, shared, scale, radii):
             computed.append(scale)
-            return point(cfg, basis, scale, radii)
+            return point(cfg, shared, scale, radii)
 
-        argv = ["three-body", "sweep", "--config", str(cfg), "--quiet", "--store", str(store),
-                "--threads", threads]
+        argv = ["three-body", "sweep", "--config", str(cfg), "--quiet", "--store", str(store)]
         monkeypatch.setattr(cli, "_sweep_point", failing_third)
         assert main(argv) == EXIT_NUMERIC
         assert capsys.readouterr().out == ""
@@ -376,24 +418,12 @@ class TestSweepResume:
         plain = tmp_path / "plain.jsonl"
         rc, first = sweep(plain)
         assert rc == EXIT_OK
-        assert ResultStore(plain, parse_config(cfg).config_hash()).has(0)
+        assert 0 in ResultStore(plain, parse_config(cfg).config_hash()).rows
         rc, resumed = sweep(plain)
         assert rc == EXIT_OK and resumed.out == first.out
         # an override equal to the file's seed is the same effective config
         rc, resumed = sweep(plain, "--seed", "7")
         assert rc == EXIT_OK and resumed.out == first.out
-
-    def test_threads_do_not_change_output(self, tmp_path, capsys):
-        cfg = tmp_path / "sweep.cfg"
-        cfg.write_text(SWEEP_CFG)
-        rc = main(["three-body", "sweep", "--config", str(cfg), "--quiet"])
-        assert rc == EXIT_OK
-        single = capsys.readouterr().out
-        rc = main(["three-body", "sweep", "--config", str(cfg), "--quiet",
-                   "--threads", "4"])
-        assert rc == EXIT_OK
-        multi = capsys.readouterr().out
-        assert single == multi
 
     def test_solver_failure_is_not_blanked(self, tmp_path, monkeypatch, capsys):
         # only a supercritical pair blanks bs_radius; any other failure exits 3
@@ -403,7 +433,99 @@ class TestSweepResume:
         def asymmetric(*args, **kwargs):
             raise ValueError("matrix asymmetry exceeds 1e-12")
 
-        monkeypatch.setattr(fd, "radius_at_zero", asymmetric)
+        monkeypatch.setattr(fd, "extrapolated_radius", asymmetric)
         rc = main(["three-body", "sweep", "--config", str(cfg), "--quiet"])
         assert rc == EXIT_NUMERIC
         assert "matrix asymmetry" in capsys.readouterr().err
+
+
+def reference_sweep_point(cfg, basis, scale, radii):
+    """One sweep row solved from scratch on the rescaled model: the oracle of the sweep.
+
+    A fresh variational solve, a ball build and two block assemblies per point,
+    where the sweep builds each once at the configured couplings and scales them.
+    """
+    m = cfg.model.with_couplings(cfg.model.couplings.scaled(scale))
+    gs = vr.solve_ground(m, basis)
+    thr = vr.hvz_bottom(m)
+    row = {
+        "scale": scale,
+        "lambda12": m.couplings.lambda12,
+        "lambda13": m.couplings.lambda13,
+        "lambda23": m.couplings.lambda23,
+        "e_gr": gs.energy,
+        "e_thr": thr,
+        "bound_states": int(np.sum(gs.eigenvalues < thr - 1e-8)),
+    }
+    for R, p in zip(radii, vr.probability_inside(vr.ball_matrices(basis, radii),
+                                                  gs.coefficients)):
+        row[f"p_r{cli._fmt(R)}"] = float(p)
+    try:
+        row["bs_radius"] = fd.radius_at_zero(
+            m, n_x=cfg.int("numerics", "faddeev_nodes"),
+            n_p_per_panel=cfg.int("numerics", "p_per_panel"),
+            n_angle=cfg.int("numerics", "angle_nodes"),
+        )
+    except fd.PairThresholdError:
+        row["bs_radius"] = None
+    return row
+
+
+def counted(monkeypatch, calls, module, name):
+    """Replace module.name by a wrapper that counts its calls in calls[name]."""
+    fn = getattr(module, name)
+    calls[name] = 0
+
+    def counting(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+
+
+class TestSweepSharedWork:
+    # scale 0 has no coupling left; at 1.5 every pair is past its threshold
+    GRID = "scale_grid = 0.0,0.6,0.9,1.5"
+
+    def test_rows_match_fresh_per_point_solves(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_CFG.replace("scale_grid = 0.6,0.9", self.GRID)
+                       .replace("radii = 10.0", "radii = 2.0,10.0"))
+        assert main(["three-body", "sweep", "--config", str(cfg), "--quiet"]) == EXIT_OK
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        conf = parse_config(cfg)
+        basis = vr.build_basis(conf.basis_spec, conf.model.masses)
+        scales = conf.floats("experiment", "scale_grid")
+        assert [float(r["scale"]) for r in rows] == scales
+        for row, s in zip(rows, scales):
+            ref = reference_sweep_point(conf, basis, s, conf.floats("experiment", "radii"))
+            assert list(row) == list(ref)
+            for key in ref:
+                if key != "bs_radius":
+                    assert row[key] == cli._fmt(ref[key]), (s, key)
+            if ref["bs_radius"] is None:
+                assert row["bs_radius"] == ""
+            else:
+                assert float(row["bs_radius"]) == pytest.approx(ref["bs_radius"], rel=1e-12)
+        assert float(rows[0]["bs_radius"]) == 0.0
+        assert rows[-1]["bs_radius"] == "" and float(rows[-1]["e_thr"]) < 0.0
+
+    @pytest.mark.parametrize("grid", ["0.6,0.9", "0.5,0.6,0.75,0.9"])
+    def test_shared_work_built_once_per_sweep(self, tmp_path, monkeypatch, capsys, grid):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_CFG.replace("0.6,0.9", grid))
+        store = tmp_path / "rows.jsonl"
+        argv = ["three-body", "sweep", "--config", str(cfg), "--quiet", "--store", str(store)]
+        calls = {}
+        counted(monkeypatch, calls, vr, "hamiltonian_matrices")
+        counted(monkeypatch, calls, vr, "ball_overlap")
+        counted(monkeypatch, calls, fd, "assemble_block_operator")
+        assert main(argv) == EXIT_OK
+        first = capsys.readouterr().out
+        assert calls == {"hamiltonian_matrices": 1, "ball_overlap": 1,
+                         "assemble_block_operator": 2}
+        # every point stored: nothing is built
+        calls.update(dict.fromkeys(calls, 0))
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == first
+        assert set(calls.values()) == {0}

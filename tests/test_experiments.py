@@ -195,13 +195,31 @@ class TestDichotomyTargets:
                 [-t for t in targets], rel=1e-10, abs=0.0
             )
 
+    def test_one_ball_build_per_call(self, gauss_model_factory, tiny_basis, monkeypatch):
+        # P(R0) and P(3 R0) of every row come from one ball, whatever the row count
+        radii = []
+        build = vr.ball_overlap
+
+        def counting(Ba, Bb, Bc2, R):
+            radii.append(tuple(np.atleast_1d(R)))
+            return build(Ba, Bb, Bc2, R)
+
+        monkeypatch.setattr(vr, "ball_overlap", counting)
+        report = ex.spreading_dichotomy(
+            ex.Scenario.NO_PAIR_RESONANCE, gauss_model_factory(0.8), tiny_basis,
+            energy_targets=self.TARGETS, scale_bracket=(0.9, 1.2),
+        )
+        assert len(report.rows) == len(self.TARGETS)
+        assert radii == [(report.r0, 3.0 * report.r0)]
+
     def test_rows_are_fresh_solves(self, resonant_report, tiny_basis):
         model, report = resonant_report
         for row in report.rows:
             m = model.with_couplings(row.couplings)
             gs = vr.solve_ground(m, tiny_basis)
             assert row.e_gr == gs.energy - vr.hvz_bottom(m)
-            p = vr.probability_inside(gs, (report.r0, 3.0 * report.r0))
+            ball = vr.ball_matrices(tiny_basis, (report.r0, 3.0 * report.r0))
+            p = vr.probability_inside(ball, gs.coefficients)
             assert (row.p_r0, row.p_r1) == (p[0], p[1])
 
     def test_within_old_tolerance_of_reference_bisection(self, margin_report, resonant_report,

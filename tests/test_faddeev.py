@@ -403,6 +403,16 @@ class TestCouplingScale:
         ref = fd.radius_at_zero(scaled, (2e-2, 5e-3), **self.KW)
         assert fd.extrapolated_radius(ops, 1.1) == pytest.approx(ref, rel=1e-12)
 
+    def test_zero_scale_is_the_zero_map(self, unequal_model):
+        # no coupling left: radius 0, as for the zero-coupling model itself
+        ops = fd.threshold_operators(unequal_model, (2e-2, 5e-3), **self.KW)
+        sol = fd.faddeev_solve(ops[0], scale=0.0)
+        assert sol.spectral_radius == 0.0 and sol.residual == 0.0
+        assert all(not np.any(c) for c in sol.components.values())
+        assert fd.extrapolated_radius(ops, 0.0) == 0.0
+        zero = unequal_model.with_couplings(unequal_model.couplings.scaled(0.0))
+        assert fd.radius_at_zero(zero, (2e-2, 5e-3), **self.KW) == 0.0
+
     @pytest.mark.parametrize("z", [0.1, 1e-2])
     def test_symmetric_solve_matches_iteration_map(self, unequal_model, z):
         op = fd.assemble_block_operator(unequal_model, z, **self.KW)

@@ -196,19 +196,24 @@ class TestBoundStateCount:
         assert vr.bound_state_count(m, small_basis) == 0
 
 
+def p_of_state(basis, gs, R):
+    """P(R) of one state: one ball build, one quadratic form."""
+    return vr.probability_inside(vr.ball_matrices(basis, R), gs.coefficients)
+
+
 class TestLocalization:
     def test_limits(self, gauss_model_factory, small_basis):
         gs = vr.solve_ground(gauss_model_factory(1.0), small_basis)
-        assert vr.probability_inside(gs, 0.0) == 0.0
-        assert abs(vr.probability_inside(gs, 1e6) - 1.0) < 1e-8
+        assert p_of_state(small_basis, gs, 0.0) == 0.0
+        assert abs(p_of_state(small_basis, gs, 1e6) - 1.0) < 1e-8
 
     def test_deep_binding_compact(self, gauss_model_factory, small_basis):
         gs = vr.solve_ground(gauss_model_factory(1.3), small_basis)
-        assert vr.probability_inside(gs, 5.0) > 0.99
+        assert p_of_state(small_basis, gs, 5.0) > 0.99
 
     def test_monotone_probe(self, gauss_model_factory, small_basis):
         gs = vr.solve_ground(gauss_model_factory(1.0), small_basis)
-        p = vr.probability_inside(gs, [1.0, 2.0, 5.0, 10.0, 50.0])
+        p = p_of_state(small_basis, gs, [1.0, 2.0, 5.0, 10.0, 50.0])
         assert np.all(np.diff(p) >= -1e-9)
         assert np.all((p >= 0) & (p <= 1))
 
@@ -323,37 +328,38 @@ def ground_small(gauss_model_factory, small_basis):
 
 
 class TestProbabilityInside:
-    def test_scalar_in_scalar_out(self, ground_small):
-        p = vr.probability_inside(ground_small, 5.0)
+    def test_scalar_in_scalar_out(self, ground_small, small_basis):
+        p = p_of_state(small_basis, ground_small, 5.0)
         assert isinstance(p, float)
-        ps = vr.probability_inside(ground_small, [0.0, 5.0, 50.0])
+        ps = p_of_state(small_basis, ground_small, [0.0, 5.0, 50.0])
         assert ps.shape == (3,)
         assert ps[0] == 0.0 and np.isclose(ps[1], p, rtol=1e-13)
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=8, deadline=None)
-    def test_basis_order_invariance(self, ground_small, seed):
+    def test_basis_order_invariance(self, ground_small, small_basis, seed):
         # only the upper triangle is evaluated; a wrong mirror breaks this
         gs = ground_small
-        idx = np.random.default_rng(seed).permutation(gs.basis.size)
-        basis = vr.GaussianBasis(a=gs.basis.a[idx], b=gs.basis.b[idx], c=gs.basis.c[idx])
+        idx = np.random.default_rng(seed).permutation(small_basis.size)
+        basis = vr.GaussianBasis(a=small_basis.a[idx], b=small_basis.b[idx],
+                                 c=small_basis.c[idx])
         permuted = vr.GroundState(
             energy=gs.energy,
             coefficients=gs.coefficients[idx],
             gram=gs.gram[np.ix_(idx, idx)],
-            basis=basis,
             eigenvalues=gs.eigenvalues,
         )
         radii = [2.0, 10.0]
         np.testing.assert_allclose(
-            vr.probability_inside(permuted, radii), vr.probability_inside(gs, radii),
+            p_of_state(basis, permuted, radii),
+            p_of_state(small_basis, gs, radii),
             rtol=1e-12, atol=0.0,
         )
 
-    def test_out_of_range_raises(self, ground_small, monkeypatch):
+    def test_out_of_range_raises(self, ground_small, small_basis, monkeypatch):
         monkeypatch.setattr(vr, "ball_overlap", inflated_ball)
         with pytest.raises(vr.IllConditionedBasisError, match="rounding estimate"):
-            vr.probability_inside(ground_small, 10.0)
+            p_of_state(small_basis, ground_small, 10.0)
 
     def test_out_of_range_exits_numeric(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "model.cfg"
