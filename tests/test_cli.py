@@ -325,7 +325,10 @@ radii = 10.0
 
 
 class TestSweepResume:
-    def test_failed_point_keeps_earlier_rows(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("failed_at", [1, 2])
+    def test_failed_point_keeps_earlier_rows(self, tmp_path, monkeypatch, capsys, failed_at):
+        # a failure at point k keeps points 0..k-1 stored; the rerun computes the rest
+        scales = [0.6, 0.75, 0.9]
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(SWEEP_CFG.replace("scale_grid = 0.6,0.9", "scale_grid = 0.6,0.75,0.9"))
         store = tmp_path / "rows.jsonl"
@@ -336,9 +339,9 @@ class TestSweepResume:
         point = cli._sweep_point
         computed = []
 
-        def failing_third(cfg, shared, scale, radii):
-            if scale == 0.9:
-                raise vr.IllConditionedBasisError("injected failure at the third point")
+        def failing(cfg, shared, scale, radii):
+            if scale == scales[failed_at]:
+                raise vr.IllConditionedBasisError("injected failure at one point")
             return point(cfg, shared, scale, radii)
 
         def counting(cfg, shared, scale, radii):
@@ -346,14 +349,14 @@ class TestSweepResume:
             return point(cfg, shared, scale, radii)
 
         argv = ["three-body", "sweep", "--config", str(cfg), "--quiet", "--store", str(store)]
-        monkeypatch.setattr(cli, "_sweep_point", failing_third)
+        monkeypatch.setattr(cli, "_sweep_point", failing)
         assert main(argv) == EXIT_NUMERIC
         assert capsys.readouterr().out == ""
-        assert len(store.read_text().splitlines()) == 2
+        assert len(store.read_text().splitlines()) == failed_at
 
         monkeypatch.setattr(cli, "_sweep_point", counting)
         assert main(argv) == EXIT_OK
-        assert computed == [0.9]
+        assert computed == scales[failed_at:]
         assert capsys.readouterr().out == full
 
     def test_interrupt_and_resume_identical(self, tmp_path, capsys):
