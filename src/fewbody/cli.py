@@ -382,7 +382,9 @@ def _cmd_two_body_threshold(cfg: RunConfig, args, out) -> int:
     pair = args.pair
     pot = cfg.model.scaled_potential(pair)
     quad = _quad_for(cfg, pair)
-    tol = args.tol or cfg.float("numerics", "threshold_tol")
+    tol = args.tol if args.tol is not None else cfg.float("numerics", "threshold_tol")
+    if tol <= 0:
+        raise ConfigError("--tol must be positive")
     lam = tb.critical_coupling(pot, quad, tol=tol)
     rows = [
         {
@@ -714,8 +716,9 @@ def build_parser() -> argparse.ArgumentParser:
         for name in names:
             p = gsub.add_parser(name)
             common(p)
-            if group == "two-body":
+            if group == "two-body" and name != "classify":
                 p.add_argument("--pair", default="12", choices=list(PAIRS))
+            if (group, name) == ("two-body", "mu-curve"):
                 p.add_argument("--k", type=float, default=None)
             if (group, name) == ("two-body", "threshold"):
                 p.add_argument("--tol", type=float, default=None)

@@ -8,10 +8,11 @@ the Gram reduction, depends on the couplings: hamiltonian_matrices builds
 them once and a coupling scan pays one reduced eigensolve per point.  The
 localization probability P(R) restricts the 6D density to a ball, which
 collapses to a 1D hyperradial quadrature with a Bessel weight.  The ball
-matrices of all radii come from one hyperradial pass per basis; each state
-then costs one quadratic form.  A P(R) outside [0, 1] by more than its
-rounding estimate raises IllConditionedBasisError (CLI exit 3) instead of
-being clamped.
+matrices of all radii come from one hyperradial pass per basis, with one
+integral per distinct eigenvalue pair of the pair forms (the ball is
+rotation invariant); each state then costs one quadratic form.  A P(R)
+outside [0, 1] by more than its rounding estimate raises
+IllConditionedBasisError (CLI exit 3) instead of being clamped.
 """
 
 from __future__ import annotations
@@ -317,15 +318,6 @@ def hvz_bottom(model: ModelSpec) -> float:
     return bottom
 
 
-def bound_state_count(
-    model: ModelSpec,
-    basis: GaussianBasis,
-    tol: float = 1e-8,
-) -> int:
-    gs = solve_ground(model, basis)
-    return int(np.sum(gs.eigenvalues < hvz_bottom(model) - tol))
-
-
 # ---------------------------------------------------------------------------
 # localization probability
 
@@ -380,10 +372,12 @@ def ball_overlap(Ba, Bb, Bc2, R):
 
     R is a scalar (one N x N result) or a 1-D array of radii (one matrix per
     radius).  All radii come from one hyperradial pass: one cumulative
-    quadrature with a panel edge at every radius, over the upper triangle
-    only (the matrix is symmetric), in fixed-size blocks of pair forms.  A
-    pair whose Gaussian lies wholly inside the ball (beta_min R^2 >= 50)
-    takes the closed-form overlap pi^3/det^{3/2} instead.
+    quadrature with a panel edge at every radius, in fixed-size blocks.  The
+    ball is O(6)-invariant, so an entry depends only on (beta_min, gap): the
+    quadrature runs once per bit-distinct pair of them among the upper-
+    triangle forms (the matrix is symmetric) and is scattered back to every
+    form that shares it.  A pair whose Gaussian lies wholly inside the ball
+    (beta_min R^2 >= 50) takes the closed-form overlap pi^3/det^{3/2} instead.
     """
     radii = np.asarray(R, dtype=float)
     r = np.atleast_1d(radii)[:, None]
@@ -400,15 +394,17 @@ def ball_overlap(Ba, Bb, Bc2, R):
         cuts = np.unique(r[quad.any(axis=1), 0])
         rho, weights = _hyperradial_rule(float(np.max(tr[pairs] + gap[pairs])), cuts)
         rho2 = rho * rho
-        acc = np.empty((pairs.size, cuts.size))
-        for s in range(0, pairs.size, _CHUNK):
-            p = pairs[s : s + _CHUNK]
+        # (beta_min, gap) as one complex key: it sorts and compares as the pair
+        keys, inverse = np.unique(beta_min[pairs] + 1j * gap[pairs], return_inverse=True)
+        acc = np.empty((keys.size, cuts.size))
+        for s in range(0, keys.size, _CHUNK):
+            k = keys[s : s + _CHUNK, None]
             # exp(-tr rho2) I1(w)/w = exp(-beta_min rho2) * [exp(-w) I1(w)/w]
-            f = _bessel_ratio_scaled(gap[p, None] * rho2) * np.exp(-beta_min[p, None] * rho2)
-            acc[s : s + p.size] = f @ weights
+            f = _bessel_ratio_scaled(k.imag * rho2) * np.exp(-k.real * rho2)
+            acc[s : s + k.size] = f @ weights
+        acc = acc[inverse]
         col = np.minimum(np.searchsorted(cuts, r[:, 0]), cuts.size - 1)
-        sub = quad[:, pairs]
-        vals[:, pairs] = np.where(sub, 2.0 * np.pi**3 * acc[:, col].T, vals[:, pairs])
+        vals[:, pairs] = np.where(quad[:, pairs], 2.0 * np.pi**3 * acc[:, col].T, vals[:, pairs])
     out = np.empty((r.shape[0], *Ba.shape))
     out[:, iu[0], iu[1]] = vals
     out[:, iu[1], iu[0]] = vals

@@ -8,7 +8,9 @@ from fewbody.model import (
     PotentialSpec,
     Quadrature,
 )
+from fewbody import experiments as ex
 from fewbody import twobody as tb
+from fewbody import variational as vr
 
 # threshold of the unit Gaussian well, pinned by the radial shooting oracle
 # (shooting and the integral-operator route agree to ~1e-12)
@@ -64,6 +66,12 @@ def make_model(masses, pot, couplings, eps=0.2):
         masses, pot, pot, pot,
         CouplingConfig(lam12, lam13, lam23, margin_epsilon=eps),
     )
+
+
+def bound_state_count(model, basis) -> int:
+    """Variational levels below the HVZ bottom, counted as three-body ground does."""
+    gs = vr.solve_ground(model, basis)
+    return int(np.sum(gs.eigenvalues < vr.hvz_bottom(model) - ex.EPS_NUM))
 
 
 @pytest.fixture(scope="session")

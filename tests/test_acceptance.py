@@ -19,7 +19,7 @@ from fewbody import faddeev as fd
 from fewbody import twobody as tb
 from fewbody import variational as vr
 from fewbody.cli import main as cli_main
-from tests.conftest import GAUSS_LAMBDA_STAR, SW_LAMBDA_STAR, make_model
+from tests.conftest import GAUSS_LAMBDA_STAR, SW_LAMBDA_STAR, bound_state_count, make_model
 
 _LINES: list[str] = []
 
@@ -264,7 +264,7 @@ def test_criterion_08_efimov_regime(masses, gauss):
     m_res = make_model(masses, gauss, (lam, lam, 0.9 * lam), eps=0.05)
     scan = ex.efimov_scan(m_res, basis)
     m_detuned = make_model(masses, gauss, (lam, 0.9 * lam, 0.9 * lam), eps=0.05)
-    count_detuned = vr.bound_state_count(m_detuned, basis)
+    count_detuned = bound_state_count(m_detuned, basis)
     dt = time.time() - t0
     ok = scan.count >= 2 and count_detuned <= scan.count and dt < 600.0
     _line(8, "double-resonance level accumulation", ok,

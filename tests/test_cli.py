@@ -136,6 +136,25 @@ class TestOptions:
             assert exc.value.code == EXIT_CONFIG
             assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
+    def test_pair_not_on_classify(self, cfg_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["two-body", "classify", "--config", str(cfg_file), "--quiet", "--pair", "13"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --pair" in capsys.readouterr().err
+
+    def test_k_only_on_mu_curve(self, cfg_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["two-body", "threshold", "--config", str(cfg_file), "--quiet", "--k", "5"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --k" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["0", "-1"])
+    def test_tol_must_be_positive(self, cfg_file, capsys, tol):
+        rc = main(["two-body", "threshold", "--config", str(cfg_file), "--quiet", f"--tol={tol}"])
+        assert rc == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--tol must be positive" in captured.err
+
     def test_threads_is_not_an_option(self, cfg_file, capsys):
         for command in (["three-body", "sweep"], ["two-body", "threshold"]):
             with pytest.raises(SystemExit) as exc:

@@ -9,8 +9,8 @@ from scipy.special import erf, ive
 from fewbody import twobody as tb
 from fewbody import variational as vr
 from fewbody.cli import EXIT_NUMERIC, main
-from fewbody.model import _gauss_legendre_panels
-from tests.conftest import GAUSS_LAMBDA_STAR, make_model
+from fewbody.model import MassSet, _gauss_legendre_panels
+from tests.conftest import GAUSS_LAMBDA_STAR, bound_state_count, make_model
 from tests.test_cli import FULL
 
 
@@ -189,11 +189,11 @@ class TestHvzBottom:
 class TestBoundStateCount:
     def test_no_couplings(self, equal_masses, gaussian_well, small_basis):
         m = make_model(equal_masses, gaussian_well, (0, 0, 0))
-        assert vr.bound_state_count(m, small_basis) == 0
+        assert bound_state_count(m, small_basis) == 0
 
     def test_single_weak_pair(self, equal_masses, gaussian_well, small_basis):
         m = make_model(equal_masses, gaussian_well, (0.5 * GAUSS_LAMBDA_STAR, 0, 0))
-        assert vr.bound_state_count(m, small_basis) == 0
+        assert bound_state_count(m, small_basis) == 0
 
 
 def p_of_state(basis, gs, R):
@@ -315,6 +315,86 @@ class TestBallOverlapReference:
         w = np.array([0.0, 9.9e-7, 1.01e-6])
         ref = np.array([0.5, *(ive(1, w[1:]) / w[1:])])
         np.testing.assert_allclose(vr._bessel_ratio_scaled(w), ref, rtol=1e-15, atol=0.0)
+
+
+def undeduplicated_ball_overlap(Ba, Bb, Bc2, radii):
+    """ball_overlap integrating every quadrature pair form on its own.
+
+    The kernel before one integral per distinct eigenvalue pair: the same
+    hyperradial rule, Bessel kernel and closed-form interior, with one
+    kernel row per upper-triangle form.
+    """
+    r = np.asarray(radii, dtype=float)[:, None]
+    iu = np.triu_indices(Ba.shape[0])
+    ba, bb, bc = Ba[iu], Bb[iu], Bc2[iu]
+    tr = 0.5 * (ba + bb)
+    gap = np.sqrt(0.25 * (ba - bb) ** 2 + bc**2)
+    det = ba * bb - bc**2
+    beta_min = det / (tr + gap)
+    quad = beta_min * r**2 < vr._INTERIOR
+    pairs = np.flatnonzero(quad.any(axis=0))
+    cuts = np.unique(r[quad.any(axis=1), 0])
+    rho, weights = vr._hyperradial_rule(float(np.max(tr[pairs] + gap[pairs])), cuts)
+    rho2 = rho * rho
+    f = vr._bessel_ratio_scaled(gap[pairs, None] * rho2) * np.exp(-beta_min[pairs, None] * rho2)
+    acc = 2.0 * np.pi**3 * (f @ weights)
+    vals = np.tile(np.pi**3 / det**1.5, (r.shape[0], 1))
+    col = np.minimum(np.searchsorted(cuts, r[:, 0]), cuts.size - 1)
+    vals[:, pairs] = np.where(quad[:, pairs], acc[:, col].T, vals[:, pairs])
+    out = np.empty((r.shape[0], *Ba.shape))
+    out[:, iu[0], iu[1]] = vals
+    out[:, iu[1], iu[0]] = vals
+    return out
+
+
+def frames_basis(masses, n_random=0):
+    spec = vr.BasisSpec(0.3, 10.0, 6, 0.3, 60.0, 7, "frames", n_random=n_random, seed=11)
+    return vr.build_basis(spec, masses)
+
+
+class TestBallOverlapDistinctForms:
+    """One hyperradial integral per bit-distinct (beta_min, gap) key."""
+
+    @pytest.mark.parametrize("case", ["small", "wide", "random", "unequal"])
+    def test_matches_undeduplicated_kernel(self, case, small_basis, wide_basis):
+        basis = {
+            "small": small_basis,
+            "wide": wide_basis,
+            "random": frames_basis(MassSet(1.0, 1.0, 1.0), n_random=12),
+            "unequal": frames_basis(MassSet(1.0, 0.7, 1.6), n_random=6),
+        }[case]
+        Ba, Bb, Bc2, _ = vr._pair_forms(basis)
+        got = vr.ball_overlap(Ba, Bb, Bc2, np.array(RADII))
+        ref = undeduplicated_ball_overlap(Ba, Bb, Bc2, RADII)
+        assert np.max(np.abs(got / ref - 1.0)) <= 1e-14
+
+    def test_kernel_rows_are_distinct_keys(self, small_basis, monkeypatch):
+        rows = []
+        kernel = vr._bessel_ratio_scaled
+
+        def counting(w):
+            rows.append(w.shape[0])
+            return kernel(w)
+
+        monkeypatch.setattr(vr, "_bessel_ratio_scaled", counting)
+        Ba, Bb, Bc2, det = vr._pair_forms(small_basis)
+        vr.ball_overlap(Ba, Bb, Bc2, np.array(RADII))
+        iu = np.triu_indices(small_basis.size)
+        tr = 0.5 * (Ba[iu] + Bb[iu])
+        gap = np.sqrt(0.25 * (Ba[iu] - Bb[iu]) ** 2 + Bc2[iu] ** 2)
+        beta_min = det[iu] / (tr + gap)
+        quad = beta_min * np.array(RADII)[:, None] ** 2 < vr._INTERIOR
+        pairs = np.flatnonzero(quad.any(axis=0))
+        keys = set(zip(beta_min[pairs].tolist(), gap[pairs].tolist()))
+        assert sum(rows) == len(keys) < 0.6 * pairs.size
+
+    def test_duplicated_functions_bit_equal(self, small_basis):
+        n = small_basis.size
+        basis = small_basis.merged(small_basis)
+        ball = vr.ball_overlap(*vr._pair_forms(basis)[:3], np.array(RADII))
+        top = ball[:, :n, :n]
+        for block in (ball[:, n:, :n], ball[:, :n, n:], ball[:, n:, n:]):
+            np.testing.assert_array_equal(block, top)
 
 
 def inflated_ball(Ba, Bb, Bc2, R):
