@@ -11,6 +11,7 @@ import argparse
 import configparser
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -128,7 +129,7 @@ class RunConfig:
         return _read(self.raw, section, key, _float_list)
 
     def float(self, section: str, key: str) -> float:
-        return _read(self.raw, section, key, float)
+        return _read(self.raw, section, key, _finite)
 
     def int(self, section: str, key: str) -> int:
         return _read(self.raw, section, key, int)
@@ -150,8 +151,31 @@ class RunConfig:
             print(f"{k} = {v}", file=stream)
 
 
+def _finite(text: str) -> float:
+    """float(text), with nan and +-inf a ValueError."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return value
+
+
 def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    return [_finite(tok) for tok in text.split(",") if tok.strip()]
+
+
+# the range of every value of these keys, checked when the config is parsed
+_RANGES = {
+    ("numerics", "threshold_tol"): "positive",
+    ("numerics", "resonance_tol"): "positive",
+    ("experiment", "floor"): "positive",
+    ("experiment", "ceiling_factor"): "positive",
+    ("experiment", "z_list"): "positive",
+    ("experiment", "xi_list"): "positive",
+    ("experiment", "eps0"): "positive",
+    ("experiment", "r0"): "non-negative",
+    ("experiment", "radii"): "non-negative",
+    ("experiment", "scale_grid"): "non-negative",
+}
 
 
 def _read(raw: dict, section: str, key: str, convert=str):
@@ -187,10 +211,10 @@ def _parse_potential(raw: dict, pair: str, path: Path) -> PotentialSpec:
                 if not tok:
                     continue
                 r, v = tok.split(":")
-                table.append((float(r), float(v)))
+                table.append((_finite(r), _finite(v)))
             return PotentialSpec("tabulated", table=tuple(table))
-        depth = float(raw.get(("model", f"pair{pair}.depth"), "1.0"))
-        rng = float(raw.get(("model", f"pair{pair}.range"), "1.0"))
+        depth = _finite(raw.get(("model", f"pair{pair}.depth"), "1.0"))
+        rng = _finite(raw.get(("model", f"pair{pair}.range"), "1.0"))
         return PotentialSpec(kind, depth=depth, range=rng)
     except (ValueError, KeyError) as err:
         line = _find_line(path, f"pair{pair}")
@@ -222,10 +246,10 @@ def parse_config(path) -> RunConfig:
             raw[(section, key)] = value.strip()
 
     try:
-        masses = MassSet(*(_read(raw, "model", m, float) for m in ("m1", "m2", "m3")))
+        masses = MassSet(*(_read(raw, "model", m, _finite) for m in ("m1", "m2", "m3")))
         couplings = CouplingConfig(
-            *(_read(raw, "model", f"lambda{p}", float) for p in PAIRS),
-            margin_epsilon=_read(raw, "model", "margin_epsilon", float),
+            *(_read(raw, "model", f"lambda{p}", _finite) for p in PAIRS),
+            margin_epsilon=_read(raw, "model", "margin_epsilon", _finite),
         )
     except ValueError as err:
         raise ConfigError(f"invalid model values: {err}") from err
@@ -244,11 +268,11 @@ def parse_config(path) -> RunConfig:
 
     try:
         basis_spec = vr.BasisSpec(
-            scale_min_x=_read(raw, "numerics", "basis.scale_min_x", float),
-            scale_max_x=_read(raw, "numerics", "basis.scale_max_x", float),
+            scale_min_x=_read(raw, "numerics", "basis.scale_min_x", _finite),
+            scale_max_x=_read(raw, "numerics", "basis.scale_max_x", _finite),
             n_x=_read(raw, "numerics", "basis.n_x", int),
-            scale_min_y=_read(raw, "numerics", "basis.scale_min_y", float),
-            scale_max_y=_read(raw, "numerics", "basis.scale_max_y", float),
+            scale_min_y=_read(raw, "numerics", "basis.scale_min_y", _finite),
+            scale_max_y=_read(raw, "numerics", "basis.scale_max_y", _finite),
             n_y=_read(raw, "numerics", "basis.n_y", int),
             correlations=_read(
                 raw, "numerics", "basis.correlations",
@@ -263,14 +287,11 @@ def parse_config(path) -> RunConfig:
     except ValueError as err:
         raise ConfigError(f"invalid numerics.basis: {err}") from err
 
-    for s, key in (
-        ("numerics", "threshold_tol"),
-        ("numerics", "resonance_tol"),
-        ("experiment", "floor"),
-        ("experiment", "ceiling_factor"),
-    ):
-        if _read(raw, s, key, float) <= 0:
-            raise ConfigError(f"{s}.{key} must be positive")
+    for (s, key), word in _RANGES.items():
+        if raw.get((s, key), "").strip():  # r0 and scale_grid may be left empty
+            values = _read(raw, s, key, _float_list)
+            if any(v < 0 or (v == 0 and word == "positive") for v in values):
+                raise ConfigError(f"{s}.{key} = {raw[(s, key)]!r}: values must be {word}")
 
     return RunConfig(model=model, basis_spec=basis_spec, raw=raw)
 
@@ -383,8 +404,8 @@ def _cmd_two_body_threshold(cfg: RunConfig, args, out) -> int:
     pot = cfg.model.scaled_potential(pair)
     quad = _quad_for(cfg, pair)
     tol = args.tol if args.tol is not None else cfg.float("numerics", "threshold_tol")
-    if tol <= 0:
-        raise ConfigError("--tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ConfigError("--tol must be positive and finite")
     lam = tb.critical_coupling(pot, quad, tol=tol)
     rows = [
         {

@@ -23,8 +23,11 @@ Within one operator (one z, one set of grid arguments) blocks are keyed by
 what goes into them: a grid by the scaled well, a diagonal stack by the well
 and its coupling, a cross block by both wells, both couplings, |a|, |b| and
 the signed d of the rotation (only a^2, |b|^3 and d enter T).  Equal masses therefore build one grid, one
-diagonal stack and one cross block per z, and every (row, col) entry points
-at that buffer.
+diagonal stack and one cross block per z.  A cross block whose two sides
+carry the same nodes, well and coupling is stored exactly symmetric and
+serves both orientations, so every (row, col) entry points at that buffer,
+and each matvec applies every distinct matrix once, in one product over all
+the components it multiplies.
 
 At fixed z every block is linear in an overall coupling scale s (the
 diagonal fibers carry lam, the cross blocks sqrt(lam_row lam_col)), so the
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -210,7 +214,9 @@ def assemble_offdiagonal_block(
     pot_row / pot_col are the wells expressed in each pair's scaled internal
     coordinate; couplings enter symmetrically as sqrt(lam_row * lam_col).
     Entries carry the quadrature weights of both sides, so the stacked system
-    acts on plain coefficient vectors.
+    acts on plain coefficient vectors.  On equal grid nodes one sin table
+    serves both sides; with the same well and coupling too, the block is
+    returned exactly symmetric.
     """
     if z <= 0:
         raise ValueError("z must be positive")
@@ -219,6 +225,10 @@ def assemble_offdiagonal_block(
 
     R = kinematic_rotation(masses, row_pair, col_pair)
     a, b, d = R[0, 0], R[0, 1], R[1, 1]
+    # on equal nodes m(p, q, u) = nu(q, p, u): one sin table serves both sides
+    mirrored = np.array_equal(grid_row.p_nodes, grid_col.p_nodes) and np.array_equal(
+        grid_row.x_quad.nodes, grid_col.x_quad.nodes
+    )
 
     def build(nu_angle: int) -> np.ndarray:
         u, wu = np.polynomial.legendre.leggauss(nu_angle)
@@ -228,15 +238,18 @@ def assemble_offdiagonal_block(
         Q = q[None, :, None]
         U = u[None, None, :]
         nu2 = (a * a * P**2 + Q**2 - 2.0 * d * P * Q * U) / (b * b)
-        m2 = (a * a * Q**2 + P**2 - 2.0 * d * P * Q * U) / (b * b)
         D2 = (P**2 + Q**2 - 2.0 * d * P * Q * U) / (b * b) + z * z
         nu = np.sqrt(np.maximum(nu2, 0.0))
-        m = np.sqrt(np.maximum(m2, 0.0))
         r = grid_row.x_quad.nodes
         s = grid_col.x_quad.nodes
         # sin(nu r)/nu and sin(m s)/m, stable at vanishing wave numbers
         SR = r[None, None, None, :] * np.sinc(nu[..., None] * r[None, None, None, :] / np.pi)
-        SC = s[None, None, None, :] * np.sinc(m[..., None] * s[None, None, None, :] / np.pi)
+        if mirrored:
+            SC = SR.transpose(1, 0, 2, 3)
+        else:
+            m2 = (a * a * Q**2 + P**2 - 2.0 * d * P * Q * U) / (b * b)
+            m = np.sqrt(np.maximum(m2, 0.0))
+            SC = s[None, None, None, :] * np.sinc(m[..., None] * s[None, None, None, :] / np.pi)
         coef = (P * Q / (np.pi * abs(b) ** 3)) * wu[None, None, :] / D2
         T = np.einsum("pqur,pqus,pqu->prqs", SR, SC, coef, optimize=True)
         return T
@@ -263,7 +276,12 @@ def assemble_offdiagonal_block(
     )
     T *= row_fold[:, :, None, None]
     T *= col_fold[None, None, :, :]
-    return T.reshape(grid_row.dim, grid_col.dim)
+    T = T.reshape(grid_row.dim, grid_col.dim)
+    if mirrored and np.array_equal(row_fold, col_fold):
+        # symmetric in exact arithmetic (same nodes, well and coupling on both
+        # sides): store it exactly symmetric
+        T = 0.5 * (T + T.T)
+    return T
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,7 +292,8 @@ class BlockOperator:
     batched eigendecomposition (Lambda, U) of shapes (n_p, n_x) and
     (n_p, n_x, n_x); off-diagonal entries are dense cross-frame matrices.
     Couplings are folded in symmetrically (sqrt(lam_row * lam_col) on each
-    block).  Pairs whose blocks have equal content share one buffer.
+    block).  Pairs whose blocks have equal content share one buffer, and
+    the work on a shared buffer is grouped once per operator.
     """
 
     z: float
@@ -295,6 +314,24 @@ class BlockOperator:
             out[pair] = slice(off, off + self.grids[pair].dim)
             off = out[pair].stop
         return out
+
+    @cached_property
+    def fiber_groups(self) -> tuple:
+        """The pairs grouped by the diagonal stack they share, in pair order."""
+        groups: dict = {}
+        for pair in self.pairs:
+            groups.setdefault(id(self.diagonal[pair]), []).append(pair)
+        return tuple(tuple(g) for g in groups.values())
+
+    @cached_property
+    def exchange_groups(self) -> tuple:
+        """(matrix, columns) per distinct cross matrix: the components it multiplies."""
+        groups: dict = {}
+        for (_, col), M in self.offdiagonal.items():
+            cols = groups.setdefault(id(M), (M, []))[1]
+            if col not in cols:
+                cols.append(col)
+        return tuple((M, tuple(cols)) for M, cols in groups.values())
 
 
 def assemble_block_operator(
@@ -351,7 +388,12 @@ def assemble_block_operator(
                 ),
             )
             offdiag[(row, col)] = B
-            offdiag[(col, row)] = B.T  # a view: both orientations share one buffer
+            # equal wells and couplings leave B exactly symmetric; otherwise the
+            # reverse orientation is one transposed view per distinct block
+            offdiag[(col, row)] = (
+                B if (pots[row], lams[row]) == (pots[col], lams[col])
+                else shared(("transpose",) + key, lambda: B.T)
+            )
     return BlockOperator(
         z=z,
         pairs=tuple(active),
@@ -381,23 +423,44 @@ def _split(op: BlockOperator, v: np.ndarray) -> dict:
 
 
 def _fibered(op: BlockOperator, mats: dict, v: np.ndarray) -> np.ndarray:
-    """Per-fiber matrices mats[pair], shape (n_p, n_x, n_x), applied to the stacked v."""
+    """Per-fiber matrices mats[pair], shape (n_p, n_x, n_x), applied to the stacked v.
+
+    mats shares a stack between the pairs of each op.fiber_groups entry; a
+    shared stack is applied to all its pairs in one batched product.
+    """
     out = np.empty_like(v)
-    for pair, sl in op.slices().items():
-        grid = op.grids[pair]
-        y = np.einsum("pij,pj->pi", mats[pair], v[sl].reshape(grid.n_p, grid.n_x))
-        out[sl] = y.ravel()
+    slices = op.slices()
+    for group in op.fiber_groups:
+        grid, M = op.grids[group[0]], mats[group[0]]
+        x = [v[slices[p]].reshape(grid.n_p, grid.n_x) for p in group]
+        if len(group) == 1:
+            y = [np.einsum("pij,pj->pi", M, x[0])]
+        else:
+            y = np.moveaxis(M @ np.stack(x, axis=-1), -1, 0)
+        for pair, y_pair in zip(group, y):
+            out[slices[pair]] = y_pair.ravel()
     return out
 
 
 def _exchange(op: BlockOperator, v: np.ndarray) -> np.ndarray:
-    """sum_{col != row} B[row, col] v_col for every row of the stacked v."""
+    """sum_{col != row} B[row, col] v_col for every row of the stacked v.
+
+    Each distinct matrix of op.exchange_groups is applied once, in one
+    product over all the components it multiplies.
+    """
     comp = _split(op, v)
+    prod = {}
+    for M, cols in op.exchange_groups:
+        if len(cols) == 1:
+            rows = [M @ comp[cols[0]]]
+        else:
+            rows = np.stack([comp[c] for c in cols]) @ M.T  # row k: M @ comp[cols[k]]
+        prod.update(((id(M), c), y) for c, y in zip(cols, rows))
     out = np.zeros_like(v)
     for row, acc in _split(op, out).items():
         for col in op.pairs:
             if col != row:
-                acc += op.offdiagonal[(row, col)] @ comp[col]
+                acc += prod[id(op.offdiagonal[(row, col)]), col]
     return out
 
 
@@ -467,10 +530,10 @@ def faddeev_solve(
         return FaddeevSolution(0.0, comp, 0.0, op.z)
 
     half = {}
-    for pair in pairs:
-        vals, vecs = op.spectra[pair]
+    for group in op.fiber_groups:
+        vals, vecs = op.spectra[group[0]]
         c = np.sqrt(scale / (1.0 - scale * vals))
-        half[pair] = (vecs * c[:, None, :]) @ vecs.transpose(0, 2, 1)
+        half.update(dict.fromkeys(group, (vecs * c[:, None, :]) @ vecs.transpose(0, 2, 1)))
 
     radius, y = _top_eigenpair(
         op.dim(), lambda y: _fibered(op, half, _exchange(op, _fibered(op, half, y))),

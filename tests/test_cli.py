@@ -115,14 +115,54 @@ class TestConfigValues:
         ("numerics", "basis.correlations", "0.1,x"),
     ])
     def test_non_number_exits_config(self, tmp_path, capsys, section, key, value):
+        self.assert_config_error(tmp_path, capsys, section, key, value)
+
+    # nan and +-inf, scalar or list entry, at parse time or in the subcommand
+    @pytest.mark.parametrize("section,key,value", [
+        ("experiment", "radii", "-5,nan,10"),
+        ("experiment", "z_list", "nan,1e-2"),
+        ("experiment", "k_list", "1e-2,-inf"),
+        ("experiment", "r0", "inf"),
+        ("numerics", "threshold_tol", "nan"),
+        ("numerics", "basis.scale_min_x", "inf"),
+        ("numerics", "basis.correlations", "0.1,nan"),
+    ])
+    def test_non_finite_exits_config(self, tmp_path, capsys, section, key, value):
+        err = self.assert_config_error(tmp_path, capsys, section, key, value)
+        assert "not a finite number" in err
+
+    @pytest.mark.parametrize("section,key,value,word", [
+        ("experiment", "radii", "-5,10", "non-negative"),
+        ("experiment", "r0", "-1", "non-negative"),
+        ("experiment", "scale_grid", "0.5,-0.9", "non-negative"),
+        ("experiment", "z_list", "-1e-3,1e-2", "positive"),
+        ("experiment", "z_list", "0,1e-2", "positive"),
+        ("experiment", "xi_list", "-1,1", "positive"),
+        ("experiment", "eps0", "-1", "positive"),
+    ])
+    def test_out_of_range_exits_config(self, tmp_path, capsys, section, key, value, word):
+        err = self.assert_config_error(tmp_path, capsys, section, key, value)
+        assert f"must be {word}" in err
+
+    @pytest.mark.parametrize("z_list", ["nan,1e-2", "-1e-3,1e-2"])
+    def test_bs_radius_rejects_z_list_before_solving(self, tmp_path, capsys, z_list):
+        self.assert_config_error(tmp_path, capsys, "experiment", "z_list", z_list,
+                                 command=["three-body", "bs-radius"])
+
+    @staticmethod
+    def assert_config_error(tmp_path, capsys, section, key, value,
+                            command=("checks", "merkuriev")) -> str:
+        """Run command on FULL with section.key = value; exit 2 naming the key."""
         cfg = tmp_path / "m.cfg"
-        text = FULL.replace("k_list = 1e-2,1e-3\n", "")
+        text = "".join(line for line in FULL.splitlines(keepends=True)
+                       if not line.startswith(f"{key} ="))
         cfg.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n"))
-        rc = main(["checks", "merkuriev", "--config", str(cfg), "--quiet"])
+        rc = main([*command, "--config", str(cfg), "--quiet"])
         assert rc == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "config error" in captured.err and f"{section}.{key}" in captured.err
+        return captured.err
 
 
 class TestOptions:
@@ -148,7 +188,7 @@ class TestOptions:
         assert exc.value.code == EXIT_CONFIG
         assert "unrecognized arguments: --k" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("tol", ["0", "-1"])
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
     def test_tol_must_be_positive(self, cfg_file, capsys, tol):
         rc = main(["two-body", "threshold", "--config", str(cfg_file), "--quiet", f"--tol={tol}"])
         assert rc == EXIT_CONFIG

@@ -550,6 +550,26 @@ def reference_radius(op, scale):
     return float(abs(vals[0]))
 
 
+def two_pass_block(model, row, col, z, grid, n_angle=32):
+    """The cross block of two pairs with the same well and coupling on one grid,
+    with its own sin table per side and no symmetrization."""
+    R = fd.kinematic_rotation(model.masses, row, col)
+    a, b, d = R[0, 0], R[0, 1], R[1, 1]
+    u, wu = np.polynomial.legendre.leggauss(n_angle)
+    P, Q, U = grid.p_nodes[:, None, None], grid.p_nodes[None, :, None], u[None, None, :]
+    nu = np.sqrt(np.maximum((a * a * P**2 + Q**2 - 2.0 * d * P * Q * U) / (b * b), 0.0))
+    m = np.sqrt(np.maximum((a * a * Q**2 + P**2 - 2.0 * d * P * Q * U) / (b * b), 0.0))
+    D2 = (P**2 + Q**2 - 2.0 * d * P * Q * U) / (b * b) + z * z
+    r = grid.x_quad.nodes
+    SR = r * np.sinc(nu[..., None] * r / np.pi)
+    SC = r * np.sinc(m[..., None] * r / np.pi)
+    coef = (P * Q / (np.pi * abs(b) ** 3)) * wu / D2
+    T = np.einsum("pqur,pqus,pqu->prqs", SR, SC, coef, optimize=True)
+    lam, pot = model.couplings.get(row), model.scaled_potential(row)
+    fold = np.sqrt(grid.p_weights[:, None] * grid.x_quad.weights * lam * pot.value(r))
+    return (T * fold[:, :, None, None] * fold).reshape(grid.dim, grid.dim)
+
+
 def per_pair_blocks(model, z, n_x, n_p_per_panel, p_max=4.0, n_angle=32):
     """Blocks assembled pair by pair, each pair on its own grid: no content keys."""
     pairs = [p for p in ("12", "13", "23") if model.couplings.get(p) > 0]
@@ -579,7 +599,18 @@ class TestContentKeyedBlocks:
         B = op.offdiagonal[("12", "13")]
         for row, col in self.UPPER:
             assert op.offdiagonal[(row, col)] is B
-            assert np.shares_memory(op.offdiagonal[(col, row)], B)
+            assert op.offdiagonal[(col, row)] is B
+        assert op.fiber_groups == (op.pairs,)
+        assert len(op.exchange_groups) == 1
+
+    @pytest.mark.parametrize("row,col", UPPER)
+    def test_mirrored_block_is_symmetric(self, row, col, gauss_model_factory):
+        model = gauss_model_factory(0.8)
+        op = fd.assemble_block_operator(model, 0.05, **self.KW)
+        B = op.offdiagonal[(row, col)]
+        assert np.array_equal(B, B.T)
+        ref = two_pass_block(model, row, col, 0.05, op.grids[row])
+        assert np.max(np.abs(B - ref)) <= 2e-16 * np.max(np.abs(ref))
 
     def test_unequal_masses_build_distinct_blocks(self, unequal_model):
         op = fd.assemble_block_operator(unequal_model, 0.05, **self.KW)
@@ -587,18 +618,42 @@ class TestContentKeyedBlocks:
         assert len({id(op.diagonal[p]) for p in op.pairs}) == 3
         assert len({id(op.grids[p]) for p in op.pairs}) == 3
 
-    @pytest.mark.parametrize("model_name", ["equal", "equal-masses-distinct-couplings", "unequal"])
-    def test_blocks_equal_per_pair_assembly(
-        self, model_name, equal_masses, gaussian_well, gauss_model_factory, unequal_model
-    ):
+    # two-equal-masses: pairs 13 and 23 share a stack and a mirrored block,
+    # and one unsymmetric block multiplies both of their components
+    @pytest.fixture(params=["equal", "equal-masses-distinct-couplings", "unequal",
+                            "two-equal-masses"])
+    def model(self, request, equal_masses, gaussian_well, gauss_model_factory, unequal_model):
         lam = GAUSS_LAMBDA_STAR
-        model = {
+        return {
             "equal": gauss_model_factory(0.8),
             "equal-masses-distinct-couplings": make_model(
                 equal_masses, gaussian_well, (0.8 * lam, 0.7 * lam, 0.8 * lam)
             ),
             "unequal": unequal_model,
-        }[model_name]
+            "two-equal-masses": make_model(
+                MassSet(1.0, 1.0, 2.0), gaussian_well, (0.8 * lam, 0.6 * lam, 0.6 * lam)
+            ),
+        }[request.param]
+
+    def test_grouped_products_equal_per_pair_loops(self, model, unequal_model):
+        op = fd.assemble_block_operator(model, 0.05, **self.KW)
+        v = np.random.default_rng(0).standard_normal(op.dim())
+        sl = op.slices()
+        exchange = np.concatenate([
+            sum(op.offdiagonal[(row, col)] @ v[sl[col]] for col in op.pairs if col != row)
+            for row in op.pairs
+        ])
+        fibered = np.concatenate([
+            np.einsum("pij,pj->pi", op.diagonal[p], v[sl[p]].reshape(op.grids[p].n_p, -1)).ravel()
+            for p in op.pairs
+        ])
+        for got, want in ((fd._exchange(op, v), exchange),
+                          (fd._fibered(op, op.diagonal, v), fibered)):
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+            if model is unequal_model:  # no shared matrix: the per-pair operations exactly
+                assert np.array_equal(got, want)
+
+    def test_blocks_equal_per_pair_assembly(self, model):
         op = fd.assemble_block_operator(model, 0.05, **self.KW)
         diagonal, offdiag = per_pair_blocks(model, 0.05, **self.KW)
         for p in op.pairs:
