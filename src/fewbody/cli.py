@@ -178,6 +178,32 @@ _RANGES = {
 }
 
 
+def _check_range(name: str, text: str, values: list[float], word: str) -> None:
+    """ConfigError naming name unless every value is word ("positive" or "non-negative")."""
+    if any(v < 0 or (v == 0 and word == "positive") for v in values):
+        raise ConfigError(f"{name} = {text!r}: values must be {word}")
+
+
+def _k_values(cfg: RunConfig, args, word: str) -> list[float]:
+    """The k values: --k if the subcommand has it and it is given, else experiment.k_list.
+
+    Each must be word ("positive" or "non-negative").  The range depends on
+    the subcommand (mu-curve takes k = 0), so it is checked here rather than
+    in the parse-time _RANGES.
+    """
+    if getattr(args, "k", None) is None:
+        name, text = "experiment.k_list", cfg.get("experiment", "k_list")
+        ks = cfg.floats("experiment", "k_list")
+    else:
+        name, text = "--k", args.k
+        try:
+            ks = [_finite(text)]
+        except ValueError as err:
+            raise ConfigError(f"invalid value --k = {text!r} ({err})") from None
+    _check_range(name, text, ks, word)
+    return ks
+
+
 def _read(raw: dict, section: str, key: str, convert=str):
     """raw[(section, key)] through convert; missing or malformed is a ConfigError."""
     try:
@@ -289,9 +315,7 @@ def parse_config(path) -> RunConfig:
 
     for (s, key), word in _RANGES.items():
         if raw.get((s, key), "").strip():  # r0 and scale_grid may be left empty
-            values = _read(raw, s, key, _float_list)
-            if any(v < 0 or (v == 0 and word == "positive") for v in values):
-                raise ConfigError(f"{s}.{key} = {raw[(s, key)]!r}: values must be {word}")
+            _check_range(f"{s}.{key}", raw[(s, key)], _read(raw, s, key, _float_list), word)
 
     return RunConfig(model=model, basis_spec=basis_spec, raw=raw)
 
@@ -425,7 +449,7 @@ def _cmd_two_body_mu_curve(cfg: RunConfig, args, out) -> int:
     pot = cfg.model.scaled_potential(pair)
     quad = _quad_for(cfg, pair)
     coupling = cfg.model.couplings.get(pair)
-    ks = cfg.floats("experiment", "k_list") if args.k is None else [args.k]
+    ks = _k_values(cfg, args, "non-negative")
     rows = [
         {"k": k, "coupling": coupling, "mu": tb.mu_max(pot, coupling, k, quad)}
         for k in sorted(ks)
@@ -462,8 +486,8 @@ def _cmd_two_body_w_probe(cfg: RunConfig, args, out) -> int:
     pair = args.pair
     pot = cfg.model.scaled_potential(pair)
     quad = _quad_for(cfg, pair)
+    ks = _k_values(cfg, args, "positive")
     res = tb.resonance_data(pot, quad)
-    ks = cfg.floats("experiment", "k_list")
     rows = [
         {"k": r.k, "w_norm": r.w_norm, "akw": r.akw, "z_norm": r.z_norm}
         for r in tb.w_decomposition_probe(pot, res, sorted(ks), quad)
@@ -679,7 +703,7 @@ def _cmd_checks_merkuriev(cfg: RunConfig, args, out) -> int:
     r0 = cfg.float("experiment", "r0") if cfg.raw.get(("experiment", "r0")) else 1.0
     rows = [
         {"k": m.k, "r": m.r, "p_closed": m.closed_form, "p_quadrature": m.quadrature}
-        for m in ex.merkuriev_spreading(sorted(cfg.floats("experiment", "k_list")), r0)
+        for m in ex.merkuriev_spreading(sorted(_k_values(cfg, args, "positive")), r0)
     ]
     emit_csv(rows, ["k", "r", "p_closed", "p_quadrature"], out)
     return EXIT_OK
@@ -740,7 +764,7 @@ def build_parser() -> argparse.ArgumentParser:
             if group == "two-body" and name != "classify":
                 p.add_argument("--pair", default="12", choices=list(PAIRS))
             if (group, name) == ("two-body", "mu-curve"):
-                p.add_argument("--k", type=float, default=None)
+                p.add_argument("--k", default=None)
             if (group, name) == ("two-body", "threshold"):
                 p.add_argument("--tol", type=float, default=None)
             if (group, name) == ("three-body", "sweep"):

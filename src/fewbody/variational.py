@@ -10,22 +10,27 @@ localization probability P(R) restricts the 6D density to a ball, which
 collapses to a 1D hyperradial quadrature with a Bessel weight.  The ball
 matrices of all radii come from one hyperradial pass per basis, with one
 integral per distinct eigenvalue pair of the pair forms (the ball is
-rotation invariant); each state then costs one quadratic form.  A P(R)
+rotation invariant); a pair of frames-mode functions takes its eigenvalues
+from the two frame widths and the frame angle, so equal content in any
+frames is one integral.  Each state then costs one quadratic form.  A P(R)
 outside [0, 1] by more than its rounding estimate raises
 IllConditionedBasisError (CLI exit 3) instead of being clamped.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 import scipy.linalg
 from scipy.special import i1e
 
-from .model import CouplingConfig, ModelSpec, PAIRS, Quadrature, _gauss_legendre_panels
+from .model import (
+    _PAIR_INDEX, CouplingConfig, MassSet, ModelSpec, PAIRS, Quadrature, _gauss_legendre_panels,
+)
 from .faddeev import kinematic_rotation, pair_separation_coeffs
 from . import twobody
 
@@ -35,12 +40,80 @@ class IllConditionedBasisError(RuntimeError):
 
 
 @dataclass(frozen=True, eq=False)
+class Frames:
+    """Frame content of a basis: function n is exp(-d1 x^2 - d2 y^2) in a pair's frame.
+
+    index[n] is the frame (an index into PAIRS) and widths[n] = (d1, d2) the
+    widths there; index[n] = -1 marks a function with no frame (random,
+    correlations mode, a symmetrize_12 copy).  The frames are the Jacobi
+    frames of masses.
+    """
+
+    masses: MassSet
+    index: np.ndarray
+    widths: np.ndarray
+
+    def angles(self) -> np.ndarray:
+        """[A, B] = (cos^2, sin^2) of the kinematic angle between frames A and B.
+
+        With spectators a, b, c of frames A, B, C and M the total mass,
+        cos^2 = m_a m_b / D and sin^2 = M m_c / D, D = (M - m_a)(M - m_b):
+        symmetric in (A, B) bit for bit, and (1, 0) for A = B.
+        """
+        m = self.masses.masses
+        total = m[0] + m[1] + m[2]
+        spect = [m[_PAIR_INDEX[pair][2]] for pair in PAIRS]
+        table = np.zeros((3, 3, 2))
+        table[..., 0] = 1.0
+        for A, B in itertools.permutations(range(3), 2):
+            ma, mb, mc = spect[A], spect[B], spect[3 - A - B]
+            den = (total - ma) * (total - mb)
+            table[A, B] = (ma * mb / den, total * mc / den)
+        return table
+
+    def keys(self, i: np.ndarray, j: np.ndarray):
+        """(beta_min, gap, beta_max) of the pair forms of frame functions i and j.
+
+        The form has the eigenvalues of D_i + R^T D_j R, R the kinematic
+        rotation between the frames, so they depend on cos^2 of its angle
+        only.  With widths (p1, p2) of i, (q1, q2) of j, dp = p1 - p2 and
+        dq = q1 - q2:
+            4 gap^2 = cos^2 (dp + dq)^2 + sin^2 (dp - dq)^2,
+            det = p1 p2 + q1 q2 + cos^2 (p1 q2 + p2 q1) + sin^2 (p1 q1 + p2 q2).
+        Both are sums of non-negative terms (no Ba Bb - Bc2^2 cancellation),
+        and equal content gives bit-equal keys: the same widths at the same
+        angle in any frames, in either order.  A same-frame pair, or one with
+        an isotropic function, is diag(p1 + q1, p2 + q2) in a frame of its
+        own: its eigenvalues are these sums, shared by every pair with the
+        same sums.
+        """
+        (p1, p2), (q1, q2) = self.widths[i].T, self.widths[j].T
+        c2, s2 = self.angles()[self.index[i], self.index[j]].T
+        dp, dq = p1 - p2, q1 - q2
+        gap = 0.5 * np.sqrt(c2 * (dp + dq) ** 2 + s2 * (dp - dq) ** 2)
+        det = (p1 * p2 + q1 * q2) + c2 * (p1 * q2 + p2 * q1) + s2 * (p1 * q1 + p2 * q2)
+        beta_max = 0.5 * ((p1 + p2) + (q1 + q2)) + gap
+        beta_min = det / beta_max
+        diagonal = (self.index[i] == self.index[j]) | (p1 == p2) | (q1 == q2)
+        e1, e2 = p1 + q1, p2 + q2
+        beta_min = np.where(diagonal, np.minimum(e1, e2), beta_min)
+        beta_max = np.where(diagonal, np.maximum(e1, e2), beta_max)
+        gap = np.where(diagonal, 0.5 * (beta_max - beta_min), gap)
+        return beta_min, gap, beta_max
+
+
+@dataclass(frozen=True, eq=False)
 class GaussianBasis:
-    """Width parameters (a_n, b_n, c_n) of exp(-a x^2 - b y^2 - c x.y)."""
+    """Width parameters (a_n, b_n, c_n) of exp(-a x^2 - b y^2 - c x.y).
+
+    frames, when given, is the frame content of the functions (frames-mode
+    bases); the ball integrals of a pair of frame functions are keyed by it.
+    """
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
+    frames: Optional[Frames] = None
 
     def __post_init__(self):
         if not (np.all(self.a > 0) and np.all(self.b > 0)):
@@ -53,10 +126,22 @@ class GaussianBasis:
         return self.a.size
 
     def merged(self, other: "GaussianBasis") -> "GaussianBasis":
+        """Both bases' functions; a part whose frames are of other masses loses them."""
+        frames = None
+        if self.frames is not None or other.frames is not None:
+            masses = (self.frames or other.frames).masses
+            parts = [
+                g.frames if g.frames is not None and g.frames.masses == masses
+                else Frames(masses, np.full(g.size, -1), np.zeros((g.size, 2)))
+                for g in (self, other)
+            ]
+            frames = Frames(masses, np.concatenate([f.index for f in parts]),
+                            np.concatenate([f.widths for f in parts]))
         return GaussianBasis(
             a=np.concatenate([self.a, other.a]),
             b=np.concatenate([self.b, other.b]),
             c=np.concatenate([self.c, other.c]),
+            frames=frames,
         )
 
 
@@ -83,21 +168,24 @@ class BasisSpec:
     symmetrize_12: bool = False
 
 
+_NO_FRAME = (-1, 0.0, 0.0)  # frame index and widths of a function with no frame
+
+
 def build_basis(spec: BasisSpec, masses=None) -> GaussianBasis:
     """Materialize a basis; frames mode needs the mass set for the rotations."""
     sx = np.geomspace(spec.scale_min_x, spec.scale_max_x, spec.n_x)
     sy = np.geomspace(spec.scale_min_y, spec.scale_max_y, spec.n_y)
-    rows = []
+    rows = []  # (a, b, c, frame, d1, d2)
     if spec.correlations == "frames":
         if masses is None:
             raise ValueError("frames-mode basis needs masses")
-        for pair in PAIRS:
+        for frame, pair in enumerate(PAIRS):
             R = kinematic_rotation(masses, "12", pair)
             for si in sx:
                 for so in sy:
-                    D = np.diag([1.0 / si**2, 1.0 / so**2])
-                    Q = R.T @ D @ R
-                    rows.append((Q[0, 0], Q[1, 1], 2.0 * Q[0, 1]))
+                    d1, d2 = 1.0 / si**2, 1.0 / so**2
+                    Q = R.T @ np.diag([d1, d2]) @ R
+                    rows.append((Q[0, 0], Q[1, 1], 2.0 * Q[0, 1], frame, d1, d2))
     else:
         for kappa in spec.correlations:
             if not -1.0 < kappa < 1.0:
@@ -105,7 +193,7 @@ def build_basis(spec: BasisSpec, masses=None) -> GaussianBasis:
             for si in sx:
                 for so in sy:
                     a, b = 1.0 / si**2, 1.0 / so**2
-                    rows.append((a, b, kappa * 2.0 * math.sqrt(a * b)))
+                    rows.append((a, b, kappa * 2.0 * math.sqrt(a * b), *_NO_FRAME))
     if spec.n_random:
         if spec.seed is None:
             raise ValueError("stochastic refinement needs a seed")
@@ -116,43 +204,55 @@ def build_basis(spec: BasisSpec, masses=None) -> GaussianBasis:
             a = math.exp(rng.uniform(la, lb))
             b = math.exp(rng.uniform(lc, ld))
             kappa = rng.uniform(-0.9, 0.9)
-            rows.append((a, b, kappa * 2.0 * math.sqrt(a * b)))
+            rows.append((a, b, kappa * 2.0 * math.sqrt(a * b), *_NO_FRAME))
     if spec.symmetrize_12:
-        rows += [(a, b, -c) for (a, b, c) in rows if c != 0.0]
+        rows += [(a, b, -c, *_NO_FRAME) for (a, b, c, *_) in rows if c != 0.0]
 
     # prune near-duplicates (frames mode generates exact repeats at s_i = s_o)
     seen, keep = set(), []
-    for a, b, c in rows:
+    for row in rows:
+        a, b, c = row[:3]
         key = (round(math.log(a), 10), round(math.log(b), 10), round(c / math.sqrt(a * b), 10))
         if key not in seen:
             seen.add(key)
-            keep.append((a, b, c))
+            keep.append(row)
     arr = np.array(keep)
-    return GaussianBasis(a=arr[:, 0], b=arr[:, 1], c=arr[:, 2])
+    frame = arr[:, 3].astype(int)
+    frames = Frames(masses, frame, arr[:, 4:]) if np.any(frame >= 0) else None
+    return GaussianBasis(a=arr[:, 0], b=arr[:, 1], c=arr[:, 2], frames=frames)
 
 
 # ---------------------------------------------------------------------------
 # matrix elements
 
 
-def _pair_forms(basis: GaussianBasis):
-    """Pairwise sums of width matrices: Ba, Bb, Bc2 (= B12 entry) and det."""
+class PairForms(NamedTuple):
+    """Pairwise sums of width matrices Ba, Bb, Bc2 (= B12 entry), their det and the overlap."""
+
+    Ba: np.ndarray
+    Bb: np.ndarray
+    Bc2: np.ndarray
+    det: np.ndarray
+    overlap: np.ndarray
+
+
+def _pair_forms(basis: GaussianBasis) -> PairForms:
+    """The pair forms of a basis: build them once and pass them to every matrix element."""
     a, b, c = basis.a, basis.b, basis.c
     Ba = a[:, None] + a[None, :]
     Bb = b[:, None] + b[None, :]
     Bc2 = 0.5 * (c[:, None] + c[None, :])
     det = Ba * Bb - Bc2**2
-    return Ba, Bb, Bc2, det
+    return PairForms(Ba, Bb, Bc2, det, np.pi**3 / det**1.5)
 
 
 def overlap_matrix(basis: GaussianBasis) -> np.ndarray:
-    _, _, _, det = _pair_forms(basis)
-    return np.pi**3 / det**1.5
+    return _pair_forms(basis).overlap
 
 
-def kinetic_matrix(basis: GaussianBasis) -> np.ndarray:
+def kinetic_matrix(basis: GaussianBasis, forms: Optional[PairForms] = None) -> np.ndarray:
     a, b, c = basis.a, basis.b, basis.c
-    Ba, Bb, Bc2, det = _pair_forms(basis)
+    Ba, Bb, Bc2, det, S = forms or _pair_forms(basis)
     am, bm, cm2 = a[:, None], b[:, None], 0.5 * c[:, None]
     an, bn, cn2 = a[None, :], b[None, :], 0.5 * c[None, :]
     tr = (
@@ -161,24 +261,31 @@ def kinetic_matrix(basis: GaussianBasis) -> np.ndarray:
         + (cm2 * Bb - bm * Bc2) * cn2
         + (-cm2 * Bc2 + bm * Ba) * bn
     ) / det
-    return 6.0 * tr * overlap_matrix(basis)
+    return 6.0 * tr * S
 
 
-def pair_width_matrix(basis: GaussianBasis, coeffs: tuple[float, float]) -> np.ndarray:
+def pair_width_matrix(
+    basis: GaussianBasis, coeffs: tuple[float, float], forms: Optional[PairForms] = None
+) -> np.ndarray:
     """Inverse variance c_B of the pair-separation marginal |P x + Q y|."""
     P, Q = coeffs
-    Ba, Bb, Bc2, det = _pair_forms(basis)
+    Ba, Bb, Bc2, det, _ = forms or _pair_forms(basis)
     quad_form = (P * P * Bb - 2.0 * P * Q * Bc2 + Q * Q * Ba) / det
     return 1.0 / quad_form
 
 
 def potential_matrix(
-    basis: GaussianBasis, model: ModelSpec, pair: str, quad: Optional[Quadrature] = None
+    basis: GaussianBasis,
+    model: ModelSpec,
+    pair: str,
+    quad: Optional[Quadrature] = None,
+    forms: Optional[PairForms] = None,
 ) -> np.ndarray:
     """<m| V_pair(|separation|) |n> without the coupling factor."""
+    forms = forms or _pair_forms(basis)
     pot = model.potential(pair)
-    cb = pair_width_matrix(basis, pair_separation_coeffs(model.masses, pair))
-    S = overlap_matrix(basis)
+    cb = pair_width_matrix(basis, pair_separation_coeffs(model.masses, pair), forms)
+    S = forms.overlap
     if pot.kind == "gaussian":
         return S * pot.depth * (cb / (cb + 1.0 / pot.range**2)) ** 1.5
     if quad is None:
@@ -278,9 +385,12 @@ def hamiltonian_matrices(
         for pair in PAIRS
         if model.couplings.get(pair) > 0 and not model.potential(pair).is_zero()
     ]
-    S = overlap_matrix(basis)
-    norm = 1.0 / np.sqrt(np.diag(S))
-    S = S * np.outer(norm, norm)
+    forms = _pair_forms(basis)
+    kinetic = kinetic_matrix(basis, forms)
+    potentials = {pair: potential_matrix(basis, model, pair, forms=forms) for pair in active}
+    norm = 1.0 / np.sqrt(np.diag(forms.overlap))
+    S = forms.overlap * np.outer(norm, norm)
+    del forms  # freed before the Gram eigensolve, which needs none of it
     if not np.all(np.isfinite(S)):
         raise IllConditionedBasisError("non-finite matrix elements")
     vals, vecs = np.linalg.eigh(S)
@@ -288,8 +398,8 @@ def hamiltonian_matrices(
     if not np.any(keep):
         raise IllConditionedBasisError("Gram spectrum collapsed under the floor")
     return HamiltonianMatrices(
-        kinetic=kinetic_matrix(basis),
-        potentials={pair: potential_matrix(basis, model, pair) for pair in active},
+        kinetic=kinetic,
+        potentials=potentials,
         norm=norm,
         gram=S,
         reduction=vecs[:, keep] / np.sqrt(vals[keep])[None, :],
@@ -329,11 +439,14 @@ _INTERIOR = 50.0
 _NODES_PER_PANEL = 20
 # Pair forms per evaluation block: peak memory is O(_CHUNK * n_rho + N^2).
 _CHUNK = 2048
-# Rounding allowance of P(R) in units of float64 eps * |c|^T Ball |c|: ball
-# entries carry up to ~200 eps of relative error (4.4e-14 measured against
-# finer nodes and the closed form) and the quadratic form adds ~sqrt(N) eps;
-# 1024 covers both up to N ~ 1e5.  Normalization defects of converged ground
-# states stay below 1% of it.
+# Rounding allowance of P(R) in units of float64 eps * |c|^T Ball |c|.  A ball
+# entry is within ~20 eps (4.6e-15 measured) of a converged reference on its
+# own key.  The keys of elongated cross-frame pairs differ from the
+# eigenvalues of their rotated 2x2 forms, which S, K and V use, by the forms'
+# det cancellation (entries up to 1.2e-12 apart), but those pairs weigh so
+# little that P(R) of a bound ground state moves by at most 2 ulp.  The
+# quadratic form adds ~sqrt(N) eps; 1024 covers both up to N ~ 1e5.
+# Normalization defects of converged ground states stay below 1% of it.
 _ROUNDING_ULPS = 1024
 
 
@@ -362,37 +475,55 @@ def _hyperradial_rule(beta_max: float, cuts: np.ndarray):
     return rho, (w * rho**5)[:, None] * (rho[:, None] < cuts[None, :])
 
 
-def ball_overlap(Ba, Bb, Bc2, R):
+def pair_keys(Ba, Bb, Bc2, frames: Optional[Frames] = None):
+    """(beta_min, gap, beta_max) of the upper-triangle pair forms, in np.triu_indices order.
+
+    beta_min <= beta_max are the eigenvalues of a form and gap their half
+    difference.  A pair of two functions with a frame takes them from its
+    frame content (Frames.keys); any other pair from its 2x2 form.
+    """
+    iu = np.triu_indices(Ba.shape[0])
+    ba, bb, bc = Ba[iu], Bb[iu], Bc2[iu]
+    gap = np.sqrt(0.25 * (ba - bb) ** 2 + bc**2)
+    beta_max = 0.5 * (ba + bb) + gap
+    beta_min = (ba * bb - bc**2) / beta_max  # avoids the tr - gap cancellation
+    if frames is not None:
+        i, j = iu
+        both = np.flatnonzero((frames.index[i] >= 0) & (frames.index[j] >= 0))
+        beta_min[both], gap[both], beta_max[both] = frames.keys(i[both], j[both])
+    return beta_min, gap, beta_max
+
+
+def ball_overlap(Ba, Bb, Bc2, R, frames: Optional[Frames] = None):
     """Integral of exp(-xi^T B xi) over the 6D ball |xi| <= R, for symmetric N x N forms.
 
     Diagonalizing each 2x2 form gives eigenvalues beta_min <= beta_max with
-    mean tr and half-gap gap; the angular part integrates to a Bessel I_1
-    weight and one hyperradial integral remains:
-    2 pi^3 int_0^R rho^5 e^{-tr rho^2} [I_1(gap rho^2)/(gap rho^2)] drho.
+    half-gap gap; the angular part integrates to a Bessel I_1 weight and one
+    hyperradial integral remains:
+    2 pi^3 int_0^R rho^5 e^{-beta_min rho^2} [e^{-gap rho^2} I_1(gap rho^2)/(gap rho^2)] drho.
 
     R is a scalar (one N x N result) or a 1-D array of radii (one matrix per
     radius).  All radii come from one hyperradial pass: one cumulative
     quadrature with a panel edge at every radius, in fixed-size blocks.  The
-    ball is O(6)-invariant, so an entry depends only on (beta_min, gap): the
-    quadrature runs once per bit-distinct pair of them among the upper-
-    triangle forms (the matrix is symmetric) and is scattered back to every
-    form that shares it.  A pair whose Gaussian lies wholly inside the ball
-    (beta_min R^2 >= 50) takes the closed-form overlap pi^3/det^{3/2} instead.
+    ball is O(6)-invariant, so an entry depends only on (beta_min, gap), the
+    pair_keys of the form (from the frames of a frames-mode basis, whose
+    equal content is bit-equal whatever the frames): the quadrature runs
+    once per bit-distinct key among the upper-triangle forms (the matrix is
+    symmetric) and is scattered back to every form that shares it.  A pair
+    whose Gaussian lies wholly inside the ball (beta_min R^2 >= 50) takes the
+    closed-form overlap pi^3/det^{3/2} of its form instead, as overlap_matrix does.
     """
     radii = np.asarray(R, dtype=float)
     r = np.atleast_1d(radii)[:, None]
     iu = np.triu_indices(Ba.shape[0])
-    ba, bb, bc = Ba[iu], Bb[iu], Bc2[iu]
-    tr = 0.5 * (ba + bb)
-    gap = np.sqrt(0.25 * (ba - bb) ** 2 + bc**2)  # |beta2 - beta1| / 2
-    det = ba * bb - bc**2
-    beta_min = det / (tr + gap)  # avoids the tr - gap cancellation
+    beta_min, gap, beta_max = pair_keys(Ba, Bb, Bc2, frames)
+    det = Ba[iu] * Bb[iu] - Bc2[iu] ** 2
     vals = np.where(r > 0, np.pi**3 / det**1.5, 0.0)
     quad = (r > 0) & (beta_min * r**2 < _INTERIOR)  # radii x pairs
     pairs = np.flatnonzero(quad.any(axis=0))
     if pairs.size:
         cuts = np.unique(r[quad.any(axis=1), 0])
-        rho, weights = _hyperradial_rule(float(np.max(tr[pairs] + gap[pairs])), cuts)
+        rho, weights = _hyperradial_rule(float(np.max(beta_max[pairs])), cuts)
         rho2 = rho * rho
         # (beta_min, gap) as one complex key: it sorts and compares as the pair
         keys, inverse = np.unique(beta_min[pairs] + 1j * gap[pairs], return_inverse=True)
@@ -416,9 +547,10 @@ def ball_matrices(basis: GaussianBasis, R):
 
     It depends on (basis, radii) only: build it once, then P(R) per state.
     """
-    Ba, Bb, Bc2, _ = _pair_forms(basis)
-    snorm = 1.0 / np.sqrt(np.diag(overlap_matrix(basis)))
-    return ball_overlap(Ba, Bb, Bc2, R) * np.outer(snorm, snorm)
+    Ba, Bb, Bc2, det, S = _pair_forms(basis)
+    snorm = 1.0 / np.sqrt(np.diag(S))
+    del det, S  # freed before the ball integrals
+    return ball_overlap(Ba, Bb, Bc2, R, basis.frames) * np.outer(snorm, snorm)
 
 
 def probability_inside(ball: np.ndarray, coefficients: np.ndarray):

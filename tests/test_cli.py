@@ -144,6 +144,39 @@ class TestConfigValues:
         err = self.assert_config_error(tmp_path, capsys, section, key, value)
         assert f"must be {word}" in err
 
+    # k's range depends on the subcommand: mu-curve takes k = 0
+    @pytest.mark.parametrize("command,value,word", [
+        (("two-body", "mu-curve"), "1e-2,-1e-2", "non-negative"),
+        (("two-body", "w-probe"), "0,1e-3", "positive"),
+        (("two-body", "w-probe"), "-1e-2", "positive"),
+        (("checks", "merkuriev"), "-1e-2,1e-3", "positive"),
+        (("checks", "merkuriev"), "0", "positive"),
+    ], ids=["mu-curve-negative", "w-probe-zero", "w-probe-negative", "merkuriev-negative",
+            "merkuriev-zero"])
+    def test_k_list_range_per_subcommand(self, tmp_path, capsys, command, value, word):
+        err = self.assert_config_error(tmp_path, capsys, "experiment", "k_list", value,
+                                       command=command)
+        assert f"must be {word}" in err
+
+    def test_mu_curve_takes_k_zero(self, cfg_file, capsys):
+        cfg_file.write_text(FULL.replace("k_list = 1e-2,1e-3", "k_list = 1e-2,0"))
+        assert main(["two-body", "mu-curve", "--config", str(cfg_file), "--quiet"]) == EXIT_OK
+        assert [row.split(",")[0] for row in capsys.readouterr().out.split()[1:]] == ["0", "0.01"]
+
+    @pytest.mark.parametrize("value,message", [
+        ("nan", "not a finite number"),
+        ("inf", "not a finite number"),
+        ("x", "could not convert"),
+        ("-1e-2", "must be non-negative"),
+    ])
+    def test_mu_curve_k_option_exits_config(self, cfg_file, capsys, value, message):
+        rc = main(["two-body", "mu-curve", "--config", str(cfg_file), "--quiet", f"--k={value}"])
+        assert rc == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error" in captured.err and "--k" in captured.err
+        assert message in captured.err
+
     @pytest.mark.parametrize("z_list", ["nan,1e-2", "-1e-3,1e-2"])
     def test_bs_radius_rejects_z_list_before_solving(self, tmp_path, capsys, z_list):
         self.assert_config_error(tmp_path, capsys, "experiment", "z_list", z_list,

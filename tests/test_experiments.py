@@ -200,9 +200,9 @@ class TestDichotomyTargets:
         radii = []
         build = vr.ball_overlap
 
-        def counting(Ba, Bb, Bc2, R):
+        def counting(Ba, Bb, Bc2, R, frames=None):
             radii.append(tuple(np.atleast_1d(R)))
-            return build(Ba, Bb, Bc2, R)
+            return build(Ba, Bb, Bc2, R, frames)
 
         monkeypatch.setattr(vr, "ball_overlap", counting)
         report = ex.spreading_dichotomy(

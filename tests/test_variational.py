@@ -9,7 +9,9 @@ from scipy.special import erf, ive
 from fewbody import twobody as tb
 from fewbody import variational as vr
 from fewbody.cli import EXIT_NUMERIC, main
-from fewbody.model import MassSet, _gauss_legendre_panels
+from fewbody.model import (
+    CouplingConfig, MassSet, ModelSpec, PotentialSpec, _gauss_legendre_panels,
+)
 from tests.conftest import GAUSS_LAMBDA_STAR, bound_state_count, make_model
 from tests.test_cli import FULL
 
@@ -92,6 +94,25 @@ class TestMatrixElements:
         exact = erf(math.sqrt(cb) * R) - 2 * math.sqrt(cb / np.pi) * R * math.exp(-cb * R * R)
         assert np.isclose(V[0, 0] / S[0, 0], exact, rtol=1e-8)
 
+    def test_pair_forms_built_once(self, equal_masses, gaussian_well, square_well, monkeypatch):
+        # one build per hamiltonian_matrices call, shared by every element,
+        # with the same bits as each element built on its own
+        basis = frames_basis(equal_masses, n_random=4)
+        model = ModelSpec(equal_masses, gaussian_well, square_well, gaussian_well,
+                          CouplingConfig(1.0, 1.0, 1.0))
+        kinetic = vr.kinetic_matrix(basis)
+        potentials = {pair: vr.potential_matrix(basis, model, pair) for pair in vr.PAIRS}
+        builds = []
+        build = vr._pair_forms
+        monkeypatch.setattr(vr, "_pair_forms", lambda b: builds.append(b) or build(b))
+        hm = vr.hamiltonian_matrices(model, basis)
+        vr.ball_matrices(basis, 10.0)
+        assert builds == [basis, basis]
+        np.testing.assert_array_equal(hm.kinetic, kinetic)
+        assert hm.potentials.keys() == potentials.keys()
+        for pair, V in potentials.items():
+            np.testing.assert_array_equal(hm.potentials[pair], V)
+
 
 class TestSolveGround:
     def test_free_system_nonnegative(self, equal_masses, gaussian_well, small_basis):
@@ -151,6 +172,32 @@ class TestSolveGround:
         assert len(energies) == 6
         for e in energies[1:]:
             assert abs(e - energies[0]) < 1e-8 * max(abs(energies[0]), 1e-10)
+
+    @pytest.mark.parametrize("masses", [(1.0, 0.7, 1.6), (1.0, 1.0, 2.0)],
+                             ids=["unequal", "two-equal"])
+    def test_relabeling_unequal_masses(self, masses):
+        # relabel the particles: masses, wells and couplings move together; the
+        # frames basis (no random part) spans the same functions in every
+        # labelling, so e_gr and P(R) agree to rounding (largest measured
+        # spread over the six labellings: 3.3e-14 in e_gr, 9.1e-14 in P(R))
+        wells = {"12": (1.0, 1.0), "13": (1.0, 1.3), "23": (1.0, 0.8)}
+        couplings = {"12": 1.1, "13": 0.9, "23": 0.7}
+        spec = vr.BasisSpec(0.3, 10.0, 7, 0.3, 60.0, 8, "frames")
+        radii = np.array([2.0, 5.0, 10.0, 30.0])
+        results = []
+        for perm in itertools.permutations(range(3)):
+            old = ["".join(sorted(str(perm[int(k) - 1] + 1) for k in pair)) for pair in vr.PAIRS]
+            model = ModelSpec(
+                MassSet(*(masses[k] for k in perm)),
+                *(PotentialSpec("gaussian", *wells[pair]) for pair in old),
+                CouplingConfig(*(couplings[pair] * GAUSS_LAMBDA_STAR for pair in old)),
+            )
+            basis = vr.build_basis(spec, model.masses)
+            gs = vr.solve_ground(model, basis)
+            results.append([gs.energy, *p_of_state(basis, gs, radii)])
+        results = np.array(results)
+        assert results[0, 0] < 0 and np.all(np.diff(results[0, 1:]) > 0)
+        np.testing.assert_allclose(results, np.tile(results[0], (6, 1)), rtol=1e-12, atol=0.0)
 
     def test_scaled_matrices_equal_rescaled_model(self, equal_masses, gaussian_well, small_basis):
         # H = K - sum (s lam_p) V_p in the same order as a fresh solve: bit for bit
@@ -232,7 +279,7 @@ class TestLocalization:
     def test_ball_overlap_matches_overlap_at_infinity(self, small_basis):
         from fewbody.variational import _pair_forms, ball_overlap
 
-        Ba, Bb, Bc2, _ = _pair_forms(small_basis)
+        Ba, Bb, Bc2, *_ = _pair_forms(small_basis)
         full = ball_overlap(Ba, Bb, Bc2, R=1e4)
         S = vr.overlap_matrix(small_basis)
         sub = np.ix_(range(0, small_basis.size, 7), range(0, small_basis.size, 7))
@@ -277,7 +324,7 @@ class TestBallOverlapReference:
     @pytest.mark.parametrize("basis_name", ["small_basis", "wide_basis"])
     def test_entries_match_reference(self, basis_name, request):
         basis = request.getfixturevalue(basis_name)
-        Ba, Bb, Bc2, det = vr._pair_forms(basis)
+        Ba, Bb, Bc2, det, _ = vr._pair_forms(basis)
         tr = 0.5 * (Ba + Bb)
         gap = np.sqrt(0.25 * (Ba - Bb) ** 2 + Bc2**2)
         beta_min = det / (tr + gap)
@@ -296,7 +343,7 @@ class TestBallOverlapReference:
             assert np.max(np.abs(got[iu] / ref - 1.0)) <= 1e-12, R
 
     def test_multi_radius_equals_per_radius(self, small_basis):
-        Ba, Bb, Bc2, _ = vr._pair_forms(small_basis)
+        Ba, Bb, Bc2, *_ = vr._pair_forms(small_basis)
         radii = np.array([30.0, 0.5, 10.0, 2.0, 1e4])  # unsorted on purpose
         multi = vr.ball_overlap(Ba, Bb, Bc2, radii)
         assert multi.shape == (radii.size, small_basis.size, small_basis.size)
@@ -317,24 +364,21 @@ class TestBallOverlapReference:
         np.testing.assert_allclose(vr._bessel_ratio_scaled(w), ref, rtol=1e-15, atol=0.0)
 
 
-def undeduplicated_ball_overlap(Ba, Bb, Bc2, radii):
+def undeduplicated_ball_overlap(Ba, Bb, Bc2, radii, frames=None):
     """ball_overlap integrating every quadrature pair form on its own.
 
     The kernel before one integral per distinct eigenvalue pair: the same
-    hyperradial rule, Bessel kernel and closed-form interior, with one
-    kernel row per upper-triangle form.
+    per-pair keys, hyperradial rule, Bessel kernel and closed-form interior,
+    with one kernel row per upper-triangle form.
     """
     r = np.asarray(radii, dtype=float)[:, None]
     iu = np.triu_indices(Ba.shape[0])
-    ba, bb, bc = Ba[iu], Bb[iu], Bc2[iu]
-    tr = 0.5 * (ba + bb)
-    gap = np.sqrt(0.25 * (ba - bb) ** 2 + bc**2)
-    det = ba * bb - bc**2
-    beta_min = det / (tr + gap)
+    beta_min, gap, beta_max = vr.pair_keys(Ba, Bb, Bc2, frames)
+    det = Ba[iu] * Bb[iu] - Bc2[iu] ** 2
     quad = beta_min * r**2 < vr._INTERIOR
     pairs = np.flatnonzero(quad.any(axis=0))
     cuts = np.unique(r[quad.any(axis=1), 0])
-    rho, weights = vr._hyperradial_rule(float(np.max(tr[pairs] + gap[pairs])), cuts)
+    rho, weights = vr._hyperradial_rule(float(np.max(beta_max[pairs])), cuts)
     rho2 = rho * rho
     f = vr._bessel_ratio_scaled(gap[pairs, None] * rho2) * np.exp(-beta_min[pairs, None] * rho2)
     acc = 2.0 * np.pi**3 * (f @ weights)
@@ -352,6 +396,27 @@ def frames_basis(masses, n_random=0):
     return vr.build_basis(spec, masses)
 
 
+def quad_keys(basis, frames=None):
+    """Bit-distinct (beta_min, gap) keys of the forms that take the quadrature; the form count."""
+    beta_min, gap, _ = vr.pair_keys(*vr._pair_forms(basis)[:3], frames)
+    quad = beta_min * np.array(RADII)[:, None] ** 2 < vr._INTERIOR
+    pairs = np.flatnonzero(quad.any(axis=0))
+    return set(zip(beta_min[pairs].tolist(), gap[pairs].tolist())), pairs.size
+
+
+def counted_kernel_rows(monkeypatch):
+    """Patch the Bessel kernel to record the rows of every call; returns the record."""
+    rows = []
+    kernel = vr._bessel_ratio_scaled
+
+    def counting(w):
+        rows.append(w.shape[0])
+        return kernel(w)
+
+    monkeypatch.setattr(vr, "_bessel_ratio_scaled", counting)
+    return rows
+
+
 class TestBallOverlapDistinctForms:
     """One hyperradial integral per bit-distinct (beta_min, gap) key."""
 
@@ -363,41 +428,146 @@ class TestBallOverlapDistinctForms:
             "random": frames_basis(MassSet(1.0, 1.0, 1.0), n_random=12),
             "unequal": frames_basis(MassSet(1.0, 0.7, 1.6), n_random=6),
         }[case]
-        Ba, Bb, Bc2, _ = vr._pair_forms(basis)
-        got = vr.ball_overlap(Ba, Bb, Bc2, np.array(RADII))
-        ref = undeduplicated_ball_overlap(Ba, Bb, Bc2, RADII)
-        assert np.max(np.abs(got / ref - 1.0)) <= 1e-14
+        Ba, Bb, Bc2, *_ = vr._pair_forms(basis)
+        for frames in (None, basis.frames):
+            got = vr.ball_overlap(Ba, Bb, Bc2, np.array(RADII), frames)
+            ref = undeduplicated_ball_overlap(Ba, Bb, Bc2, RADII, frames)
+            assert np.max(np.abs(got / ref - 1.0)) <= 1e-14
 
     def test_kernel_rows_are_distinct_keys(self, small_basis, monkeypatch):
-        rows = []
-        kernel = vr._bessel_ratio_scaled
+        rows = counted_kernel_rows(monkeypatch)
+        for frames in (None, small_basis.frames):
+            rows.clear()
+            vr.ball_overlap(*vr._pair_forms(small_basis)[:3], np.array(RADII), frames)
+            keys, n_pairs = quad_keys(small_basis, frames)
+            assert sum(rows) == len(keys) < 0.6 * n_pairs
 
-        def counting(w):
-            rows.append(w.shape[0])
-            return kernel(w)
-
-        monkeypatch.setattr(vr, "_bessel_ratio_scaled", counting)
-        Ba, Bb, Bc2, det = vr._pair_forms(small_basis)
-        vr.ball_overlap(Ba, Bb, Bc2, np.array(RADII))
-        iu = np.triu_indices(small_basis.size)
-        tr = 0.5 * (Ba[iu] + Bb[iu])
-        gap = np.sqrt(0.25 * (Ba[iu] - Bb[iu]) ** 2 + Bc2[iu] ** 2)
-        beta_min = det[iu] / (tr + gap)
-        quad = beta_min * np.array(RADII)[:, None] ** 2 < vr._INTERIOR
-        pairs = np.flatnonzero(quad.any(axis=0))
-        keys = set(zip(beta_min[pairs].tolist(), gap[pairs].tolist()))
-        assert sum(rows) == len(keys) < 0.6 * pairs.size
+    def test_frame_keys_halve_the_kernel_rows(self, small_basis, monkeypatch):
+        # equal masses: every cross-frame pair is at the same angle, so the
+        # three frames share their keys
+        rows = counted_kernel_rows(monkeypatch)
+        vr.ball_matrices(small_basis, np.array(RADII))
+        form_keys, _ = quad_keys(small_basis)
+        assert sum(rows) < 0.5 * len(form_keys)
 
     def test_duplicated_functions_bit_equal(self, small_basis):
         n = small_basis.size
         basis = small_basis.merged(small_basis)
-        ball = vr.ball_overlap(*vr._pair_forms(basis)[:3], np.array(RADII))
+        ball = vr.ball_overlap(*vr._pair_forms(basis)[:3], np.array(RADII), basis.frames)
         top = ball[:, :n, :n]
         for block in (ball[:, n:, :n], ball[:, :n, n:], ball[:, n:, n:]):
             np.testing.assert_array_equal(block, top)
 
 
-def inflated_ball(Ba, Bb, Bc2, R):
+MASS_SETS = {"equal": (1.0, 1.0, 1.0), "two-equal": (1.0, 1.0, 2.0), "unequal": (1.0, 0.7, 1.6)}
+
+
+class TestFrameKeys:
+    """Ball keys of frames-mode pairs from their frame widths and frame angle."""
+
+    @pytest.mark.parametrize("masses", MASS_SETS)
+    def test_agree_with_form_keys(self, masses):
+        # a form key carries the rotated forms' rounding, up to eps beta_max in
+        # each eigenvalue (the det = Ba Bb - Bc2^2 cancellation); the frame key
+        # none of it (largest measured: 4 eps beta_max / beta_min relative in
+        # beta_min, 1.5 eps beta_max in gap).  Pairs with a random function
+        # keep their form keys bit for bit.
+        basis = frames_basis(MassSet(*MASS_SETS[masses]), n_random=6)
+        forms = vr._pair_forms(basis)[:3]
+        f_min, f_gap, f_max = vr.pair_keys(*forms, basis.frames)
+        g_min, g_gap, g_max = vr.pair_keys(*forms)
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(f_min / g_min - 1.0) <= 8.0 * eps * g_max / g_min)
+        assert np.all(np.abs(f_gap - g_gap) <= 8.0 * eps * g_max)
+        iu = np.triu_indices(basis.size)
+        random = (basis.frames.index[iu[0]] < 0) | (basis.frames.index[iu[1]] < 0)
+        assert 0 < np.sum(random) < random.size
+        for f, g in ((f_min, g_min), (f_gap, g_gap), (f_max, g_max)):
+            np.testing.assert_array_equal(f[random], g[random])
+
+    @pytest.mark.parametrize("masses", MASS_SETS)
+    def test_equal_content_bit_equal(self, masses):
+        rng = np.random.default_rng(5)
+        widths = np.exp(rng.uniform(-6.0, 2.0, (40, 2)))
+        widths[:5, 1] = widths[:5, 0]  # isotropic
+        n = widths.shape[0]
+        i, j = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
+        # function n in every frame: copy A of n sits at A * n_functions + n
+        frames = vr.Frames(MassSet(*MASS_SETS[masses]), np.repeat(np.arange(3), n),
+                           np.tile(widths, (3, 1)))
+        angles = frames.angles()
+        keys = {(A, B): np.array(frames.keys(A * n + i, B * n + j))
+                for A in range(3) for B in range(3)}
+        for (A, B), k in keys.items():
+            np.testing.assert_array_equal(k, np.array(frames.keys(B * n + j, A * n + i)))
+            for (C, D), other in keys.items():
+                if (A == B) == (C == D) and np.array_equal(angles[A, B], angles[C, D]):
+                    np.testing.assert_array_equal(k, other)
+        # an isotropic function has one key per partner, whatever the frames
+        iso = i < 5
+        for k in keys.values():
+            np.testing.assert_array_equal(k[:, iso], keys[0, 0][:, iso])
+        # a same-frame pair is keyed by its width sums p1 + q1, p2 + q2 alone
+        (p1, p2), (q1, q2) = widths[i].T, widths[j].T
+        swapped = np.concatenate([np.c_[q1, p2], np.c_[p1, q2]])
+        frames = vr.Frames(MassSet(*MASS_SETS[masses]), np.ones(2 * i.size, int), swapped)
+        np.testing.assert_array_equal(frames.keys(np.arange(i.size), i.size + np.arange(i.size)),
+                                      keys[1, 1])
+        # the angle table is exact on equal spectators: equal masses put all
+        # cross-frame pairs at cos^2 = 1/4, (1, 1, 2) two of them at 1/3
+        off = [tuple(angles[A, B]) for A, B in itertools.permutations(range(3), 2)]
+        assert len(set(off)) == {"equal": 1, "two-equal": 2, "unequal": 3}[masses]
+
+    def test_probability_matches_form_keys(self, ground_small, small_basis):
+        # the keys move quadrature entries by at most ~1e-12 relative, P(R) by a few ulp
+        radii = np.array([2.0, 5.0, 10.0, 30.0])
+        Ba, Bb, Bc2, *_ = vr._pair_forms(small_basis)
+        snorm = 1.0 / np.sqrt(np.diag(vr.overlap_matrix(small_basis)))
+        by_forms = vr.ball_overlap(Ba, Bb, Bc2, radii) * np.outer(snorm, snorm)
+        p = vr.probability_inside(vr.ball_matrices(small_basis, radii), ground_small.coefficients)
+        ref = vr.probability_inside(by_forms, ground_small.coefficients)
+        np.testing.assert_allclose(p, ref, rtol=4 * np.finfo(float).eps, atol=0.0)
+        assert not np.array_equal(vr.ball_matrices(small_basis, radii), by_forms)
+
+    @pytest.mark.parametrize("spec", [
+        vr.BasisSpec(0.4, 12.0, 5, 0.4, 30.0, 5, (-0.6, 0.0, 0.6)),
+        vr.BasisSpec(0.4, 12.0, 3, 0.4, 30.0, 3, (0.0,), n_random=20, seed=4),
+        vr.BasisSpec(0.4, 12.0, 3, 0.4, 30.0, 3, (0.3,), symmetrize_12=True),
+    ], ids=["correlations", "random", "symmetrized"])
+    def test_frameless_basis_keeps_form_keys(self, spec):
+        basis = vr.build_basis(spec)
+        assert basis.frames is None
+        Ba, Bb, Bc2, *_ = vr._pair_forms(basis)
+        snorm = 1.0 / np.sqrt(np.diag(vr.overlap_matrix(basis)))
+        np.testing.assert_array_equal(
+            vr.ball_matrices(basis, np.array(RADII)),
+            vr.ball_overlap(Ba, Bb, Bc2, np.array(RADII)) * np.outer(snorm, snorm),
+        )
+
+    def test_frames_follow_the_functions(self, equal_masses):
+        spec = vr.BasisSpec(0.4, 8.0, 3, 0.4, 8.0, 3, "frames", n_random=3, seed=2,
+                            symmetrize_12=True)
+        basis = vr.build_basis(spec, equal_masses)
+        index, widths = basis.frames.index, basis.frames.widths
+        # the isotropic functions appear once, in the first frame
+        assert np.sum(index >= 0) == 3 * 9 - 2 * 3
+        assert np.all(index[index >= 0] == np.repeat([0, 1, 2], [9, 6, 6]))
+        for n in np.flatnonzero(index >= 0):
+            R = vr.kinematic_rotation(equal_masses, "12", vr.PAIRS[index[n]])
+            Q = R.T @ np.diag(widths[n]) @ R
+            np.testing.assert_allclose([basis.a[n], basis.b[n], 0.5 * basis.c[n]],
+                                       [Q[0, 0], Q[1, 1], Q[0, 1]], rtol=1e-14, atol=1e-15)
+        merged = vr.build_basis(vr.BasisSpec(n_x=2, n_y=2, correlations=(0.0,))).merged(basis)
+        np.testing.assert_array_equal(merged.frames.index, np.concatenate([[-1] * 4, index]))
+        # frames of other masses are not this basis's frames: they are dropped
+        other = vr.build_basis(spec, MassSet(1.0, 0.7, 1.6))
+        merged = basis.merged(other)
+        assert merged.frames.masses == equal_masses
+        np.testing.assert_array_equal(merged.frames.index,
+                                      np.concatenate([index, [-1] * other.size]))
+
+
+def inflated_ball(Ba, Bb, Bc2, R, frames=None):
     """1.01 x the full overlap: a P(R) of 1.01 whatever the radius."""
     return 1.01 * np.pi**3 / (Ba * Bb - Bc2**2) ** 1.5
 
