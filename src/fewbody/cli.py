@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -26,6 +26,7 @@ from .model import (
     PAIRS,
     PotentialSpec,
     Quadrature,
+    RequirementCheck,
     validate_requirements,
 )
 from . import experiments as ex
@@ -163,8 +164,19 @@ def _float_list(text: str) -> list[float]:
     return [_finite(tok) for tok in text.split(",") if tok.strip()]
 
 
-# the range of every value of these keys, checked when the config is parsed
+# the range of every value of these keys, checked when the config is parsed: a
+# word for numbers, the least value for integers.  model._split_counts gives each
+# grid panel at least 4 nodes, so a count below 4 per panel (5 radial panels, 4
+# momentum panels) would be raised silently.
 _RANGES = {
+    ("numerics", "radial_nodes"): 20,
+    ("numerics", "faddeev_nodes"): 20,
+    ("numerics", "momentum_nodes"): 16,
+    ("numerics", "p_per_panel"): 1,
+    ("numerics", "angle_nodes"): 1,
+    ("numerics", "basis.n_x"): 1,
+    ("numerics", "basis.n_y"): 1,
+    ("numerics", "basis.n_random"): 0,
     ("numerics", "threshold_tol"): "positive",
     ("numerics", "resonance_tol"): "positive",
     ("experiment", "floor"): "positive",
@@ -313,9 +325,12 @@ def parse_config(path) -> RunConfig:
     except ValueError as err:
         raise ConfigError(f"invalid numerics.basis: {err}") from err
 
-    for (s, key), word in _RANGES.items():
-        if raw.get((s, key), "").strip():  # r0 and scale_grid may be left empty
-            _check_range(f"{s}.{key}", raw[(s, key)], _read(raw, s, key, _float_list), word)
+    for (s, key), rng in _RANGES.items():
+        if isinstance(rng, int):
+            if _read(raw, s, key, int) < rng:
+                raise ConfigError(f"{s}.{key} = {raw[(s, key)]!r}: must be at least {rng}")
+        elif raw.get((s, key), "").strip():  # r0 and scale_grid may be left empty
+            _check_range(f"{s}.{key}", raw[(s, key)], _read(raw, s, key, _float_list), rng)
 
     return RunConfig(model=model, basis_spec=basis_spec, raw=raw)
 
@@ -325,18 +340,28 @@ def parse_config(path) -> RunConfig:
 
 
 def _fmt(v) -> str:
+    """One CSV cell: a float to 17 digits, None empty, text with "," as ";".
+
+    No text cell can split a row.
+    """
     if isinstance(v, float):
         return format(v, ".17g")
     if v is None:
         return ""
-    return str(v)
+    return str(v).replace(",", ";")
 
 
-def emit_csv(rows: Sequence[dict], header: Sequence[str], out) -> None:
-    """RFC-4180-style CSV, fixed header order, deterministic row order."""
-    out.write(",".join(header) + "\r\n")
+def emit_csv(rows: Sequence, columns: Sequence[str] | type, out) -> None:
+    """RFC-4180-style CSV, fixed header order, deterministic row order.
+
+    columns is the header, with rows as dicts, or a dataclass whose fields are
+    the columns, with rows its instances.
+    """
+    if isinstance(columns, type):
+        columns, rows = [f.name for f in fields(columns)], [vars(r) for r in rows]
+    out.write(",".join(columns) + "\r\n")
     for row in rows:
-        out.write(",".join(_fmt(row.get(h)) for h in header) + "\r\n")
+        out.write(",".join(_fmt(row.get(h)) for h in columns) + "\r\n")
 
 
 class ResultStore:
@@ -488,11 +513,7 @@ def _cmd_two_body_w_probe(cfg: RunConfig, args, out) -> int:
     quad = _quad_for(cfg, pair)
     ks = _k_values(cfg, args, "positive")
     res = tb.resonance_data(pot, quad)
-    rows = [
-        {"k": r.k, "w_norm": r.w_norm, "akw": r.akw, "z_norm": r.z_norm}
-        for r in tb.w_decomposition_probe(pot, res, sorted(ks), quad)
-    ]
-    emit_csv(rows, ["k", "w_norm", "akw", "z_norm"], out)
+    emit_csv(tb.w_decomposition_probe(pot, res, sorted(ks), quad), tb.WProbeRow, out)
     return EXIT_OK
 
 
@@ -575,18 +596,7 @@ def _cmd_three_body_dichotomy(cfg: RunConfig, args, out) -> int:
         ceiling_factor=cfg.float("experiment", "ceiling_factor"),
         scale_bracket=tuple(cfg.floats("experiment", "scale_bracket")),
     )
-    rows = [
-        {
-            "lambda12": r.couplings.lambda12,
-            "lambda13": r.couplings.lambda13,
-            "lambda23": r.couplings.lambda23,
-            "e_gr": r.e_gr,
-            "p_r0": r.p_r0,
-            "p_r1": r.p_r1,
-        }
-        for r in report.rows
-    ]
-    emit_csv(rows, ["lambda12", "lambda13", "lambda23", "e_gr", "p_r0", "p_r1"], out)
+    emit_csv(report.rows, ex.DichotomyRow, out)
     print(f"verdict: {report.verdict}", file=sys.stderr)
     return EXIT_OK if report.verdict != "inconclusive" else EXIT_INCONCLUSIVE
 
@@ -631,12 +641,7 @@ def _cmd_three_body_cross_validate(cfg: RunConfig, args, out) -> int:
         scale_bracket=tuple(cfg.floats("experiment", "scale_bracket")),
         **_grid_kw(cfg),
     )
-    rows = [
-        {"scale": r.scale, "e_gr": r.e_gr, "bs_radius": r.bs_radius,
-         "consistent": r.consistent}
-        for r in report.rows
-    ]
-    emit_csv(rows, ["scale", "e_gr", "bs_radius", "consistent"], out)
+    emit_csv(report.rows, ex.CrossValidationRow, out)
     print(
         f"variational_scale: {_fmt(report.variational_scale)}  "
         f"bs_scale: {_fmt(report.bs_scale)}  "
@@ -678,12 +683,9 @@ def _cmd_checks_bounds(cfg: RunConfig, args, out) -> int:
 
 
 def _cmd_checks_green6(cfg: RunConfig, args, out) -> int:
-    rows = [
-        {"xi": g.xi, "value": g.value, "bound": g.bound, "passed": g.passed}
-        for g in fd.green6_bound_check(cfg.floats("experiment", "xi_list"))
-    ]
-    emit_csv(rows, ["xi", "value", "bound", "passed"], out)
-    return EXIT_OK if all(r["passed"] for r in rows) else EXIT_NUMERIC
+    rows = fd.green6_bound_check(cfg.floats("experiment", "xi_list"))
+    emit_csv(rows, fd.Green6Row, out)
+    return EXIT_OK if all(r.passed for r in rows) else EXIT_NUMERIC
 
 
 def _cmd_checks_jlog(cfg: RunConfig, args, out) -> int:
@@ -701,81 +703,67 @@ def _cmd_checks_jlog(cfg: RunConfig, args, out) -> int:
 
 def _cmd_checks_merkuriev(cfg: RunConfig, args, out) -> int:
     r0 = cfg.float("experiment", "r0") if cfg.raw.get(("experiment", "r0")) else 1.0
-    rows = [
-        {"k": m.k, "r": m.r, "p_closed": m.closed_form, "p_quadrature": m.quadrature}
-        for m in ex.merkuriev_spreading(sorted(_k_values(cfg, args, "positive")), r0)
-    ]
-    emit_csv(rows, ["k", "r", "p_closed", "p_quadrature"], out)
+    rows = ex.merkuriev_spreading(sorted(_k_values(cfg, args, "positive")), r0)
+    emit_csv(rows, ex.MerkurievRow, out)
     return EXIT_OK
 
 
 def _cmd_validate_config(cfg: RunConfig, args, out) -> int:
     b1 = cfg.float("experiment", "envelope_b1")
     b2 = cfg.float("experiment", "envelope_b2")
-    report = validate_requirements(cfg.model, (b1, b2))
-    rows = [
-        {"requirement": c.name, "passed": c.passed, "detail": c.detail.replace(",", ";")}
-        for c in report.checks
-    ]
-    emit_csv(rows, ["requirement", "passed", "detail"], out)
+    emit_csv(validate_requirements(cfg.model, (b1, b2)).checks, RequirementCheck, out)
     return EXIT_OK
 
 
+# the options some subcommands add to --config, --out, --seed and --quiet
+_OPTIONS = {
+    "pair": dict(default="12", choices=list(PAIRS)),
+    "k": dict(default=None),
+    "tol": dict(type=float, default=None),
+    "store": dict(default=None, help="JSONL result store for resumable sweeps"),
+    "scenario": dict(default=None, choices=[s.value for s in ex.Scenario]),
+}
+
+# (group, command) -> (handler, *the _OPTIONS it adds); validate-config has no command
 _SUBCOMMANDS = {
-    ("two-body", "threshold"): _cmd_two_body_threshold,
-    ("two-body", "mu-curve"): _cmd_two_body_mu_curve,
-    ("two-body", "classify"): _cmd_two_body_classify,
-    ("two-body", "w-probe"): _cmd_two_body_w_probe,
-    ("three-body", "ground"): _cmd_three_body_ground,
-    ("three-body", "sweep"): _cmd_three_body_sweep,
-    ("three-body", "dichotomy"): _cmd_three_body_dichotomy,
-    ("three-body", "efimov"): _cmd_three_body_efimov,
-    ("three-body", "theta0"): _cmd_three_body_theta0,
-    ("three-body", "bs-radius"): _cmd_three_body_bs_radius,
-    ("three-body", "cross-validate"): _cmd_three_body_cross_validate,
-    ("checks", "bounds"): _cmd_checks_bounds,
-    ("checks", "green6"): _cmd_checks_green6,
-    ("checks", "jlog"): _cmd_checks_jlog,
-    ("checks", "merkuriev"): _cmd_checks_merkuriev,
+    ("two-body", "threshold"): (_cmd_two_body_threshold, "pair", "tol"),
+    ("two-body", "mu-curve"): (_cmd_two_body_mu_curve, "pair", "k"),
+    ("two-body", "classify"): (_cmd_two_body_classify,),
+    ("two-body", "w-probe"): (_cmd_two_body_w_probe, "pair"),
+    ("three-body", "ground"): (_cmd_three_body_ground,),
+    ("three-body", "sweep"): (_cmd_three_body_sweep, "store"),
+    ("three-body", "dichotomy"): (_cmd_three_body_dichotomy, "scenario"),
+    ("three-body", "efimov"): (_cmd_three_body_efimov,),
+    ("three-body", "theta0"): (_cmd_three_body_theta0,),
+    ("three-body", "bs-radius"): (_cmd_three_body_bs_radius,),
+    ("three-body", "cross-validate"): (_cmd_three_body_cross_validate,),
+    ("checks", "bounds"): (_cmd_checks_bounds,),
+    ("checks", "green6"): (_cmd_checks_green6,),
+    ("checks", "jlog"): (_cmd_checks_jlog,),
+    ("checks", "merkuriev"): (_cmd_checks_merkuriev,),
+    ("validate-config", None): (_cmd_validate_config,),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="fewbody", description=__doc__)
     sub = ap.add_subparsers(dest="group", required=True)
-
-    def common(p):
+    groups = {}
+    for (group, command), (handler, *options) in _SUBCOMMANDS.items():
+        if command is None:
+            p = sub.add_parser(group)
+        else:
+            if group not in groups:
+                groups[group] = sub.add_parser(group).add_subparsers(dest="command",
+                                                                     required=True)
+            p = groups[group].add_parser(command)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--quiet", action="store_true", help="suppress the config echo")
-
-    for group, names in (
-        ("two-body", ["threshold", "mu-curve", "classify", "w-probe"]),
-        ("three-body", ["ground", "sweep", "dichotomy", "efimov", "theta0",
-                        "bs-radius", "cross-validate"]),
-        ("checks", ["bounds", "green6", "jlog", "merkuriev"]),
-    ):
-        gp = sub.add_parser(group)
-        gsub = gp.add_subparsers(dest="command", required=True)
-        for name in names:
-            p = gsub.add_parser(name)
-            common(p)
-            if group == "two-body" and name != "classify":
-                p.add_argument("--pair", default="12", choices=list(PAIRS))
-            if (group, name) == ("two-body", "mu-curve"):
-                p.add_argument("--k", default=None)
-            if (group, name) == ("two-body", "threshold"):
-                p.add_argument("--tol", type=float, default=None)
-            if (group, name) == ("three-body", "sweep"):
-                p.add_argument("--store", default=None,
-                               help="JSONL result store for resumable sweeps")
-            if (group, name) == ("three-body", "dichotomy"):
-                p.add_argument("--scenario", default=None,
-                               choices=[s.value for s in ex.Scenario])
-
-    vp = sub.add_parser("validate-config")
-    common(vp)
+        for name in options:
+            p.add_argument(f"--{name}", **_OPTIONS[name])
+        p.set_defaults(handler=handler)
     return ap
 
 
@@ -798,14 +786,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if not args.quiet:
         cfg.echo()
 
-    if args.group == "validate-config":
-        handler = _cmd_validate_config
-    else:
-        handler = _SUBCOMMANDS[(args.group, args.command)]
-
     out = _open_out(args)
     try:
-        return handler(cfg, args, out)
+        return args.handler(cfg, args, out)
     except (ConfigError, ex.BracketInvalidError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -42,7 +42,9 @@ class Scenario(Enum):
 
 @dataclass(frozen=True)
 class DichotomyRow:
-    couplings: CouplingConfig
+    lambda12: float
+    lambda13: float
+    lambda23: float
     e_gr: float
     p_r0: float
     p_r1: float
@@ -184,7 +186,7 @@ def spreading_dichotomy(
         if e_rel >= -EPS_NUM:
             raise PathPointUnboundError(f"lost the bound state at target {tgt:.3e}")
         p_r0, p_r1 = map(float, vr.probability_inside(ball, gs.coefficients))
-        rows.append(DichotomyRow(couplings=m.couplings, e_gr=e_rel, p_r0=p_r0, p_r1=p_r1))
+        rows.append(DichotomyRow(*map(m.couplings.get, PAIRS), e_rel, p_r0, p_r1))
 
     p = [row.p_r0 for row in rows]
     if scenario is Scenario.NO_PAIR_RESONANCE:
@@ -243,8 +245,8 @@ def efimov_scan(
 class MerkurievRow:
     k: float
     r: float
-    closed_form: float
-    quadrature: float
+    p_closed: float
+    p_quadrature: float
 
 
 def merkuriev_spreading(k_list: Sequence[float], r: float) -> list[MerkurievRow]:
@@ -267,8 +269,8 @@ def merkuriev_spreading(k_list: Sequence[float], r: float) -> list[MerkurievRow]
         outer = 0.5 * span * np.sum(w * np.exp(-2.0 * k * t))
         rows.append(
             MerkurievRow(
-                k=float(k), r=float(r), closed_form=closed,
-                quadrature=float(inner / (inner + outer)),
+                k=float(k), r=float(r), p_closed=closed,
+                p_quadrature=float(inner / (inner + outer)),
             )
         )
     return rows

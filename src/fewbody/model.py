@@ -391,7 +391,7 @@ def kernel_constants(
 
 @dataclass(frozen=True)
 class RequirementCheck:
-    name: str
+    requirement: str
     passed: bool
     detail: str
 

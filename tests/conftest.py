@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from fewbody.model import (
+    PAIRS,
     CouplingConfig,
     MassSet,
     ModelSpec,
@@ -66,6 +69,24 @@ def make_model(masses, pot, couplings, eps=0.2):
         masses, pot, pot, pot,
         CouplingConfig(lam12, lam13, lam23, margin_epsilon=eps),
     )
+
+
+def relabelled_models(masses):
+    """One model in each of the six labellings of its particles.
+
+    Masses, wells and couplings move together.  In the labelling of masses,
+    each pair has its own Gaussian well (depth, range) and coupling (a
+    multiple of GAUSS_LAMBDA_STAR).
+    """
+    wells = {"12": (1.0, 1.0), "13": (1.0, 1.3), "23": (1.0, 0.8)}
+    couplings = {"12": 1.1, "13": 0.9, "23": 0.7}
+    for perm in itertools.permutations(range(3)):
+        old = ["".join(sorted(str(perm[int(k) - 1] + 1) for k in pair)) for pair in PAIRS]
+        yield ModelSpec(
+            MassSet(*(masses[k] for k in perm)),
+            *(PotentialSpec("gaussian", *wells[pair]) for pair in old),
+            CouplingConfig(*(couplings[pair] * GAUSS_LAMBDA_STAR for pair in old)),
+        )
 
 
 def bound_state_count(model, basis) -> int:

@@ -278,8 +278,8 @@ def test_criterion_08_efimov_regime(masses, gauss):
 def test_criterion_09_hyperradial_tail_family():
     t0 = time.time()
     rows = ex.merkuriev_spreading([1e-1, 1e-2, 1e-3], 1.0)
-    worst = max(abs(r.closed_form - r.quadrature) for r in rows)
-    p_last = rows[-1].closed_form
+    worst = max(abs(r.p_closed - r.p_quadrature) for r in rows)
+    p_last = rows[-1].p_closed
     dt = time.time() - t0
     ok = worst < 1e-8 and p_last < 2.1e-3 and dt < 1.0
     _line(9, "vanishing-binding tail family", ok,

@@ -1,6 +1,8 @@
 import csv
 import io
+import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,6 +114,7 @@ class TestConfigValues:
         ("numerics", "threshold_tol", "x"),
         ("numerics", "resonance_tol", "x"),
         ("numerics", "seed", "x"),
+        ("numerics", "radial_nodes", "x"),
         ("numerics", "basis.correlations", "0.1,x"),
     ])
     def test_non_number_exits_config(self, tmp_path, capsys, section, key, value):
@@ -143,6 +146,29 @@ class TestConfigValues:
     def test_out_of_range_exits_config(self, tmp_path, capsys, section, key, value, word):
         err = self.assert_config_error(tmp_path, capsys, section, key, value)
         assert f"must be {word}" in err
+
+    # each grid panel takes at least 4 nodes, so a smaller count is not raised silently
+    @pytest.mark.parametrize("key,value,least", [
+        ("radial_nodes", "0", 20),
+        ("radial_nodes", "-4", 20),
+        ("radial_nodes", "3", 20),
+        ("faddeev_nodes", "14", 20),
+        ("momentum_nodes", "15", 16),
+        ("p_per_panel", "0", 1),
+        ("angle_nodes", "0", 1),
+        ("basis.n_x", "0", 1),
+        ("basis.n_y", "-1", 1),
+        ("basis.n_random", "-2", 0),
+    ])
+    def test_integer_below_least_exits_config(self, tmp_path, capsys, key, value, least):
+        err = self.assert_config_error(tmp_path, capsys, "numerics", key, value)
+        assert f"must be at least {least}" in err
+
+    def test_integer_least_values_run(self, cfg_file, capsys):
+        cfg_file.write_text(FULL.replace("[numerics]\n", "[numerics]\nradial_nodes = 20\n"
+                                         "momentum_nodes = 16\n"))
+        assert main(["two-body", "threshold", "--config", str(cfg_file), "--quiet"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[1].split(",")[3] == "2.684164730801585"
 
     # k's range depends on the subcommand: mu-curve takes k = 0
     @pytest.mark.parametrize("command,value,word", [
@@ -254,6 +280,20 @@ class TestEmitCsv:
         emit_csv([{"a": None, "b": 1}], ["a", "b"], buf)
         assert buf.getvalue().splitlines()[1] == ",1"
 
+    @pytest.mark.parametrize("rows,text", [
+        ([], "xi,value,bound,passed\r\n"),
+        ([fd.Green6Row(0.5, 1.0, 2.0, True)], "xi,value,bound,passed\r\n0.5,1,2,True\r\n"),
+    ], ids=["empty", "one-row"])
+    def test_dataclass_rows_take_header_from_fields(self, rows, text):
+        buf = io.StringIO()
+        emit_csv(rows, fd.Green6Row, buf)
+        assert buf.getvalue() == text
+
+    def test_comma_in_text_cell_becomes_semicolon(self):
+        buf = io.StringIO()
+        emit_csv([{"a": "L1=1, L2^2=2", "b": 1.5}], ["a", "b"], buf)
+        assert buf.getvalue() == "a,b\r\nL1=1; L2^2=2,1.5\r\n"
+
 
 class TestResultStore:
     def test_record_and_resume(self, tmp_path):
@@ -351,7 +391,7 @@ class TestMainEntry:
         assert captured.out == "" and f"missing key {key}" in captured.err
 
 
-CV_CFG = FULL.replace("basis.n_x = 6", "basis.n_x = 6\nfaddeev_nodes = 14\np_per_panel = 4")
+CV_CFG = FULL.replace("basis.n_x = 6", "basis.n_x = 6\nfaddeev_nodes = 20\np_per_panel = 4")
 
 
 class TestCrossValidate:
@@ -407,7 +447,7 @@ margin_epsilon = 0.2
 basis.n_x = 5
 basis.n_y = 6
 basis.scale_max_y = 40.0
-faddeev_nodes = 14
+faddeev_nodes = 20
 p_per_panel = 4
 
 [experiment]
@@ -624,3 +664,66 @@ class TestSweepSharedWork:
         assert main(argv) == EXIT_OK
         assert capsys.readouterr().out == first
         assert set(calls.values()) == {0}
+
+
+def documented_columns() -> dict:
+    """(group, command) -> the Columns: header of each entry in docs/cli.md."""
+    text = (Path(__file__).parents[1] / "docs" / "cli.md").read_text()
+    columns, group = {}, None
+    # an entry starts at "## group" or at a "`command [options]`" line followed by ": "
+    for block in re.split(r"\n(?=## |`[\w-]+[^`\n]*`\n: )", text):
+        if block.startswith("## "):
+            group, command = block.split()[1], None
+        elif block.startswith("`"):
+            command = re.match(r"`([\w-]+)", block).group(1)
+        found = re.search(r"Columns:\s+`([^`]+)`", block)
+        if found:
+            columns[(group, command)] = found.group(1)
+    return columns
+
+
+EMPTY_LISTS_CFG = FULL.replace("k_list = 1e-2,1e-3", "k_list =\nz_list =\nxi_list =")
+
+# pairs 12 and 13 at their threshold, 23 uncoupled: no level below the HVZ bottom
+NO_LEVEL_CFG = (
+    FULL.replace("lambda12 = 2.1472", "lambda12 = 2.6840046509244826")
+    .replace("lambda13 = 2.1472", "lambda13 = 2.6840046509244826")
+    .replace("lambda23 = 2.1472", "lambda23 = 0.0")
+    .replace("margin_epsilon = 0.2", "margin_epsilon = 0.05")
+    .replace("basis.scale_max_y = 60.0", "basis.scale_max_y = 5")
+)
+
+
+class TestDocumentedHeaders:
+    # a cheap config per subcommand; those with rows left out print the header alone
+    CONFIGS = {
+        ("three-body", "sweep"): SWEEP_CFG,
+        ("three-body", "theta0"): THETA0_CFG,
+        ("three-body", "cross-validate"): CV_CFG,
+        ("checks", "bounds"): EMPTY_LISTS_CFG,
+    }
+    HEADER_ONLY = {
+        ("three-body", "efimov"): NO_LEVEL_CFG,
+        ("three-body", "bs-radius"): EMPTY_LISTS_CFG,
+        ("checks", "green6"): EMPTY_LISTS_CFG,
+        ("checks", "merkuriev"): EMPTY_LISTS_CFG,
+        ("two-body", "mu-curve"): EMPTY_LISTS_CFG,
+    }
+
+    def test_every_subcommand_is_documented(self):
+        assert set(documented_columns()) == set(cli._SUBCOMMANDS)
+
+    @pytest.mark.parametrize("command", list(cli._SUBCOMMANDS),
+                             ids=lambda c: " ".join(filter(None, c)))
+    def test_header_matches_docs(self, tmp_path, capsys, command):
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text(self.HEADER_ONLY.get(command) or self.CONFIGS.get(command, FULL))
+        radii = parse_config(cfg).floats("experiment", "radii")
+        header = documented_columns()[command].replace(
+            "p_r<R>...", ",".join(f"p_r{cli._fmt(R)}" for R in radii))
+        rc = main([*filter(None, command), "--config", str(cfg), "--quiet"])
+        assert rc in (EXIT_OK, cli.EXIT_INCONCLUSIVE)
+        lines = capsys.readouterr().out.split("\r\n")
+        assert lines[0] == header
+        if command in self.HEADER_ONLY:
+            assert lines == [header, ""]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -20,21 +21,21 @@ def tiny_basis(equal_masses):
 class TestMerkuriev:
     def test_closed_form_values(self):
         rows = ex.merkuriev_spreading([1.0], 1.0)
-        assert np.isclose(rows[0].closed_form, 1.0 - math.exp(-2.0), rtol=1e-14)
+        assert np.isclose(rows[0].p_closed, 1.0 - math.exp(-2.0), rtol=1e-14)
 
     def test_quadrature_matches(self):
         for row in ex.merkuriev_spreading([1e-3, 1e-2, 1.0], 2.5):
-            assert abs(row.closed_form - row.quadrature) < 1e-8
+            assert abs(row.p_closed - row.p_quadrature) < 1e-8
 
     def test_vanishing_binding_spreads(self):
         rows = ex.merkuriev_spreading([1e-1, 1e-2, 1e-3], 1.0)
-        ps = [r.closed_form for r in rows]
+        ps = [r.p_closed for r in rows]
         assert ps[0] > ps[1] > ps[2]
         assert ps[-1] < 2.1e-3
 
     def test_large_radius_captures_everything(self):
         row = ex.merkuriev_spreading([0.5], 1e4)[0]
-        assert np.isclose(row.closed_form, 1.0, atol=1e-12)
+        assert np.isclose(row.p_closed, 1.0, atol=1e-12)
 
     @given(
         k=st.floats(min_value=1e-4, max_value=10.0),
@@ -43,9 +44,9 @@ class TestMerkuriev:
     @settings(max_examples=40, deadline=None)
     def test_probability_properties(self, k, r):
         row = ex.merkuriev_spreading([k], r)[0]
-        assert 0.0 <= row.closed_form <= 1.0
+        assert 0.0 <= row.p_closed <= 1.0
         bigger = ex.merkuriev_spreading([k], 2.0 * r)[0]
-        assert bigger.closed_form >= row.closed_form
+        assert bigger.p_closed >= row.p_closed
 
 
 def reference_bisection(energy, bracket, level, x_tol=0.0, e_tol=0.0):
@@ -215,7 +216,9 @@ class TestDichotomyTargets:
     def test_rows_are_fresh_solves(self, resonant_report, tiny_basis):
         model, report = resonant_report
         for row in report.rows:
-            m = model.with_couplings(row.couplings)
+            m = model.with_couplings(dataclasses.replace(
+                model.couplings, lambda12=row.lambda12, lambda13=row.lambda13,
+                lambda23=row.lambda23))
             gs = vr.solve_ground(m, tiny_basis)
             assert row.e_gr == gs.energy - vr.hvz_bottom(m)
             ball = vr.ball_matrices(tiny_basis, (report.r0, 3.0 * report.r0))

@@ -10,9 +10,9 @@ from fewbody import twobody as tb
 from fewbody import variational as vr
 from fewbody.cli import EXIT_NUMERIC, main
 from fewbody.model import (
-    CouplingConfig, MassSet, ModelSpec, PotentialSpec, _gauss_legendre_panels,
+    CouplingConfig, MassSet, ModelSpec, _gauss_legendre_panels,
 )
-from tests.conftest import GAUSS_LAMBDA_STAR, bound_state_count, make_model
+from tests.conftest import GAUSS_LAMBDA_STAR, bound_state_count, make_model, relabelled_models
 from tests.test_cli import FULL
 
 
@@ -180,18 +180,10 @@ class TestSolveGround:
         # frames basis (no random part) spans the same functions in every
         # labelling, so e_gr and P(R) agree to rounding (largest measured
         # spread over the six labellings: 3.3e-14 in e_gr, 9.1e-14 in P(R))
-        wells = {"12": (1.0, 1.0), "13": (1.0, 1.3), "23": (1.0, 0.8)}
-        couplings = {"12": 1.1, "13": 0.9, "23": 0.7}
         spec = vr.BasisSpec(0.3, 10.0, 7, 0.3, 60.0, 8, "frames")
         radii = np.array([2.0, 5.0, 10.0, 30.0])
         results = []
-        for perm in itertools.permutations(range(3)):
-            old = ["".join(sorted(str(perm[int(k) - 1] + 1) for k in pair)) for pair in vr.PAIRS]
-            model = ModelSpec(
-                MassSet(*(masses[k] for k in perm)),
-                *(PotentialSpec("gaussian", *wells[pair]) for pair in old),
-                CouplingConfig(*(couplings[pair] * GAUSS_LAMBDA_STAR for pair in old)),
-            )
+        for model in relabelled_models(masses):
             basis = vr.build_basis(spec, model.masses)
             gs = vr.solve_ground(model, basis)
             results.append([gs.energy, *p_of_state(basis, gs, radii)])
