@@ -56,8 +56,7 @@ for _p in PAIRS:
     _MODEL_KEYS |= {f"pair{_p}.kind", f"pair{_p}.depth", f"pair{_p}.range", f"pair{_p}.table"}
 
 _NUMERICS_KEYS = {
-    "radial_nodes", "momentum_nodes", "faddeev_nodes", "p_per_panel", "angle_nodes",
-    "threshold_tol", "resonance_tol", "seed",
+    "radial_nodes", "faddeev_nodes", "p_per_panel", "angle_nodes", "resonance_tol", "seed",
     "basis.scale_min_x", "basis.scale_max_x", "basis.n_x",
     "basis.scale_min_y", "basis.scale_max_y", "basis.n_y",
     "basis.correlations", "basis.n_random", "basis.symmetrize_12",
@@ -84,11 +83,9 @@ _DEFAULTS = {
     ("model", "lambda23"): "0.0",
     ("model", "margin_epsilon"): "0.1",
     ("numerics", "radial_nodes"): "64",
-    ("numerics", "momentum_nodes"): "64",
     ("numerics", "faddeev_nodes"): "28",
     ("numerics", "p_per_panel"): "6",
     ("numerics", "angle_nodes"): "32",
-    ("numerics", "threshold_tol"): "1e-8",
     ("numerics", "resonance_tol"): "1e-4",
     ("numerics", "basis.scale_min_x"): "0.25",
     ("numerics", "basis.scale_max_x"): "15.0",
@@ -165,19 +162,17 @@ def _float_list(text: str) -> list[float]:
 
 
 # the range of every value of these keys, checked when the config is parsed: a
-# word for numbers, the least value for integers.  model._split_counts gives each
-# grid panel at least 4 nodes, so a count below 4 per panel (5 radial panels, 4
-# momentum panels) would be raised silently.
+# word for numbers, the least value for integers, the allowed values for names.
+# model._split_counts gives each grid panel at least 4 nodes, so a count below 4
+# per panel (5 radial panels) would be raised silently.
 _RANGES = {
     ("numerics", "radial_nodes"): 20,
     ("numerics", "faddeev_nodes"): 20,
-    ("numerics", "momentum_nodes"): 16,
     ("numerics", "p_per_panel"): 1,
     ("numerics", "angle_nodes"): 1,
     ("numerics", "basis.n_x"): 1,
     ("numerics", "basis.n_y"): 1,
     ("numerics", "basis.n_random"): 0,
-    ("numerics", "threshold_tol"): "positive",
     ("numerics", "resonance_tol"): "positive",
     ("experiment", "floor"): "positive",
     ("experiment", "ceiling_factor"): "positive",
@@ -187,6 +182,8 @@ _RANGES = {
     ("experiment", "r0"): "non-negative",
     ("experiment", "radii"): "non-negative",
     ("experiment", "scale_grid"): "non-negative",
+    ("experiment", "vary_pair"): PAIRS,
+    ("experiment", "scenario"): tuple(s.value for s in ex.Scenario),
 }
 
 
@@ -326,7 +323,12 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(f"invalid numerics.basis: {err}") from err
 
     for (s, key), rng in _RANGES.items():
-        if isinstance(rng, int):
+        if isinstance(rng, tuple):
+            if raw[(s, key)] not in rng:
+                raise ConfigError(
+                    f"{s}.{key} = {raw[(s, key)]!r}: must be one of {', '.join(rng)}"
+                )
+        elif isinstance(rng, int):
             if _read(raw, s, key, int) < rng:
                 raise ConfigError(f"{s}.{key} = {raw[(s, key)]!r}: must be at least {rng}")
         elif raw.get((s, key), "").strip():  # r0 and scale_grid may be left empty
@@ -419,11 +421,7 @@ class ResultStore:
 
 def _quad_for(cfg: RunConfig, pair: str) -> Quadrature:
     pot = cfg.model.scaled_potential(pair)
-    return Quadrature.for_potential(
-        pot,
-        n=cfg.int("numerics", "radial_nodes"),
-        n_momentum=cfg.int("numerics", "momentum_nodes"),
-    )
+    return Quadrature.for_potential(pot, n=cfg.int("numerics", "radial_nodes"))
 
 
 def _grid_kw(cfg: RunConfig) -> dict:
@@ -451,21 +449,9 @@ def _open_out(args):
 def _cmd_two_body_threshold(cfg: RunConfig, args, out) -> int:
     pair = args.pair
     pot = cfg.model.scaled_potential(pair)
-    quad = _quad_for(cfg, pair)
-    tol = args.tol if args.tol is not None else cfg.float("numerics", "threshold_tol")
-    if not 0 < tol < math.inf:
-        raise ConfigError("--tol must be positive and finite")
-    lam = tb.critical_coupling(pot, quad, tol=tol)
-    rows = [
-        {
-            "potential": pot.kind,
-            "depth": pot.depth,
-            "range": pot.range,
-            "lambda_star": lam,
-            "tol": tol,
-        }
-    ]
-    emit_csv(rows, ["potential", "depth", "range", "lambda_star", "tol"], out)
+    lam = tb.critical_coupling(pot, _quad_for(cfg, pair))
+    rows = [{"potential": pot.kind, "depth": pot.depth, "range": pot.range, "lambda_star": lam}]
+    emit_csv(rows, ["potential", "depth", "range", "lambda_star"], out)
     return EXIT_OK
 
 
@@ -719,14 +705,13 @@ def _cmd_validate_config(cfg: RunConfig, args, out) -> int:
 _OPTIONS = {
     "pair": dict(default="12", choices=list(PAIRS)),
     "k": dict(default=None),
-    "tol": dict(type=float, default=None),
     "store": dict(default=None, help="JSONL result store for resumable sweeps"),
     "scenario": dict(default=None, choices=[s.value for s in ex.Scenario]),
 }
 
 # (group, command) -> (handler, *the _OPTIONS it adds); validate-config has no command
 _SUBCOMMANDS = {
-    ("two-body", "threshold"): (_cmd_two_body_threshold, "pair", "tol"),
+    ("two-body", "threshold"): (_cmd_two_body_threshold, "pair"),
     ("two-body", "mu-curve"): (_cmd_two_body_mu_curve, "pair", "k"),
     ("two-body", "classify"): (_cmd_two_body_classify,),
     ("two-body", "w-probe"): (_cmd_two_body_w_probe, "pair"),
@@ -796,7 +781,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ex.PathPointUnboundError,
         ex.PairDriftError,
         fd.PairThresholdError,
-        fd.AngleQuadratureError,
         tb.IntegrationUnderresolvedError,
         tb.NotAtThresholdError,
         tb.ResonanceWindowError,

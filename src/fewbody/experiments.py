@@ -21,6 +21,8 @@ from . import twobody as tb
 from . import variational as vr
 
 EPS_NUM = 1e-8  # energies above -EPS_NUM count as "no bound state"
+# cross_validate scans the couplings over this span times the variational threshold
+_SCAN_SPAN = (0.85, 1.15)
 
 
 class BracketInvalidError(ValueError):
@@ -128,7 +130,6 @@ def spreading_dichotomy(
     floor: float = 0.25,
     ceiling_factor: float = 0.1,
     scale_bracket: tuple[float, float] = (0.5, 1.5),
-    quad: Optional[Quadrature] = None,
 ) -> DichotomyReport:
     """P(R0) along a coupling path whose ground energy rises to the threshold.
 
@@ -144,8 +145,7 @@ def spreading_dichotomy(
     targets = sorted((abs(t) * depth for t in energy_targets), reverse=True)
     if r0 is None:
         r0 = 10.0 * model.max_range()
-    if quad is None:
-        quad = Quadrature.build(r_max=12.0 * model.max_range())
+    quad = Quadrature.build(r_max=12.0 * model.max_range())
 
     if scenario is Scenario.NO_PAIR_RESONANCE:
         knob, bracket = "scale", scale_bracket
@@ -216,11 +216,9 @@ def efimov_scan(
     model: ModelSpec,
     basis: vr.GaussianBasis,
     resonance_tol: float = 1e-4,
-    quad: Optional[Quadrature] = None,
 ) -> EfimovScan:
     """Negative-energy levels with (at least) two pairs at their thresholds."""
-    if quad is None:
-        quad = Quadrature.build(r_max=12.0 * model.max_range())
+    quad = Quadrature.build(r_max=12.0 * model.max_range())
     resonant = 0
     for pair in PAIRS:
         lam = model.couplings.get(pair)
@@ -301,7 +299,6 @@ def cross_validate(
     basis: vr.GaussianBasis,
     scale_bracket: tuple[float, float] = (0.5, 1.0),
     n_grid: int = 10,
-    grid_span: tuple[float, float] = (0.85, 1.15),
     z_pair: tuple[float, float] = (1e-2, 1e-3),
     **grid_kw,
 ) -> CrossValidationReport:
@@ -320,7 +317,8 @@ def cross_validate(
     """
     hm = vr.hamiltonian_matrices(model, basis)
     s_var = _knob_at_level(hm, model, "scale", scale_bracket, -EPS_NUM)
-    scales = [float(s) for s in np.linspace(grid_span[0] * s_var, grid_span[1] * s_var, n_grid)]
+    lo, hi = _SCAN_SPAN
+    scales = [float(s) for s in np.linspace(lo * s_var, hi * s_var, n_grid)]
     energies = [hm.ground(model.couplings.scaled(s)).energy for s in scales]
     del hm  # the N x N matrices are not needed while the block operators live
 

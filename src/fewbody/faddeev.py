@@ -62,6 +62,7 @@ from .model import (
     Quadrature,
     _gauss_legendre_panels,
     kernel_constants,
+    kinematic_rotation,
 )
 from . import twobody
 
@@ -70,49 +71,10 @@ class PairThresholdError(RuntimeError):
     """A pair sits at or above its coupling threshold; the resolvent series diverges."""
 
 
-class AngleQuadratureError(RuntimeError):
-    """Doubling the angle rule moved a block norm beyond tolerance."""
-
-
 def t_function(p):
     """Momentum cutoff profile: sqrt(p) - 1 inside the unit ball, zero outside."""
     p = np.asarray(p, dtype=float)
     return np.where(p <= 1.0, np.sqrt(p) - 1.0, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# kinematic rotations between pair frames
-
-
-def _frame_matrix(masses: MassSet, pair: str) -> np.ndarray:
-    """Rows of (x_pair, y_pair) in the basis (r2-r1, r3-r1)."""
-    m1, m2, m3 = masses.masses
-    mu = masses.mu(pair)
-    bm = masses.big_m(pair)
-    sx, sy = math.sqrt(2.0 * mu), math.sqrt(2.0 * bm)
-    if pair == "12":
-        return np.array([[sx, 0.0], [-sy * m2 / (m1 + m2), sy]])
-    if pair == "13":
-        return np.array([[0.0, sx], [sy, -sy * m3 / (m1 + m3)]])
-    if pair == "23":
-        return np.array([[-sx, sx], [-sy * m2 / (m2 + m3), -sy * m3 / (m2 + m3)]])
-    raise ValueError(f"unknown pair {pair!r}")
-
-
-def kinematic_rotation(masses: MassSet, row_pair: str, col_pair: str) -> np.ndarray:
-    """2x2 orthogonal map taking row-frame (x, y) to col-frame (x, y)."""
-    R = _frame_matrix(masses, col_pair) @ np.linalg.inv(_frame_matrix(masses, row_pair))
-    if np.max(np.abs(R @ R.T - np.eye(2))) > 1e-12:
-        raise AssertionError("kinematic rotation lost orthogonality")
-    return R
-
-
-def pair_separation_coeffs(masses: MassSet, pair: str, frame_pair: str = "12"):
-    """(P, Q) with physical pair separation = P*x + Q*y in the frame_pair coordinates."""
-    inv = np.linalg.inv(_frame_matrix(masses, frame_pair))
-    u0, v0 = inv[0], inv[1]  # rows: coefficients of (x, y) in r2-r1 and r3-r1
-    sep = {"12": u0, "13": v0, "23": v0 - u0}[pair]
-    return float(sep[0]), float(sep[1])
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +169,6 @@ def assemble_offdiagonal_block(
     grid_row: MixedGrid,
     grid_col: MixedGrid,
     n_angle: int = 32,
-    check_angle_resolution: bool = False,
 ) -> np.ndarray:
     """Cross-frame coupling block, shape (n_p*n_x of row, n_p*n_x of col).
 
@@ -230,37 +191,25 @@ def assemble_offdiagonal_block(
         grid_row.x_quad.nodes, grid_col.x_quad.nodes
     )
 
-    def build(nu_angle: int) -> np.ndarray:
-        u, wu = np.polynomial.legendre.leggauss(nu_angle)
-        p = grid_row.p_nodes
-        q = grid_col.p_nodes
-        P = p[:, None, None]
-        Q = q[None, :, None]
-        U = u[None, None, :]
-        nu2 = (a * a * P**2 + Q**2 - 2.0 * d * P * Q * U) / (b * b)
-        D2 = (P**2 + Q**2 - 2.0 * d * P * Q * U) / (b * b) + z * z
-        nu = np.sqrt(np.maximum(nu2, 0.0))
-        r = grid_row.x_quad.nodes
-        s = grid_col.x_quad.nodes
-        # sin(nu r)/nu and sin(m s)/m, stable at vanishing wave numbers
-        SR = r[None, None, None, :] * np.sinc(nu[..., None] * r[None, None, None, :] / np.pi)
-        if mirrored:
-            SC = SR.transpose(1, 0, 2, 3)
-        else:
-            m2 = (a * a * Q**2 + P**2 - 2.0 * d * P * Q * U) / (b * b)
-            m = np.sqrt(np.maximum(m2, 0.0))
-            SC = s[None, None, None, :] * np.sinc(m[..., None] * s[None, None, None, :] / np.pi)
-        coef = (P * Q / (np.pi * abs(b) ** 3)) * wu[None, None, :] / D2
-        T = np.einsum("pqur,pqus,pqu->prqs", SR, SC, coef, optimize=True)
-        return T
-
-    T = build(n_angle)
-    if check_angle_resolution:
-        T2 = build(2 * n_angle)
-        scale = max(np.max(np.abs(T2)), 1e-300)
-        if np.max(np.abs(T - T2)) / scale > 1e-4:
-            raise AngleQuadratureError("angle rule under-resolves the rotation kernel")
-        T = T2
+    u, wu = np.polynomial.legendre.leggauss(n_angle)
+    P = grid_row.p_nodes[:, None, None]
+    Q = grid_col.p_nodes[None, :, None]
+    U = u[None, None, :]
+    nu2 = (a * a * P**2 + Q**2 - 2.0 * d * P * Q * U) / (b * b)
+    D2 = (P**2 + Q**2 - 2.0 * d * P * Q * U) / (b * b) + z * z
+    nu = np.sqrt(np.maximum(nu2, 0.0))
+    r = grid_row.x_quad.nodes
+    s = grid_col.x_quad.nodes
+    # sin(nu r)/nu and sin(m s)/m, stable at vanishing wave numbers
+    SR = r[None, None, None, :] * np.sinc(nu[..., None] * r[None, None, None, :] / np.pi)
+    if mirrored:
+        SC = SR.transpose(1, 0, 2, 3)
+    else:
+        m2 = (a * a * Q**2 + P**2 - 2.0 * d * P * Q * U) / (b * b)
+        m = np.sqrt(np.maximum(m2, 0.0))
+        SC = s[None, None, None, :] * np.sinc(m[..., None] * s[None, None, None, :] / np.pi)
+    coef = (P * Q / (np.pi * abs(b) ** 3)) * wu[None, None, :] / D2
+    T = np.einsum("pqur,pqus,pqu->prqs", SR, SC, coef, optimize=True)
 
     row_fold = np.sqrt(
         grid_row.p_weights[:, None]
@@ -466,40 +415,43 @@ def _exchange(op: BlockOperator, v: np.ndarray) -> np.ndarray:
 
 # Lanczos subspace of the symmetric solves: the top level is well separated,
 # so a small subspace restarts cheaply (Lehoucq, Sorensen & Yang, ARPACK
-# Users' Guide, 1998).
+# Users' Guide, 1998).  The same tolerance and iteration cap stop the power
+# iteration that takes over when ARPACK does not converge.
 _LANCZOS_NCV = 6
+_LANCZOS_TOL = 1e-10
+_LANCZOS_MAXITER = 2000
 
 
-def _top_eigenpair(n: int, matvec, tol: float = 1e-10, maxiter: int = 2000):
+def _top_eigenpair(n: int, matvec):
     """(|eigenvalue|, unit eigenvector) of largest magnitude of a symmetric map on R^n.
 
     A symmetric Lanczos solve (eigsh) from the all-ones vector; if ARPACK
     does not converge, power iteration on the same map takes over and stops
-    once the Rayleigh-quotient residual is below tol times the eigenvalue.
+    once the Rayleigh-quotient residual is below _LANCZOS_TOL times the
+    eigenvalue.
     """
     v0 = np.ones(n)
     lin = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=float)
     try:
         vals, vecs = scipy.sparse.linalg.eigsh(
-            lin, k=1, which="LM", v0=v0, ncv=_LANCZOS_NCV, maxiter=maxiter, tol=tol
+            lin, k=1, which="LM", v0=v0, ncv=_LANCZOS_NCV, maxiter=_LANCZOS_MAXITER,
+            tol=_LANCZOS_TOL,
         )
         return float(abs(vals[0])), vecs[:, 0]
     except scipy.sparse.linalg.ArpackNoConvergence:
         vec = v0 / np.linalg.norm(v0)
         theta = 0.0
-        for _ in range(maxiter):
+        for _ in range(_LANCZOS_MAXITER):
             w = matvec(vec)
             theta = float(vec @ w)
             nrm = np.linalg.norm(w)
-            if nrm == 0.0 or np.linalg.norm(w - theta * vec) <= tol * abs(theta):
+            if nrm == 0.0 or np.linalg.norm(w - theta * vec) <= _LANCZOS_TOL * abs(theta):
                 break
             vec = w / nrm
         return abs(theta), vec
 
 
-def faddeev_solve(
-    op: BlockOperator, tol: float = 1e-10, maxiter: int = 2000, scale: float = 1.0
-) -> FaddeevSolution:
+def faddeev_solve(op: BlockOperator, scale: float = 1.0) -> FaddeevSolution:
     """Principal eigenvalue of the component iteration map.
 
     The map sends the stacked components phi_row to
@@ -536,8 +488,7 @@ def faddeev_solve(
         half.update(dict.fromkeys(group, (vecs * c[:, None, :]) @ vecs.transpose(0, 2, 1)))
 
     radius, y = _top_eigenpair(
-        op.dim(), lambda y: _fibered(op, half, _exchange(op, _fibered(op, half, y))),
-        tol, maxiter,
+        op.dim(), lambda y: _fibered(op, half, _exchange(op, _fibered(op, half, y)))
     )
     vec = _fibered(op, half, y)
     vec /= np.linalg.norm(vec)
@@ -618,6 +569,11 @@ def bs_threshold_coupling(model: ModelSpec, z_pair=(1e-2, 1e-3), **grid_kw) -> f
 # ---------------------------------------------------------------------------
 # inequality suite
 
+# Additive slack of the sub-threshold bound rows, and of the continuity bound
+# for its discretization.
+_SUBTHRESHOLD_TOL = 1e-10
+_CONTINUITY_SLACK = 1e-6
+
 
 @dataclass(frozen=True)
 class HsNormResult:
@@ -682,25 +638,23 @@ def subthreshold_bound_check(
     epsilon: float,
     z_list: Sequence[float],
     quad: Quadrature,
-    tol: float = 1e-10,
-    strict: bool = False,
 ) -> SubthresholdReport:
     """coupling * |pair resolvent-sandwich norm| <= 1 - eps/(coupling+eps) per z.
 
     The 3-body diagonal block norm is the small-momentum fiber, i.e. the
     2-body norm at k = z.  With a resonant or bound pair the margin
     precondition fails and rows report the saturation instead of passing.
+    A row passes within _SUBTHRESHOLD_TOL of its bound.
     """
     cls = twobody.classify_pair(pot, coupling, quad, epsilon)
     pre = cls.category == twobody.PairClass.UNBOUND_WITH_MARGIN or coupling == 0.0
-    if strict and not pre:
-        raise PairThresholdError(f"pair classified {cls.category.value}, margin precondition fails")
     delta = epsilon / (coupling + epsilon) if coupling + epsilon > 0 else 0.0
     rows = []
     for z in z_list:
         lhs = coupling * twobody.mu_max(pot, 1.0, z, quad) if coupling > 0 else 0.0
         rhs = 1.0 - delta
-        rows.append(SubthresholdRow(z=float(z), lhs=lhs, rhs=rhs, passed=lhs <= rhs + tol))
+        passed = lhs <= rhs + _SUBTHRESHOLD_TOL
+        rows.append(SubthresholdRow(z=float(z), lhs=lhs, rhs=rhs, passed=passed))
     return SubthresholdReport(precondition_met=pre, delta=delta, rows=tuple(rows))
 
 
@@ -719,7 +673,6 @@ def continuity_modulus_check(
     col_pair: str,
     z_pairs: Sequence[tuple[float, float]],
     quad: Quadrature,
-    slack: float = 1e-6,
     **grid_kw,
 ) -> list[ContinuityRow]:
     """Norm continuity in z of the coupling-free block against the volume-constant bound."""
@@ -755,7 +708,7 @@ def continuity_modulus_check(
             b1 = assemble_offdiagonal_block(model.masses, row_pair, col_pair, z=z1, **kw)
             b2 = assemble_offdiagonal_block(model.masses, row_pair, col_pair, z=z2, **kw)
             norm_diff = float(np.linalg.norm(b1 - b2, 2))
-        bound = ell * math.sqrt(abs(z2 * z2 - z1 * z1)) + slack
+        bound = ell * math.sqrt(abs(z2 * z2 - z1 * z1)) + _CONTINUITY_SLACK
         rows.append(
             ContinuityRow(
                 z1=float(z1),
@@ -813,20 +766,14 @@ class LogDivergenceResult:
         return bool(np.all(self.j_values >= self.lower_bounds * (1.0 - 1e-9)))
 
 
-def j_epsilon_divergence(
-    g,
-    eps0: float,
-    z_list: Sequence[float],
-    r_max: float = 40.0,
-    n_r: int = 400,
-) -> LogDivergenceResult:
+def j_epsilon_divergence(g, eps0: float, z_list: Sequence[float]) -> LogDivergenceResult:
     """Small-momentum weighted mass of a non-negative radial g against (p^2+z^2)^{-3/2}.
 
     Returns the sampled integral J(z), its proven lower bound per z, and the
-    linear fit of J against log(1/z) (the divergence is logarithmic).
+    linear fit of J against log(1/z) (the divergence is logarithmic).  g is
+    sampled on 400 Gauss-Legendre nodes over (0, 40].
     """
-    edges = [0.0, 0.25 * r_max, 0.5 * r_max, r_max]
-    r, wr, _ = _gauss_legendre_panels(edges, [n_r // 2, n_r // 4, n_r // 4])
+    r, wr, _ = _gauss_legendre_panels([0.0, 10.0, 20.0, 40.0], [200, 100, 100])
     gr = np.asarray(g(r), dtype=float)
     if np.any(gr < 0):
         raise ValueError("g must be non-negative")

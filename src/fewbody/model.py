@@ -1,4 +1,5 @@
-"""Problem definitions: pair potentials, masses, Jacobi frames, couplings, grids.
+"""Problem definitions: pair potentials, masses, Jacobi frames and the rotations
+between them, couplings, grids.
 
 Units: hbar = 1 and every pair problem is expressed in mass-scaled Jacobi
 coordinates, so the free operator is a bare Laplacian and all mass dependence
@@ -26,7 +27,7 @@ _POTENTIAL_KINDS = ("gaussian", "exponential", "square_well", "tabulated")
 
 
 class QuadratureUnderresolvedError(RuntimeError):
-    """Doubling the node count moved a reported constant by more than tol."""
+    """Doubling the node count moved a reported constant by more than _DOUBLING_TOL."""
 
 
 class ZeroPotentialError(ValueError):
@@ -150,6 +151,41 @@ def make_jacobi_frame(masses: MassSet, pair: str) -> JacobiFrame:
     return JacobiFrame(pair=pair, alpha=alpha, beta=beta, gamma=gamma)
 
 
+# ---------------------------------------------------------------------------
+# kinematic rotations between pair frames
+
+
+def _frame_matrix(masses: MassSet, pair: str) -> np.ndarray:
+    """Rows of (x_pair, y_pair) in the basis (r2-r1, r3-r1)."""
+    m1, m2, m3 = masses.masses
+    mu = masses.mu(pair)
+    bm = masses.big_m(pair)
+    sx, sy = math.sqrt(2.0 * mu), math.sqrt(2.0 * bm)
+    if pair == "12":
+        return np.array([[sx, 0.0], [-sy * m2 / (m1 + m2), sy]])
+    if pair == "13":
+        return np.array([[0.0, sx], [sy, -sy * m3 / (m1 + m3)]])
+    if pair == "23":
+        return np.array([[-sx, sx], [-sy * m2 / (m2 + m3), -sy * m3 / (m2 + m3)]])
+    raise ValueError(f"unknown pair {pair!r}")
+
+
+def kinematic_rotation(masses: MassSet, row_pair: str, col_pair: str) -> np.ndarray:
+    """2x2 orthogonal map taking row-frame (x, y) to col-frame (x, y)."""
+    R = _frame_matrix(masses, col_pair) @ np.linalg.inv(_frame_matrix(masses, row_pair))
+    if np.max(np.abs(R @ R.T - np.eye(2))) > 1e-12:
+        raise AssertionError("kinematic rotation lost orthogonality")
+    return R
+
+
+def pair_separation_coeffs(masses: MassSet, pair: str):
+    """(P, Q) with physical pair separation = P*x + Q*y in the (12)-frame coordinates."""
+    inv = np.linalg.inv(_frame_matrix(masses, "12"))
+    u0, v0 = inv[0], inv[1]  # rows: coefficients of (x, y) in r2-r1 and r3-r1
+    sep = {"12": u0, "13": v0, "23": v0 - u0}[pair]
+    return float(sep[0]), float(sep[1])
+
+
 @dataclass(frozen=True)
 class CouplingConfig:
     lambda12: float = 0.0
@@ -217,7 +253,6 @@ class ModelSpec:
 class KernelConstants:
     c: float
     c_prime: float
-    c_dprime: float
     c_tilde: float
 
 
@@ -248,21 +283,16 @@ def _split_counts(n: int, fractions: Sequence[float]) -> tuple[int, ...]:
 
 @dataclass(frozen=True, eq=False)
 class Quadrature:
-    """Composite Gauss-Legendre grids: radial on (0, r_max], momentum on (0, p_max].
+    """Composite Gauss-Legendre grid on the radial interval (0, r_max].
 
-    Panel edges sit at potential-range multiples (and at |p| = 1 on the
-    momentum side) so that well discontinuities and the momentum cutoff are
-    never straddled by a panel.
+    Panel edges sit at potential-range multiples so that well discontinuities
+    are never straddled by a panel.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
     panels: tuple
     r_max: float
-    momentum_nodes: np.ndarray
-    momentum_weights: np.ndarray
-    momentum_panels: tuple
-    p_max: float
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -281,51 +311,23 @@ class Quadrature:
         r_max: float,
         n: int = 64,
         edges: Optional[Sequence[float]] = None,
-        p_max: float = 4.0,
-        n_momentum: int = 64,
-        momentum_edges: Optional[Sequence[float]] = None,
     ) -> "Quadrature":
         if edges is None:
             unit = r_max / 12.0
             edges = [0.0, unit, 2 * unit, 4 * unit, 8 * unit, r_max]
         counts = _split_counts(n, _default_fractions(len(edges) - 1))
         nodes, weights, panels = _gauss_legendre_panels(edges, counts)
-        if momentum_edges is None:
-            momentum_edges = [0.0, 0.25, 1.0, 2.0, p_max]
-        mcounts = _split_counts(n_momentum, _default_fractions(len(momentum_edges) - 1))
-        mn, mw, mp = _gauss_legendre_panels(momentum_edges, mcounts)
-        return cls(
-            nodes=nodes,
-            weights=weights,
-            panels=panels,
-            r_max=float(r_max),
-            momentum_nodes=mn,
-            momentum_weights=mw,
-            momentum_panels=mp,
-            p_max=float(p_max),
-        )
+        return cls(nodes=nodes, weights=weights, panels=panels, r_max=float(r_max))
 
     @classmethod
-    def for_potential(cls, pot: PotentialSpec, n: int = 64, **kw) -> "Quadrature":
-        return cls.build(r_max=12.0 * pot.range, n=n, **kw)
+    def for_potential(cls, pot: PotentialSpec, n: int = 64) -> "Quadrature":
+        return cls.build(r_max=12.0 * pot.range, n=n)
 
     def doubled(self) -> "Quadrature":
         edges = [self.panels[0][0]] + [p[1] for p in self.panels]
         counts = [2 * (hi - lo) for (_, _, lo, hi) in self.panels]
         nodes, weights, panels = _gauss_legendre_panels(edges, counts)
-        medges = [self.momentum_panels[0][0]] + [p[1] for p in self.momentum_panels]
-        mcounts = [2 * (hi - lo) for (_, _, lo, hi) in self.momentum_panels]
-        mn, mw, mp = _gauss_legendre_panels(medges, mcounts)
-        return Quadrature(
-            nodes=nodes,
-            weights=weights,
-            panels=panels,
-            r_max=self.r_max,
-            momentum_nodes=mn,
-            momentum_weights=mw,
-            momentum_panels=mp,
-            p_max=self.p_max,
-        )
+        return Quadrature(nodes=nodes, weights=weights, panels=panels, r_max=self.r_max)
 
     def radial_integral(self, f: Callable) -> float:
         """4*pi * integral of f(r) r^2 dr over (0, r_max] -- a 3D volume integral."""
@@ -342,25 +344,26 @@ def _default_fractions(n_panels: int) -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 # kernel constants
 
+# Relative change of c or c~ under grid doubling above which the grid counts
+# as under-resolved.
+_DOUBLING_TOL = 1e-6
+
 
 def kernel_constants(
     pot12: PotentialSpec,
     pot23: PotentialSpec,
     frame: JacobiFrame,
     quad: Quadrature,
-    tol: float = 1e-6,
 ) -> KernelConstants:
-    """Volume/momentum constants of the pair kernels.
+    """Volume constants of the pair kernels.
 
     c   : volume integral of the (12) well over the scaled internal coordinate,
     c'  : volume integral of exp(-2|x|)/|x|^2 (model independent),
-    c'' : sup over the momentum grid of (t(p)+1)^2/|p|,
     c~  : Plancherel norm of the Fourier transform of sqrt(V23), folded with gamma.
 
     Raises QuadratureUnderresolvedError if doubling the grid moves c or c~ by
-    more than tol relative.
+    more than _DOUBLING_TOL relative.
     """
-    from .faddeev import t_function  # deferred: faddeev imports model at top level
 
     def _c(q: Quadrature) -> float:
         return q.radial_integral(lambda r: pot12.value(frame.alpha * r))
@@ -371,18 +374,14 @@ def kernel_constants(
     c, c2 = _c(quad), _c(quad.doubled())
     ct, ct2 = _c_tilde(quad), _c_tilde(quad.doubled())
     for a, b in ((c, c2), (ct, ct2)):
-        if abs(a - b) > tol * max(abs(b), 1e-300):
+        if abs(a - b) > _DOUBLING_TOL * max(abs(b), 1e-300):
             raise QuadratureUnderresolvedError(
-                f"constant moved {abs(a - b):.3e} (> {tol:.1e} rel) on doubling"
+                f"constant moved {abs(a - b):.3e} (> {_DOUBLING_TOL:.1e} rel) on doubling"
             )
 
     cp_quad = Quadrature.build(r_max=24.0, n=64)
     c_prime = cp_quad.radial_integral(lambda r: np.exp(-2.0 * r) / r**2)
-
-    p = quad.momentum_nodes
-    c_dprime = float(np.max((t_function(p) + 1.0) ** 2 / p))
-
-    return KernelConstants(c=c2, c_prime=c_prime, c_dprime=c_dprime, c_tilde=ct2)
+    return KernelConstants(c=c2, c_prime=c_prime, c_tilde=ct2)
 
 
 # ---------------------------------------------------------------------------
@@ -405,25 +404,21 @@ class ValidationReport:
         return all(c.passed for c in self.checks)
 
 
-def minimal_envelope_b1(pot: PotentialSpec, b2: float, r_max: Optional[float] = None) -> float:
-    """Smallest b1 such that V(r) <= b1*exp(-b2*r) on a dense grid."""
+def minimal_envelope_b1(pot: PotentialSpec, b2: float) -> float:
+    """Smallest b1 such that V(r) <= b1*exp(-b2*r) on a dense grid to 16 ranges."""
     if b2 <= 0:
         raise ValueError("b2 must be positive")
-    r_max = r_max if r_max is not None else 16.0 * pot.range
-    r = np.linspace(0.0, r_max, 20001)
+    r = np.linspace(0.0, 16.0 * pot.range, 20001)
     return float(np.max(pot.value(r) * np.exp(b2 * r)))
 
 
-def validate_requirements(
-    model: ModelSpec, envelopes: tuple[float, float], quad: Optional[Quadrature] = None
-) -> ValidationReport:
+def validate_requirements(model: ModelSpec, envelopes: tuple[float, float]) -> ValidationReport:
     """Data-checkable requirement report: sign, envelope, integrability, V23 != 0.
 
     Failures are report entries, never exceptions.
     """
     b1, b2 = envelopes
-    if quad is None:
-        quad = Quadrature.build(r_max=12.0 * model.max_range())
+    quad = Quadrature.build(r_max=12.0 * model.max_range())
     checks: list[RequirementCheck] = []
 
     for pair in PAIRS:

@@ -29,6 +29,17 @@ from scipy.optimize import brentq
 from .model import PotentialSpec, Quadrature, ZeroPotentialError
 
 K_ZERO_CUTOFF = 1e-12
+# Top-gap below which a principal eigenpair is flagged degenerate.
+_DEGENERACY_TOL = 1e-10
+# Distance of mu(0) from one beyond which a coupling is not at its threshold.
+_THRESHOLD_TOL = 1e-8
+# Least distance of the second eigenvalue below one in the W probe.
+_GAP_TOL = 1e-3
+# DOP853 tolerances of the radial shooting integration, and Brent's absolute
+# tolerance on the shooting ground energy.
+_SHOOTING_RTOL = 1e-11
+_SHOOTING_ATOL = 1e-14
+_SHOOTING_XTOL = 1e-11
 
 
 class NotAtThresholdError(ValueError):
@@ -194,7 +205,7 @@ class EigenPair:
     residual: float
 
 
-def principal_eigenpair(op: BSOperator, degeneracy_tol: float = 1e-10) -> EigenPair:
+def principal_eigenpair(op: BSOperator) -> EigenPair:
     """Largest eigenvalue with its Perron (sign-fixed, non-negative) eigenvector."""
     vals, vecs = np.linalg.eigh(op.matrix)
     mu = float(vals[-1])
@@ -204,7 +215,7 @@ def principal_eigenpair(op: BSOperator, degeneracy_tol: float = 1e-10) -> EigenP
     gap = float(vals[-1] - vals[-2]) if vals.size > 1 else 0.0
     residual = float(np.linalg.norm(op.matrix @ phi - mu * phi))
     return EigenPair(
-        mu=mu, phi=phi, gap=gap, degenerate=gap < degeneracy_tol, residual=residual
+        mu=mu, phi=phi, gap=gap, degenerate=gap < _DEGENERACY_TOL, residual=residual
     )
 
 
@@ -212,7 +223,7 @@ def mu_max(pot: PotentialSpec, coupling: float, k: float, quad: Quadrature) -> f
     return principal_eigenpair(assemble_bs(pot, coupling, k, quad)).mu
 
 
-def critical_coupling(pot: PotentialSpec, quad: Quadrature, tol: float = 1e-8) -> float:
+def critical_coupling(pot: PotentialSpec, quad: Quadrature) -> float:
     """Coupling at which the k = 0 principal eigenvalue reaches one.
 
     By linearity mu(lam, 0) = lam * mu(1, 0), so the root of mu - 1 is exact.
@@ -222,10 +233,7 @@ def critical_coupling(pot: PotentialSpec, quad: Quadrature, tol: float = 1e-8) -
     mu1 = mu_max(pot, 1.0, 0.0, quad)
     if mu1 <= 0:
         raise ZeroPotentialError("potential has vanishing volume on the grid")
-    lam = 1.0 / mu1
-    if abs(lam * mu1 - 1.0) > tol:
-        raise RuntimeError("threshold solve failed self-consistency")
-    return lam
+    return 1.0 / mu1
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,7 +258,6 @@ def resonance_coefficient(
     lambda_star: float,
     phi0: np.ndarray,
     quad: Quadrature,
-    tol: float = 1e-8,
 ) -> float:
     """Slope coefficient a = (phi0, sqrt(lam* V))^2 / (4 pi) in 3D normalization.
 
@@ -259,7 +266,7 @@ def resonance_coefficient(
     inner product through the s-wave reduction cancels the 4 pi.
     """
     mu = mu_max(pot, lambda_star, 0.0, quad)
-    if abs(mu - 1.0) > tol:
+    if abs(mu - 1.0) > _THRESHOLD_TOL:
         raise NotAtThresholdError(f"mu(0) = {mu} at coupling {lambda_star}")
     v = lambda_star * pot.value(quad.nodes)
     a = float(np.sum(np.sqrt(quad.weights * v) * phi0 * quad.nodes) ** 2)
@@ -268,12 +275,12 @@ def resonance_coefficient(
     return a
 
 
-def resonance_data(pot: PotentialSpec, quad: Quadrature, tol: float = 1e-8) -> ResonanceData:
-    lam = critical_coupling(pot, quad, tol=tol)
+def resonance_data(pot: PotentialSpec, quad: Quadrature) -> ResonanceData:
+    lam = critical_coupling(pot, quad)
     pair = principal_eigenpair(assemble_bs(pot, lam, 0.0, quad))
     phi0 = np.clip(pair.phi, 0.0, None)
     phi0 = phi0 / np.linalg.norm(phi0)
-    a = resonance_coefficient(pot, lam, phi0, quad, tol=max(tol, 1e-8))
+    a = resonance_coefficient(pot, lam, phi0, quad)
     return ResonanceData(lambda_star=lam, phi0=phi0, a_coefficient=a)
 
 
@@ -290,7 +297,6 @@ def w_decomposition_probe(
     res: ResonanceData,
     k_list: Sequence[float],
     quad: Quadrature,
-    gap_tol: float = 1e-3,
 ) -> list[WProbeRow]:
     """Split (1 - L(k))^-1 into the rank-one 1/(a k) singularity plus a remainder.
 
@@ -307,9 +313,9 @@ def w_decomposition_probe(
         op = assemble_bs(pot, res.lambda_star, k, quad)
         vals, vecs = np.linalg.eigh(op.matrix)
         mu1, mu2 = vals[-1], vals[-2]
-        if 1.0 - mu2 < gap_tol:
+        if 1.0 - mu2 < _GAP_TOL:
             raise ResonanceWindowError(
-                f"second eigenvalue {mu2} within {gap_tol} of 1 at k={k}"
+                f"second eigenvalue {mu2} within {_GAP_TOL} of 1 at k={k}"
             )
         w_norm = 1.0 / (1.0 - mu1)
         W = (vecs / (1.0 - vals)) @ vecs.T
@@ -333,8 +339,7 @@ def _segments(pot: PotentialSpec, r_max: float) -> list[float]:
     return sorted(pts)
 
 
-def _integrate_radial(pot: PotentialSpec, coupling: float, energy: float, r_max: float,
-                      rtol: float = 1e-11, atol: float = 1e-14):
+def _integrate_radial(pot: PotentialSpec, coupling: float, energy: float, r_max: float):
     """Outward solution of -u'' - coupling*V(r) u = E u with u(0)=0, u'(0)=1.
 
     Returns (u(r_max), u'(r_max), node_count).  Piecewise integration keeps
@@ -350,7 +355,8 @@ def _integrate_radial(pot: PotentialSpec, coupling: float, energy: float, r_max:
     for a, b in zip(segs[:-1], segs[1:]):
         a_in = max(a, 1e-14)
         sol = solve_ivp(
-            rhs, (a_in, b), y, method="DOP853", rtol=rtol, atol=atol, dense_output=True
+            rhs, (a_in, b), y, method="DOP853", rtol=_SHOOTING_RTOL, atol=_SHOOTING_ATOL,
+            dense_output=True,
         )
         if not sol.success:
             raise IntegrationUnderresolvedError(sol.message)
@@ -379,11 +385,7 @@ def _auto_r_max(pot: PotentialSpec, coupling: float, abs_energy: float) -> float
 
 
 @functools.lru_cache(maxsize=4096)
-def shooting_ground_energy(
-    pot: PotentialSpec,
-    coupling: float,
-    tol: float = 1e-11,
-) -> Optional[float]:
+def shooting_ground_energy(pot: PotentialSpec, coupling: float) -> Optional[float]:
     """Ground-state energy by outward shooting; None when no bound state exists.
 
     Node counting brackets the level, then the exterior log-derivative match
@@ -422,7 +424,7 @@ def shooting_ground_energy(
         flo, fhi = match(lo), match(hi)
         if flo * fhi > 0:
             raise IntegrationUnderresolvedError("log-derivative match lost the bracket")
-    e0 = brentq(match, lo, hi, xtol=tol, rtol=1e-15)
+    e0 = brentq(match, lo, hi, xtol=_SHOOTING_XTOL, rtol=1e-15)
     return float(e0)
 
 

@@ -30,13 +30,17 @@ from scipy.special import i1e
 
 from .model import (
     _PAIR_INDEX, CouplingConfig, MassSet, ModelSpec, PAIRS, Quadrature, _gauss_legendre_panels,
+    kinematic_rotation, pair_separation_coeffs,
 )
-from .faddeev import kinematic_rotation, pair_separation_coeffs
 from . import twobody
 
 
 class IllConditionedBasisError(RuntimeError):
-    """Gram matrix unusable even after spectral-floor regularization."""
+    """Non-finite matrix elements, or a P(R) outside [0, 1] beyond its rounding estimate."""
+
+
+# Gram directions with eigenvalue below _GRAM_FLOOR times the largest are dropped.
+_GRAM_FLOOR = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,7 +282,6 @@ def potential_matrix(
     basis: GaussianBasis,
     model: ModelSpec,
     pair: str,
-    quad: Optional[Quadrature] = None,
     forms: Optional[PairForms] = None,
 ) -> np.ndarray:
     """<m| V_pair(|separation|) |n> without the coupling factor."""
@@ -288,8 +291,7 @@ def potential_matrix(
     S = forms.overlap
     if pot.kind == "gaussian":
         return S * pot.depth * (cb / (cb + 1.0 / pot.range**2)) ** 1.5
-    if quad is None:
-        quad = Quadrature.for_potential(pot)
+    quad = Quadrature.for_potential(pot)
     w, r = quad.weights, quad.nodes
     integrand = r * r * pot.value(r)
     dens = np.exp(-cb[..., None] * r[None, None, :] ** 2)
@@ -372,9 +374,7 @@ class HamiltonianMatrices:
         return float(1.0 / mu) if mu > 0 else math.inf
 
 
-def hamiltonian_matrices(
-    model: ModelSpec, basis: GaussianBasis, gram_floor: float = 1e-12
-) -> HamiltonianMatrices:
+def hamiltonian_matrices(model: ModelSpec, basis: GaussianBasis) -> HamiltonianMatrices:
     """Kinetic, overlap and pair-potential matrices plus the spectral-floor Gram reduction.
 
     None of them depends on the couplings, so a coupling scan or path builds
@@ -394,9 +394,8 @@ def hamiltonian_matrices(
     if not np.all(np.isfinite(S)):
         raise IllConditionedBasisError("non-finite matrix elements")
     vals, vecs = np.linalg.eigh(S)
-    keep = vals > gram_floor * vals[-1]
-    if not np.any(keep):
-        raise IllConditionedBasisError("Gram spectrum collapsed under the floor")
+    # S has unit diagonal, so vals[-1] >= 1 and the top direction is always kept
+    keep = vals > _GRAM_FLOOR * vals[-1]
     return HamiltonianMatrices(
         kinetic=kinetic,
         potentials=potentials,
@@ -406,13 +405,9 @@ def hamiltonian_matrices(
     )
 
 
-def solve_ground(
-    model: ModelSpec,
-    basis: GaussianBasis,
-    gram_floor: float = 1e-12,
-) -> GroundState:
+def solve_ground(model: ModelSpec, basis: GaussianBasis) -> GroundState:
     """Generalized symmetric eigensolve with spectral-floor Gram regularization."""
-    return hamiltonian_matrices(model, basis, gram_floor).ground(model.couplings)
+    return hamiltonian_matrices(model, basis).ground(model.couplings)
 
 
 def hvz_bottom(model: ModelSpec) -> float:

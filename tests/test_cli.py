@@ -104,6 +104,10 @@ class TestParseConfig:
         assert parse_config(a).config_hash() == parse_config(c).config_hash()
 
 
+# numerics keys that changed no number and were removed: naming one is a config error
+REMOVED_KEYS = {"momentum_nodes", "threshold_tol"}
+
+
 class TestConfigValues:
     # a key read at parse time and one read only by the subcommand alike
     @pytest.mark.parametrize("section,key,value", [
@@ -132,7 +136,9 @@ class TestConfigValues:
     ])
     def test_non_finite_exits_config(self, tmp_path, capsys, section, key, value):
         err = self.assert_config_error(tmp_path, capsys, section, key, value)
-        assert "not a finite number" in err
+        # a removed key is refused whatever its value
+        word = f"unknown key {section}.{key}" if key in REMOVED_KEYS else "not a finite number"
+        assert word in err
 
     @pytest.mark.parametrize("section,key,value,word", [
         ("experiment", "radii", "-5,10", "non-negative"),
@@ -153,7 +159,6 @@ class TestConfigValues:
         ("radial_nodes", "-4", 20),
         ("radial_nodes", "3", 20),
         ("faddeev_nodes", "14", 20),
-        ("momentum_nodes", "15", 16),
         ("p_per_panel", "0", 1),
         ("angle_nodes", "0", 1),
         ("basis.n_x", "0", 1),
@@ -165,10 +170,23 @@ class TestConfigValues:
         assert f"must be at least {least}" in err
 
     def test_integer_least_values_run(self, cfg_file, capsys):
-        cfg_file.write_text(FULL.replace("[numerics]\n", "[numerics]\nradial_nodes = 20\n"
-                                         "momentum_nodes = 16\n"))
+        cfg_file.write_text(FULL.replace("[numerics]\n", "[numerics]\nradial_nodes = 20\n"))
         assert main(["two-body", "threshold", "--config", str(cfg_file), "--quiet"]) == EXIT_OK
         assert capsys.readouterr().out.splitlines()[1].split(",")[3] == "2.684164730801585"
+
+    # a name read by one subcommand only is checked when the config is parsed
+    @pytest.mark.parametrize("key,value", [("vary_pair", "14"), ("scenario", "bogus")])
+    @pytest.mark.parametrize("command", [("three-body", "theta0"), ("three-body", "dichotomy"),
+                                         ("validate-config",)], ids=lambda c: c[-1])
+    def test_unknown_name_exits_config(self, tmp_path, capsys, key, value, command):
+        err = self.assert_config_error(tmp_path, capsys, "experiment", key, value,
+                                       command=command)
+        assert "must be one of" in err
+
+    @pytest.mark.parametrize("key", sorted(REMOVED_KEYS))
+    def test_removed_key_exits_config(self, tmp_path, capsys, key):
+        err = self.assert_config_error(tmp_path, capsys, "numerics", key, "64")
+        assert f"unknown key numerics.{key}" in err
 
     # k's range depends on the subcommand: mu-curve takes k = 0
     @pytest.mark.parametrize("command,value,word", [
@@ -225,10 +243,29 @@ class TestConfigValues:
 
 
 class TestOptions:
+    # two-body threshold was the one subcommand with --tol: it now prints no tol
+    # column and, like every other subcommand, takes no --tol
     def test_tol_only_on_two_body_threshold(self, cfg_file, capsys):
-        rc = main(["two-body", "threshold", "--config", str(cfg_file), "--quiet", "--tol", "1e-6"])
+        rc = main(["two-body", "threshold", "--config", str(cfg_file), "--quiet"])
         assert rc == EXIT_OK
-        assert capsys.readouterr().out.splitlines()[1].endswith(",9.9999999999999995e-07")
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "potential,depth,range,lambda_star"
+        assert len(lines[1].split(",")) == 4
+        with pytest.raises(SystemExit) as exc:
+            main(["two-body", "threshold", "--config", str(cfg_file), "--quiet", "--tol", "1e-6"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+    # no value of --tol, positive or not, is accepted, and nothing is printed
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    def test_tol_must_be_positive(self, cfg_file, capsys, tol):
+        with pytest.raises(SystemExit) as exc:
+            main(["two-body", "threshold", "--config", str(cfg_file), "--quiet", f"--tol={tol}"])
+        assert exc.value.code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments: --tol" in captured.err
+
+    def test_tol_is_not_an_option(self, cfg_file, capsys):
         for command in (["two-body", "mu-curve"], ["three-body", "theta0"], ["validate-config"]):
             with pytest.raises(SystemExit) as exc:
                 main([*command, "--config", str(cfg_file), "--quiet", "--tol", "1e-6"])
@@ -246,13 +283,6 @@ class TestOptions:
             main(["two-body", "threshold", "--config", str(cfg_file), "--quiet", "--k", "5"])
         assert exc.value.code == EXIT_CONFIG
         assert "unrecognized arguments: --k" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
-    def test_tol_must_be_positive(self, cfg_file, capsys, tol):
-        rc = main(["two-body", "threshold", "--config", str(cfg_file), "--quiet", f"--tol={tol}"])
-        assert rc == EXIT_CONFIG
-        captured = capsys.readouterr()
-        assert captured.out == "" and "--tol must be positive" in captured.err
 
     def test_threads_is_not_an_option(self, cfg_file, capsys):
         for command in (["three-body", "sweep"], ["two-body", "threshold"]):
@@ -343,7 +373,7 @@ class TestMainEntry:
         out2 = capsys.readouterr().out
         assert rc1 == rc2 == EXIT_OK
         assert out1 == out2
-        assert out1.startswith("potential,depth,range,lambda_star,tol")
+        assert out1.startswith("potential,depth,range,lambda_star\r\n")
 
     def test_config_error_exit(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
@@ -727,3 +757,35 @@ class TestDocumentedHeaders:
         assert lines[0] == header
         if command in self.HEADER_ONLY:
             assert lines == [header, ""]
+
+
+def documented_keys() -> dict:
+    """section -> the config keys its table in docs/config.md names.
+
+    A row names its keys in backticks in the first cell: `m1,m2,m3` is three
+    keys, `pair12.*` stands for the same key of every pair, and
+    `basis.scale_min_x/scale_max_x/n_x` replaces the last dotted part.
+    """
+    text = (Path(__file__).parents[1] / "docs" / "config.md").read_text()
+    keys = {}
+    for block in re.split(r"\n(?=## \[)", text)[1:]:
+        section = re.match(r"## \[(\w+)\]", block).group(1)
+        names = set()
+        for line in block.splitlines():
+            if not line.startswith("| `"):
+                continue
+            for name in re.findall(r"`([^`]+)`", line.split("|")[1]):
+                for key in name.split(","):
+                    head, *tails = key.split("/")
+                    prefix = head.rpartition(".")[0]
+                    for k in [head] + [f"{prefix}.{t}" for t in tails]:
+                        if k.startswith("pair12."):
+                            names |= {k.replace("pair12.", f"pair{p}.") for p in cli.PAIRS}
+                        else:
+                            names.add(k)
+        keys[section] = names
+    return keys
+
+
+def test_config_docs_name_every_parser_key():
+    assert documented_keys() == cli._SECTION_KEYS

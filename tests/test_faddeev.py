@@ -6,7 +6,9 @@ import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad as adaptive_quad
 
-from fewbody.model import MassSet, PotentialSpec, Quadrature, make_jacobi_frame
+from fewbody.model import (
+    MassSet, PotentialSpec, Quadrature, make_jacobi_frame, pair_separation_coeffs,
+)
 from fewbody import faddeev as fd
 from fewbody import twobody as tb
 from tests.conftest import GAUSS_LAMBDA_STAR, make_model, relabelled_models
@@ -47,11 +49,11 @@ class TestKinematics:
     def test_separation_coeffs_roundtrip(self):
         masses = MassSet(1.0, 2.0, 3.0)
         # the pair-12 separation in the 12 frame is just alpha * x
-        P, Q = fd.pair_separation_coeffs(masses, "12")
+        P, Q = pair_separation_coeffs(masses, "12")
         frame = make_jacobi_frame(masses, "12")
         assert np.isclose(P, frame.alpha) and abs(Q) < 1e-14
         # the 23 separation must have the beta/gamma magnitudes of its pair relation
-        P23, Q23 = fd.pair_separation_coeffs(masses, "23")
+        P23, Q23 = pair_separation_coeffs(masses, "23")
         assert np.isclose(abs(Q23), frame.gamma)
 
 
@@ -194,14 +196,21 @@ class TestOffDiagonalBlock:
         n1, n2 = np.linalg.norm(B1, 2), np.linalg.norm(B2, 2)
         assert abs(n1 - n2) / n1 < 1e-10
 
-    def test_angle_resolution_guard(self, gaussian_well):
-        masses = MassSet(1, 1, 1)
-        g = fd.build_mixed_grid(gaussian_well, 0.3, n_x=12, n_p_per_panel=4)
-        B = fd.assemble_offdiagonal_block(
-            masses, "12", "23", gaussian_well, gaussian_well, 1.0, 1.0, 0.3, g, g,
-            n_angle=32, check_angle_resolution=True,
+    @pytest.mark.parametrize("masses", [(1, 1, 1), (1, 2, 3)], ids=["equal", "unequal"])
+    def test_angle_rule_converged(self, gaussian_well, masses):
+        # the default 32-node angle rule against its doubling: agreement to 1e-4
+        # of the largest entry
+        masses = MassSet(*masses)
+        pr = gaussian_well.dilated(make_jacobi_frame(masses, "12").alpha)
+        pc = gaussian_well.dilated(make_jacobi_frame(masses, "23").alpha)
+        g_r = fd.build_mixed_grid(pr, 0.3, n_x=12, n_p_per_panel=4)
+        g_c = fd.build_mixed_grid(pc, 0.3, n_x=12, n_p_per_panel=4)
+        B32, B64 = (
+            fd.assemble_offdiagonal_block(masses, "12", "23", pr, pc, 1.0, 1.0, 0.3, g_r, g_c,
+                                          n_angle=n)
+            for n in (32, 64)
         )
-        assert np.all(np.isfinite(B))
+        assert np.max(np.abs(B32 - B64)) <= 1e-4 * np.max(np.abs(B64))
 
 
 class TestContinuityAndBounds:
@@ -246,12 +255,12 @@ class TestContinuityAndBounds:
         rep = fd.subthreshold_bound_check(square_well, 0.0, 0.2, [0.1], sw_quad)
         assert rep.passed
 
-    def test_subthreshold_strict_raises(self, square_well, sw_quad, sw_resonance):
-        with pytest.raises(fd.PairThresholdError):
-            fd.subthreshold_bound_check(
-                square_well, 2.0 * sw_resonance.lambda_star, 0.2, [0.1], sw_quad,
-                strict=True,
-            )
+    def test_subthreshold_bound_pair_fails_precondition(self, square_well, sw_quad,
+                                                        sw_resonance):
+        rep = fd.subthreshold_bound_check(
+            square_well, 2.0 * sw_resonance.lambda_star, 0.2, [0.1], sw_quad
+        )
+        assert not rep.precondition_met and not rep.passed
 
 
 class TestGreen6:

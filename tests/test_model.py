@@ -96,32 +96,27 @@ class TestQuadrature:
         assert np.all(np.diff(q.nodes) > 0)
         assert np.isclose(q.weights.sum(), 12.0, rtol=1e-12)
 
-    def test_momentum_edge_at_one(self):
-        q = Quadrature.build(r_max=12.0)
-        edges = [p[0] for p in q.momentum_panels] + [q.momentum_panels[-1][1]]
-        assert 1.0 in edges
-
     def test_doubling_convergence(self, gaussian_well, gauss_quad, equal_masses):
         frame = make_jacobi_frame(equal_masses, "12")
         kc1 = kernel_constants(gaussian_well, gaussian_well, frame, gauss_quad)
         kc2 = kernel_constants(gaussian_well, gaussian_well, frame, gauss_quad.doubled())
-        for f in ("c", "c_prime", "c_dprime", "c_tilde"):
+        for f in ("c", "c_prime", "c_tilde"):
             a, b = getattr(kc1, f), getattr(kc2, f)
             assert abs(a - b) <= 1e-6 * max(abs(b), 1e-30)
 
     def test_underresolved_raises(self, gaussian_well, equal_masses):
         frame = make_jacobi_frame(equal_masses, "12")
-        coarse = Quadrature.build(r_max=12.0, n=20, edges=[0.0, 12.0])
+        # 8 nodes on one panel: c moves by about 0.5 relative on doubling
+        coarse = Quadrature.build(r_max=12.0, n=8, edges=[0.0, 12.0])
         with pytest.raises(QuadratureUnderresolvedError):
-            kernel_constants(gaussian_well, gaussian_well, frame, coarse, tol=1e-12)
+            kernel_constants(gaussian_well, gaussian_well, frame, coarse)
 
 
 class TestKernelConstants:
-    def test_c_prime_and_c_dprime(self, square_well, gaussian_well, sw_quad, equal_masses):
+    def test_c_prime(self, square_well, gaussian_well, sw_quad, equal_masses):
         frame = make_jacobi_frame(equal_masses, "12")
         kc = kernel_constants(square_well, gaussian_well, frame, sw_quad)
         assert np.isclose(kc.c_prime, 2.0 * np.pi, rtol=1e-8)
-        assert np.isclose(kc.c_dprime, 1.0, rtol=1e-12)
 
     def test_c_zero_iff_zero_potential(self, gaussian_well, sw_quad, equal_masses):
         frame = make_jacobi_frame(equal_masses, "12")

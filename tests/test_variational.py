@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,10 +90,7 @@ class TestMatrixElements:
         b = vr.GaussianBasis(a=np.array([0.9]), b=np.array([0.6]), c=np.array([0.2]))
         V = vr.potential_matrix(b, model, "12")
         S = vr.overlap_matrix(b)
-        cb = vr.pair_width_matrix(
-            b, __import__("fewbody.faddeev", fromlist=["pair_separation_coeffs"])
-            .pair_separation_coeffs(equal_masses, "12"),
-        )[0, 0]
+        cb = vr.pair_width_matrix(b, vr.pair_separation_coeffs(equal_masses, "12"))[0, 0]
         R = square_well.range
         exact = erf(math.sqrt(cb) * R) - 2 * math.sqrt(cb / np.pi) * R * math.exp(-cb * R * R)
         assert np.isclose(V[0, 0] / S[0, 0], exact, rtol=1e-8)
@@ -203,9 +204,13 @@ class TestSolveGround:
             assert gs.energy == ref.energy
             assert np.array_equal(gs.coefficients, ref.coefficients)
 
-    def test_gram_floor_error(self, gauss_model_factory, small_basis):
-        with pytest.raises(vr.IllConditionedBasisError):
-            vr.solve_ground(gauss_model_factory(1.0), small_basis, gram_floor=2.0)
+    def test_non_finite_elements_raise(self, gauss_model_factory):
+        # widths 1e-110: det^1.5 underflows to zero, so the overlap pi^3/det^1.5 is inf
+        basis = vr.GaussianBasis(a=np.array([1e-110, 1.0]), b=np.array([1e-110, 1.0]),
+                                 c=np.zeros(2))
+        with np.errstate(all="ignore"), pytest.raises(vr.IllConditionedBasisError,
+                                                      match="non-finite"):
+            vr.solve_ground(gauss_model_factory(1.0), basis)
 
 
 class TestHvzBottom:
@@ -609,3 +614,13 @@ class TestProbabilityInside:
         monkeypatch.setattr(vr, "ball_overlap", inflated_ball)
         assert main(["three-body", "ground", "--config", str(cfg), "--quiet"]) == EXIT_NUMERIC
         assert "numeric failure" in capsys.readouterr().err
+
+
+def test_shares_no_module_with_the_coupled_solver():
+    # the two 3-body solvers share no code path: importing this one loads no faddeev
+    src = str(Path(__file__).parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, fewbody.variational; print(sorted(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True).stdout
+    assert "fewbody.variational" in out and "fewbody.faddeev" not in out
