@@ -26,6 +26,7 @@ from .model import (
     PAIRS,
     PotentialSpec,
     Quadrature,
+    QuadratureUnderresolvedError,
     RequirementCheck,
     validate_requirements,
 )
@@ -781,6 +782,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ex.PathPointUnboundError,
         ex.PairDriftError,
         fd.PairThresholdError,
+        QuadratureUnderresolvedError,
         tb.IntegrationUnderresolvedError,
         tb.NotAtThresholdError,
         tb.ResonanceWindowError,

@@ -133,6 +133,11 @@ def build_mixed_grid(
     n_p_per_panel: int = 6,
     p_max: float = 4.0,
 ) -> MixedGrid:
+    """Radial x grid of the pair well and the momentum panels of z.
+
+    The x grid has five radial panels and each takes at least 4 nodes, so it
+    holds max(n_x, 20) nodes: n_x = 16 builds 20.
+    """
     x_quad = Quadrature.for_potential(pot_scaled, n=n_x)
     edges = momentum_edges(z, p_max)
     counts = [n_p_per_panel] * (len(edges) - 1)

@@ -12,9 +12,10 @@ matrices of all radii come from one hyperradial pass per basis, with one
 integral per distinct eigenvalue pair of the pair forms (the ball is
 rotation invariant); a pair of frames-mode functions takes its eigenvalues
 from the two frame widths and the frame angle, so equal content in any
-frames is one integral.  Each state then costs one quadratic form.  A P(R)
-outside [0, 1] by more than its rounding estimate raises
-IllConditionedBasisError (CLI exit 3) instead of being clamped.
+frames is one integral.  The Bessel weight takes its power series at small
+arguments (w < 2) and scipy's i1e above.  Each state then costs one
+quadratic form.  A P(R) outside [0, 1] by more than its rounding estimate
+raises IllConditionedBasisError (CLI exit 3) instead of being clamped.
 """
 
 from __future__ import annotations
@@ -445,13 +446,65 @@ _CHUNK = 2048
 _ROUNDING_ULPS = 1024
 
 
-def _bessel_ratio_scaled(w: np.ndarray) -> np.ndarray:
-    """exp(-w) * I_1(w)/w for w >= 0; i1e stays exact through w ~ 1e20."""
-    w = np.asarray(w, dtype=float)
-    small = w < 1e-6
-    out = i1e(w) / np.where(small, 1.0, w)
-    out[small] = (0.5 + w[small] ** 2 / 16.0) * np.exp(-w[small])
-    return out
+# Below w = _SERIES_MAX, I_1(w)/w = sum_k u^k / (2 k! (k+1)!) with u = w^2/4
+# (DLMF 10.25.2): all terms positive, and the first omitted one is below 2^-56
+# of the sum at w = _SERIES_MAX.  From there up, scipy's i1e (exact through
+# w ~ 1e20).
+_SERIES_MAX = 2.0
+_SERIES = tuple(1.0 / (2.0 * math.factorial(k) * math.factorial(k + 1)) for k in range(12))
+
+
+def _series_kernel(gap, beta_min, rho2, out):
+    """out = exp(-(beta_min + gap) rho2) * I_1(w)/w by the power series, w = gap rho2."""
+    u = gap * rho2
+    u *= u
+    u *= 0.25
+    out[...] = _SERIES[-1]
+    for c in _SERIES[-2::-1]:
+        out *= u
+        out += c
+    np.multiply(-(beta_min + gap), rho2, out=u)
+    out *= np.exp(u, out=u)
+
+
+def _i1e_kernel(gap, beta_min, rho2, out):
+    """out = exp(-beta_min rho2) * [exp(-w) I_1(w)/w] by i1e, w = gap rho2 > 0."""
+    w = gap * rho2
+    i1e(w, out=out)
+    out /= w
+    np.multiply(-beta_min, rho2, out=w)
+    out *= np.exp(w, out=w)
+
+
+def _ball_kernel(gap: np.ndarray, beta_min: np.ndarray, rho2: np.ndarray) -> np.ndarray:
+    """exp(-beta_min rho2) * exp(-w) I_1(w)/w at w = gap rho2 >= 0, keys x nodes.
+
+    gap and beta_min are 1-D arrays of keys, rho2 the ascending squared
+    nodes.  An entry takes the series when gap * rho2 < _SERIES_MAX in
+    floating point and i1e otherwise, whatever the other keys.  That product
+    is monotone in gap and in rho2, so the nodes split into three bands:
+    series for every key up to where the largest gap reaches _SERIES_MAX,
+    i1e for every key from where the smallest does, and an elementwise
+    choice between.  Keys sorted by gap keep the middle band narrow; any
+    order gives the same entries.  The work runs node-major, so that each
+    band is one contiguous block; the result is copied back to key-major
+    order, in which the quadrature sums of an unchanged row keep their bits.
+    """
+    out = np.empty((rho2.size, gap.size))
+    r = rho2[:, None]
+    lo = np.searchsorted(gap.max() * rho2, _SERIES_MAX)
+    hi = np.searchsorted(gap.min() * rho2, _SERIES_MAX)
+    _series_kernel(gap, beta_min, r[:lo], out[:lo])
+    _i1e_kernel(gap, beta_min, r[hi:], out[hi:])
+    if hi > lo:
+        g, b, x = np.broadcast_arrays(gap, beta_min, r[lo:hi])
+        series = g * x < _SERIES_MAX
+        mid = out[lo:hi]
+        for kernel, sel in ((_series_kernel, series), (_i1e_kernel, ~series)):
+            part = np.empty(np.count_nonzero(sel))
+            kernel(g[sel], b[sel], x[sel], part)
+            mid[sel] = part
+    return np.ascontiguousarray(out.T)
 
 
 def _hyperradial_rule(beta_max: float, cuts: np.ndarray):
@@ -504,7 +557,8 @@ def ball_overlap(Ba, Bb, Bc2, R, frames: Optional[Frames] = None):
     pair_keys of the form (from the frames of a frames-mode basis, whose
     equal content is bit-equal whatever the frames): the quadrature runs
     once per bit-distinct key among the upper-triangle forms (the matrix is
-    symmetric) and is scattered back to every form that shares it.  A pair
+    symmetric) and is scattered back to every form that shares it.  The
+    keys run through _ball_kernel in blocks sorted by gap.  A pair
     whose Gaussian lies wholly inside the ball (beta_min R^2 >= 50) takes the
     closed-form overlap pi^3/det^{3/2} of its form instead, as overlap_matrix does.
     """
@@ -520,14 +574,13 @@ def ball_overlap(Ba, Bb, Bc2, R, frames: Optional[Frames] = None):
         cuts = np.unique(r[quad.any(axis=1), 0])
         rho, weights = _hyperradial_rule(float(np.max(beta_max[pairs])), cuts)
         rho2 = rho * rho
-        # (beta_min, gap) as one complex key: it sorts and compares as the pair
-        keys, inverse = np.unique(beta_min[pairs] + 1j * gap[pairs], return_inverse=True)
+        # (gap, beta_min) as one complex key: it compares as the pair and sorts
+        # by gap, so each block spans a narrow band of gaps
+        keys, inverse = np.unique(gap[pairs] + 1j * beta_min[pairs], return_inverse=True)
         acc = np.empty((keys.size, cuts.size))
         for s in range(0, keys.size, _CHUNK):
-            k = keys[s : s + _CHUNK, None]
-            # exp(-tr rho2) I1(w)/w = exp(-beta_min rho2) * [exp(-w) I1(w)/w]
-            f = _bessel_ratio_scaled(k.imag * rho2) * np.exp(-k.real * rho2)
-            acc[s : s + k.size] = f @ weights
+            k = keys[s : s + _CHUNK]
+            acc[s : s + k.size] = _ball_kernel(k.real, k.imag, rho2) @ weights
         acc = acc[inverse]
         col = np.minimum(np.searchsorted(cuts, r[:, 0]), cuts.size - 1)
         vals[:, pairs] = np.where(quad[:, pairs], 2.0 * np.pi**3 * acc[:, col].T, vals[:, pairs])

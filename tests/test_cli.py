@@ -174,6 +174,14 @@ class TestConfigValues:
         assert main(["two-body", "threshold", "--config", str(cfg_file), "--quiet"]) == EXIT_OK
         assert capsys.readouterr().out.splitlines()[1].split(",")[3] == "2.684164730801585"
 
+    def test_underresolved_radial_grid_exits_numeric(self, cfg_file, capsys):
+        # the least radial grid parses, but the kernel constants of bounds move
+        # on doubling it: a numeric failure, not a traceback
+        cfg_file.write_text(FULL.replace("[numerics]\n", "[numerics]\nradial_nodes = 20\n"))
+        assert main(["checks", "bounds", "--config", str(cfg_file), "--quiet"]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "numeric failure:" in err and "on doubling" in err
+
     # a name read by one subcommand only is checked when the config is parsed
     @pytest.mark.parametrize("key,value", [("vary_pair", "14"), ("scenario", "bogus")])
     @pytest.mark.parametrize("command", [("three-body", "theta0"), ("three-body", "dichotomy"),

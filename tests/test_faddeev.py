@@ -78,6 +78,13 @@ class TestDiagonalBlock:
         # operator norm of the diagonal block: the top eigenvalue over all fibers
         assert np.max(op1.spectra["12"][0]) >= np.max(op2.spectra["12"][0])
 
+    @pytest.mark.parametrize("n_x,size", [(14, 20), (16, 20), (20, 20), (24, 24)])
+    def test_radial_panels_take_four_nodes(self, gaussian_well, n_x, size):
+        # five radial panels of at least 4 nodes: n_x below 20 runs on 20 nodes
+        grid = fd.build_mixed_grid(gaussian_well, 1e-2, n_x, 4)
+        assert grid.x_quad.nodes.size == size
+        assert all(hi - lo >= 4 for (_, _, lo, hi) in grid.x_quad.panels)
+
     def test_symmetric_nonnegative_fibers(self, gaussian_well):
         grid = fd.build_mixed_grid(gaussian_well, z=0.3, n_x=20)
         stack = fd.assemble_diagonal_block(gaussian_well, 1.0, 0.3, grid)

@@ -354,11 +354,94 @@ class TestBallOverlapReference:
         # i1e needs no asymptotic branch: it matches the series through 1e15
         w = np.geomspace(1e8, 1e15, 29)
         series = (1.0 - 3.0 / (8.0 * w) - 15.0 / (128.0 * w**2)) / np.sqrt(2.0 * np.pi * w**3)
-        np.testing.assert_allclose(vr._bessel_ratio_scaled(w), series, rtol=4e-16, atol=0.0)
-        # the small-w series joins ive continuously at the 1e-6 switch
+        np.testing.assert_allclose(bessel_ratio_scaled(w), series, rtol=4e-16, atol=0.0)
+        # the power series covers w = 0 and joins ive where the old 1e-6 switch was
         w = np.array([0.0, 9.9e-7, 1.01e-6])
         ref = np.array([0.5, *(ive(1, w[1:]) / w[1:])])
-        np.testing.assert_allclose(vr._bessel_ratio_scaled(w), ref, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(bessel_ratio_scaled(w), ref, rtol=1e-15, atol=0.0)
+
+
+def bessel_ratio_scaled(w):
+    """exp(-w) I_1(w)/w from the ball kernel: one key with gap 1 and beta_min 0, rho2 = w."""
+    return vr._ball_kernel(np.ones(1), np.zeros(1), np.asarray(w, dtype=float))[0]
+
+
+class TestBallKernel:
+    """The power series below _SERIES_MAX and i1e above, in gap-ordered bands."""
+
+    @staticmethod
+    def mp_kernel(gap, beta_min, rho2):
+        """exp(-beta_min rho2) exp(-w) I_1(w)/w at w = gap rho2, at 40 digits."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            g, b, r = (mpmath.mpf(float(v)) for v in (gap, beta_min, rho2))
+            w = g * r
+            ratio = mpmath.mpf(0.5) if w == 0 else mpmath.besseli(1, w) * mpmath.exp(-w) / w
+            return float(ratio * mpmath.exp(-b * r))
+
+    def test_matches_mpmath(self):
+        w = np.unique(np.concatenate([
+            np.linspace(0.0, 2.0, 801),
+            np.geomspace(1e-12, 2.0, 241),
+            2.0 * (1.0 + np.array([-1e-15, 0.0, 1e-15])),
+            np.geomspace(2.0, 1e15, 151),
+        ]))
+        ref = np.array([self.mp_kernel(x, 0.0, 1.0) for x in w])
+        np.testing.assert_allclose(bessel_ratio_scaled(w), ref, rtol=1e-15, atol=0.0)
+        # rows of gaps around the switch, with a beta_min factor (kept below
+        # e^-1 on these nodes: a larger exponent amplifies the rounding of
+        # beta_min * rho2 in any evaluation); i1e entries are within 1e-15,
+        # the product with the factor within 2e-15
+        gap = np.array([0.0, 0.1, 0.5, 1.0, 1.5])
+        beta_min = np.array([0.05, 0.0, 1e-3, 0.02, 0.05])
+        rho2 = np.geomspace(1e-3, 20.0, 61)
+        got = vr._ball_kernel(gap, beta_min, rho2)
+        for g, b, row in zip(gap, beta_min, got):
+            ref = np.array([self.mp_kernel(g, b, r) for r in rho2])
+            np.testing.assert_allclose(row, ref, rtol=2e-15, atol=0.0)
+
+    def test_series_length_covers_switch(self):
+        # the tail beyond the kept terms is below 2^-56 of the sum up to
+        # _SERIES_MAX: its terms fall at least geometrically by u / ((n+1)(n+2))
+        n, u = len(vr._SERIES), 0.25 * vr._SERIES_MAX**2
+        assert vr._SERIES == tuple(
+            1.0 / (2.0 * math.factorial(k) * math.factorial(k + 1)) for k in range(n)
+        )
+        first_omitted = u**n / (2.0 * math.factorial(n) * math.factorial(n + 1))
+        ratio = u / ((n + 1) * (n + 2))
+        total = sum(c * u**k for k, c in enumerate(vr._SERIES))
+        assert ratio < 1.0
+        assert first_omitted / (1.0 - ratio) < 2.0**-56 * total
+
+    @pytest.mark.parametrize("zero_gaps", [False, True])
+    def test_row_order_bit_equal(self, zero_gaps):
+        # sorted rows narrow the mixed band; any order, or one row at a time,
+        # gives the same entries
+        rng = np.random.default_rng(3)
+        gap = np.sort(rng.uniform(0.02, 0.5, 400))
+        if zero_gaps:
+            gap[:7] = 0.0
+        beta_min = rng.exponential(1.0, gap.shape)
+        rho2 = np.sort(rng.uniform(0.0, 200.0, 180))
+        got = vr._ball_kernel(gap, beta_min, rho2)
+        perm = rng.permutation(gap.shape[0])
+        np.testing.assert_array_equal(vr._ball_kernel(gap[perm], beta_min[perm], rho2), got[perm])
+        for i in range(0, gap.shape[0], 37):
+            one = vr._ball_kernel(gap[i : i + 1], beta_min[i : i + 1], rho2)
+            np.testing.assert_array_equal(one, got[i : i + 1])
+        # an all-series, a mixed and (with no zero gap) an all-i1e band
+        below = gap[:, None] * rho2 < vr._SERIES_MAX
+        assert below[:, 0].all()
+        assert np.any(below.any(axis=0) & ~below.all(axis=0))
+        assert (~below[:, -1]).all() != zero_gaps
+
+    def test_zero_gaps_are_series(self):
+        # a block of isotropic keys is one series band, with no division
+        rho2 = np.geomspace(1e-3, 1e4, 50)
+        beta_min = np.array([1e-4, 0.3])
+        got = vr._ball_kernel(np.zeros(2), beta_min, rho2)
+        ref = 0.5 * np.exp(-beta_min[:, None] * rho2)
+        np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0.0)
 
 
 def undeduplicated_ball_overlap(Ba, Bb, Bc2, radii, frames=None):
@@ -376,8 +459,7 @@ def undeduplicated_ball_overlap(Ba, Bb, Bc2, radii, frames=None):
     pairs = np.flatnonzero(quad.any(axis=0))
     cuts = np.unique(r[quad.any(axis=1), 0])
     rho, weights = vr._hyperradial_rule(float(np.max(beta_max[pairs])), cuts)
-    rho2 = rho * rho
-    f = vr._bessel_ratio_scaled(gap[pairs, None] * rho2) * np.exp(-beta_min[pairs, None] * rho2)
+    f = vr._ball_kernel(gap[pairs], beta_min[pairs], rho * rho)
     acc = 2.0 * np.pi**3 * (f @ weights)
     vals = np.tile(np.pi**3 / det**1.5, (r.shape[0], 1))
     col = np.minimum(np.searchsorted(cuts, r[:, 0]), cuts.size - 1)
@@ -404,13 +486,13 @@ def quad_keys(basis, frames=None):
 def counted_kernel_rows(monkeypatch):
     """Patch the Bessel kernel to record the rows of every call; returns the record."""
     rows = []
-    kernel = vr._bessel_ratio_scaled
+    kernel = vr._ball_kernel
 
-    def counting(w):
-        rows.append(w.shape[0])
-        return kernel(w)
+    def counting(gap, beta_min, rho2):
+        rows.append(gap.shape[0])
+        return kernel(gap, beta_min, rho2)
 
-    monkeypatch.setattr(vr, "_bessel_ratio_scaled", counting)
+    monkeypatch.setattr(vr, "_ball_kernel", counting)
     return rows
 
 
