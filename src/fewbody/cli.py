@@ -49,106 +49,6 @@ EXIT_INCONCLUSIVE = 4
 # ---------------------------------------------------------------------------
 # configuration schema
 
-_MODEL_KEYS = {
-    "m1", "m2", "m3",
-    "lambda12", "lambda13", "lambda23", "margin_epsilon",
-}
-for _p in PAIRS:
-    _MODEL_KEYS |= {f"pair{_p}.kind", f"pair{_p}.depth", f"pair{_p}.range", f"pair{_p}.table"}
-
-_NUMERICS_KEYS = {
-    "radial_nodes", "faddeev_nodes", "p_per_panel", "angle_nodes", "resonance_tol", "seed",
-    "basis.scale_min_x", "basis.scale_max_x", "basis.n_x",
-    "basis.scale_min_y", "basis.scale_max_y", "basis.n_y",
-    "basis.correlations", "basis.n_random", "basis.symmetrize_12",
-}
-
-_EXPERIMENT_KEYS = {
-    "scenario", "r0", "radii", "energy_targets", "floor", "ceiling_factor",
-    "scale_bracket", "theta_bracket", "vary_pair", "z_list", "xi_list", "k_list",
-    "scale_grid", "envelope_b1", "envelope_b2", "eps0",
-}
-
-_SECTION_KEYS = {
-    "model": _MODEL_KEYS,
-    "numerics": _NUMERICS_KEYS,
-    "experiment": _EXPERIMENT_KEYS,
-}
-
-_DEFAULTS = {
-    ("model", "m1"): "1.0",
-    ("model", "m2"): "1.0",
-    ("model", "m3"): "1.0",
-    ("model", "lambda12"): "0.0",
-    ("model", "lambda13"): "0.0",
-    ("model", "lambda23"): "0.0",
-    ("model", "margin_epsilon"): "0.1",
-    ("numerics", "radial_nodes"): "64",
-    ("numerics", "faddeev_nodes"): "28",
-    ("numerics", "p_per_panel"): "6",
-    ("numerics", "angle_nodes"): "32",
-    ("numerics", "resonance_tol"): "1e-4",
-    ("numerics", "basis.scale_min_x"): "0.25",
-    ("numerics", "basis.scale_max_x"): "15.0",
-    ("numerics", "basis.n_x"): "9",
-    ("numerics", "basis.scale_min_y"): "0.25",
-    ("numerics", "basis.scale_max_y"): "600.0",
-    ("numerics", "basis.n_y"): "15",
-    ("numerics", "basis.correlations"): "frames",
-    ("numerics", "basis.n_random"): "0",
-    ("numerics", "basis.symmetrize_12"): "false",
-    ("experiment", "scenario"): "no-pair-resonance",
-    ("experiment", "radii"): "10.0,30.0",
-    ("experiment", "energy_targets"): "1e-1,1e-2,1e-3,1e-4",
-    ("experiment", "floor"): "0.25",
-    ("experiment", "ceiling_factor"): "0.1",
-    ("experiment", "scale_bracket"): "0.9,1.2",
-    ("experiment", "z_list"): "1e-3,1e-2,1e-1,1.0",
-    ("experiment", "xi_list"): "0.5,1.0,10.0",
-    ("experiment", "k_list"): "1e-2,1e-3,1e-4",
-    ("experiment", "vary_pair"): "13",
-    ("experiment", "envelope_b1"): "2.0",
-    ("experiment", "envelope_b2"): "1.0",
-    ("experiment", "eps0"): "1.0",
-}
-
-_PHYSICS_SECTIONS = ("model", "numerics", "experiment")
-
-
-@dataclass(frozen=True, eq=False)
-class RunConfig:
-    model: ModelSpec
-    basis_spec: vr.BasisSpec
-    raw: dict  # (section, key) -> string, defaults included
-
-    def get(self, section: str, key: str) -> str:
-        return _read(self.raw, section, key)
-
-    def floats(self, section: str, key: str) -> list[float]:
-        return _read(self.raw, section, key, _float_list)
-
-    def float(self, section: str, key: str) -> float:
-        return _read(self.raw, section, key, _finite)
-
-    def int(self, section: str, key: str) -> int:
-        return _read(self.raw, section, key, int)
-
-    def config_hash(self) -> str:
-        lines = [
-            f"{s}.{k}={v}"
-            for (s, k), v in sorted(self.raw.items())
-            if s in _PHYSICS_SECTIONS
-        ]
-        return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
-
-    def echo(self, stream=sys.stderr) -> None:
-        cur = None
-        for (s, k), v in sorted(self.raw.items()):
-            if s != cur:
-                print(f"[{s}]", file=stream)
-                cur = s
-            print(f"{k} = {v}", file=stream)
-
 
 def _finite(text: str) -> float:
     """float(text), with nan and +-inf a ValueError."""
@@ -162,36 +62,114 @@ def _float_list(text: str) -> list[float]:
     return [_finite(tok) for tok in text.split(",") if tok.strip()]
 
 
-# the range of every value of these keys, checked when the config is parsed: a
-# word for numbers, the least value for integers, the allowed values for names.
-# model._split_counts gives each grid panel at least 4 nodes, so a count below 4
-# per panel (5 radial panels) would be raised silently.
-_RANGES = {
-    ("numerics", "radial_nodes"): 20,
-    ("numerics", "faddeev_nodes"): 20,
-    ("numerics", "p_per_panel"): 1,
-    ("numerics", "angle_nodes"): 1,
-    ("numerics", "basis.n_x"): 1,
-    ("numerics", "basis.n_y"): 1,
-    ("numerics", "basis.n_random"): 0,
-    ("numerics", "resonance_tol"): "positive",
-    ("experiment", "floor"): "positive",
-    ("experiment", "ceiling_factor"): "positive",
-    ("experiment", "z_list"): "positive",
-    ("experiment", "xi_list"): "positive",
-    ("experiment", "eps0"): "positive",
-    ("experiment", "r0"): "non-negative",
-    ("experiment", "radii"): "non-negative",
-    ("experiment", "scale_grid"): "non-negative",
-    ("experiment", "vary_pair"): PAIRS,
-    ("experiment", "scenario"): tuple(s.value for s in ex.Scenario),
+def _blank_none(convert):
+    """convert, with a blank value read as no value (r0 and seed may be left empty)."""
+    return lambda text: convert(text) if text.strip() else None
+
+
+def _bracket(text: str) -> tuple[float, ...]:
+    return tuple(_float_list(text))
+
+
+# (section, key) -> (default text or None, conversion, range), every key the
+# parser accepts.  The range is the least value of an integer; "positive" or
+# "non-negative" for every number; the allowed names; "bracket" for two
+# numbers lo < hi; "non-empty" for a list with at least one value.  A pair
+# key has no conversion: _parse_potential reads it.  model._split_counts gives
+# each grid panel at least 4 nodes, so a count below 4 per panel (5 radial
+# panels) would be raised silently.
+_KEYS = {
+    ("model", "m1"): ("1.0", _finite, None),
+    ("model", "m2"): ("1.0", _finite, None),
+    ("model", "m3"): ("1.0", _finite, None),
+    ("model", "lambda12"): ("0.0", _finite, None),
+    ("model", "lambda13"): ("0.0", _finite, None),
+    ("model", "lambda23"): ("0.0", _finite, None),
+    ("model", "margin_epsilon"): ("0.1", _finite, None),
+    **{("model", f"pair{p}.{part}"): (None, None, None)
+       for p in PAIRS for part in ("kind", "depth", "range", "table")},
+    ("numerics", "radial_nodes"): ("64", int, 20),
+    ("numerics", "faddeev_nodes"): ("28", int, 20),
+    ("numerics", "p_per_panel"): ("6", int, 1),
+    ("numerics", "angle_nodes"): ("32", int, 1),
+    ("numerics", "resonance_tol"): ("1e-4", _finite, "positive"),
+    ("numerics", "seed"): (None, _blank_none(int), None),
+    ("numerics", "basis.scale_min_x"): ("0.25", _finite, None),
+    ("numerics", "basis.scale_max_x"): ("15.0", _finite, None),
+    ("numerics", "basis.n_x"): ("9", int, 1),
+    ("numerics", "basis.scale_min_y"): ("0.25", _finite, None),
+    ("numerics", "basis.scale_max_y"): ("600.0", _finite, None),
+    ("numerics", "basis.n_y"): ("15", int, 1),
+    ("numerics", "basis.correlations"): (
+        "frames", lambda t: "frames" if t == "frames" else tuple(_float_list(t)), None),
+    ("numerics", "basis.n_random"): ("0", int, 0),
+    ("numerics", "basis.symmetrize_12"): ("false", lambda t: t.lower() in ("true", "1", "yes"),
+                                          None),
+    ("experiment", "scenario"): ("no-pair-resonance", str, tuple(s.value for s in ex.Scenario)),
+    ("experiment", "r0"): (None, _blank_none(_finite), "non-negative"),
+    ("experiment", "radii"): ("10.0,30.0", _float_list, "non-negative"),
+    ("experiment", "energy_targets"): ("1e-1,1e-2,1e-3,1e-4", _float_list, "non-empty"),
+    ("experiment", "floor"): ("0.25", _finite, "positive"),
+    ("experiment", "ceiling_factor"): ("0.1", _finite, "positive"),
+    ("experiment", "scale_bracket"): ("0.9,1.2", _bracket, "bracket"),
+    ("experiment", "theta_bracket"): (None, _bracket, "bracket"),
+    ("experiment", "vary_pair"): ("13", str, PAIRS),
+    ("experiment", "z_list"): ("1e-3,1e-2,1e-1,1.0", _float_list, "positive"),
+    ("experiment", "xi_list"): ("0.5,1.0,10.0", _float_list, "positive"),
+    ("experiment", "k_list"): ("1e-2,1e-3,1e-4", _float_list, None),  # range: _k_values
+    ("experiment", "scale_grid"): (None, _float_list, "non-negative"),
+    ("experiment", "envelope_b1"): ("2.0", _finite, None),
+    ("experiment", "envelope_b2"): ("1.0", _finite, None),
+    ("experiment", "eps0"): ("1.0", _finite, "positive"),
 }
 
+_SECTION_KEYS = {s: {k for t, k in _KEYS if t == s} for s, _ in _KEYS}
 
-def _check_range(name: str, text: str, values: list[float], word: str) -> None:
-    """ConfigError naming name unless every value is word ("positive" or "non-negative")."""
-    if any(v < 0 or (v == 0 and word == "positive") for v in values):
-        raise ConfigError(f"{name} = {text!r}: values must be {word}")
+
+@dataclass(frozen=True, eq=False)
+class RunConfig:
+    model: ModelSpec
+    basis_spec: vr.BasisSpec
+    raw: dict  # (section, key) -> string, defaults included
+    values: dict  # (section, key) -> raw[(section, key)] converted; pair keys left out
+
+    def __getitem__(self, section_key: tuple[str, str]):
+        """The converted value of (section, key); ConfigError if it has none."""
+        value = self.values.get(section_key)
+        if value is None:
+            raise ConfigError("missing key {}.{}".format(*section_key))
+        return value
+
+    def config_hash(self) -> str:
+        lines = [f"{s}.{k}={v}" for (s, k), v in sorted(self.raw.items())]
+        return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+    def echo(self, stream) -> None:
+        cur = None
+        for (s, k), v in sorted(self.raw.items()):
+            if s != cur:
+                print(f"[{s}]", file=stream)
+                cur = s
+            print(f"{k} = {v}", file=stream)
+
+
+def _check_range(name: str, text: str, value, rng) -> None:
+    """ConfigError naming name unless value lies in rng (see _KEYS)."""
+    if isinstance(rng, tuple):
+        if value not in rng:
+            raise ConfigError(f"{name} = {text!r}: must be one of {', '.join(rng)}")
+    elif isinstance(rng, int):
+        if value < rng:
+            raise ConfigError(f"{name} = {text!r}: must be at least {rng}")
+    elif rng == "bracket":
+        if len(value) != 2 or not value[0] < value[1]:
+            raise ConfigError(f"{name} = {text!r}: must be two numbers lo,hi with lo < hi")
+    elif rng == "non-empty":
+        if not value:
+            raise ConfigError(f"{name} = {text!r}: must list at least one value")
+    elif any(v < 0 or (v == 0 and rng == "positive")
+             for v in (value if isinstance(value, list) else [value])):
+        raise ConfigError(f"{name} = {text!r}: values must be {rng}")
 
 
 def _k_values(cfg: RunConfig, args, word: str) -> list[float]:
@@ -199,11 +177,11 @@ def _k_values(cfg: RunConfig, args, word: str) -> list[float]:
 
     Each must be word ("positive" or "non-negative").  The range depends on
     the subcommand (mu-curve takes k = 0), so it is checked here rather than
-    in the parse-time _RANGES.
+    in _KEYS.
     """
     if getattr(args, "k", None) is None:
-        name, text = "experiment.k_list", cfg.get("experiment", "k_list")
-        ks = cfg.floats("experiment", "k_list")
+        name, text = "experiment.k_list", cfg.raw[("experiment", "k_list")]
+        ks = cfg["experiment", "k_list"]
     else:
         name, text = "--k", args.k
         try:
@@ -212,18 +190,6 @@ def _k_values(cfg: RunConfig, args, word: str) -> list[float]:
             raise ConfigError(f"invalid value --k = {text!r} ({err})") from None
     _check_range(name, text, ks, word)
     return ks
-
-
-def _read(raw: dict, section: str, key: str, convert=str):
-    """raw[(section, key)] through convert; missing or malformed is a ConfigError."""
-    try:
-        text = raw[(section, key)]
-    except KeyError:
-        raise ConfigError(f"missing key {section}.{key}") from None
-    try:
-        return convert(text)
-    except ValueError as err:
-        raise ConfigError(f"invalid value {section}.{key} = {text!r} ({err})") from None
 
 
 def _find_line(path: Path, key: str) -> int:
@@ -259,8 +225,11 @@ def _parse_potential(raw: dict, pair: str, path: Path) -> PotentialSpec:
         ) from err
 
 
-def parse_config(path) -> RunConfig:
-    """Read and fully validate an INI run configuration; defaults are filled in."""
+def parse_config(path, seed: Optional[int] = None) -> RunConfig:
+    """Read and fully validate an INI run configuration; defaults are filled in.
+
+    seed, if given, replaces numerics.seed before the values are converted.
+    """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not readable: {path}")
@@ -271,7 +240,7 @@ def parse_config(path) -> RunConfig:
     except configparser.Error as err:
         raise ConfigError(f"parse error in {path}: {err}") from err
 
-    raw: dict = dict(_DEFAULTS)
+    raw = {sk: default for sk, (default, _, _) in _KEYS.items() if default is not None}
     for section in cp.sections():
         if section not in _SECTION_KEYS:
             raise ConfigError(f"unknown section [{section}]")
@@ -280,13 +249,31 @@ def parse_config(path) -> RunConfig:
                 line = _find_line(path, key)
                 raise ConfigError(f"unknown key {section}.{key} (line {line})")
             raw[(section, key)] = value.strip()
+    if seed is not None:
+        # the effective seed, not the file text, enters config_hash(): a store
+        # written under one random basis refuses a resume under another
+        raw[("numerics", "seed")] = str(seed)
+
+    values = {}
+    for (s, key), (_, convert, rng) in _KEYS.items():
+        if convert is None or (s, key) not in raw:
+            continue
+        text = raw[(s, key)]
+        try:
+            values[(s, key)] = value = convert(text)
+        except ValueError as err:
+            # a mass, coupling or basis value is named with what it builds
+            built = ("invalid model values: " if s == "model"
+                     else "invalid numerics.basis: " if key.startswith("basis.") or key == "seed"
+                     else "")
+            raise ConfigError(f"{built}invalid value {s}.{key} = {text!r} ({err})") from None
+        if value is not None and rng is not None:
+            _check_range(f"{s}.{key}", text, value, rng)
 
     try:
-        masses = MassSet(*(_read(raw, "model", m, _finite) for m in ("m1", "m2", "m3")))
-        couplings = CouplingConfig(
-            *(_read(raw, "model", f"lambda{p}", _finite) for p in PAIRS),
-            margin_epsilon=_read(raw, "model", "margin_epsilon", _finite),
-        )
+        masses = MassSet(*(values[("model", m)] for m in ("m1", "m2", "m3")))
+        couplings = CouplingConfig(*(values[("model", f"lambda{p}")] for p in PAIRS),
+                                   margin_epsilon=values[("model", "margin_epsilon")])
     except ValueError as err:
         raise ConfigError(f"invalid model values: {err}") from err
 
@@ -302,40 +289,11 @@ def parse_config(path) -> RunConfig:
     except ValueError as err:
         raise ConfigError(f"invalid model: {err}") from err
 
-    try:
-        basis_spec = vr.BasisSpec(
-            scale_min_x=_read(raw, "numerics", "basis.scale_min_x", _finite),
-            scale_max_x=_read(raw, "numerics", "basis.scale_max_x", _finite),
-            n_x=_read(raw, "numerics", "basis.n_x", int),
-            scale_min_y=_read(raw, "numerics", "basis.scale_min_y", _finite),
-            scale_max_y=_read(raw, "numerics", "basis.scale_max_y", _finite),
-            n_y=_read(raw, "numerics", "basis.n_y", int),
-            correlations=_read(
-                raw, "numerics", "basis.correlations",
-                lambda t: "frames" if t.strip() == "frames" else tuple(_float_list(t)),
-            ),
-            n_random=_read(raw, "numerics", "basis.n_random", int),
-            seed=_read(raw, "numerics", "seed", int)
-            if raw.get(("numerics", "seed"), "").strip() else None,
-            symmetrize_12=raw[("numerics", "basis.symmetrize_12")].lower()
-            in ("true", "1", "yes"),
-        )
-    except ValueError as err:
-        raise ConfigError(f"invalid numerics.basis: {err}") from err
-
-    for (s, key), rng in _RANGES.items():
-        if isinstance(rng, tuple):
-            if raw[(s, key)] not in rng:
-                raise ConfigError(
-                    f"{s}.{key} = {raw[(s, key)]!r}: must be one of {', '.join(rng)}"
-                )
-        elif isinstance(rng, int):
-            if _read(raw, s, key, int) < rng:
-                raise ConfigError(f"{s}.{key} = {raw[(s, key)]!r}: must be at least {rng}")
-        elif raw.get((s, key), "").strip():  # r0 and scale_grid may be left empty
-            _check_range(f"{s}.{key}", raw[(s, key)], _read(raw, s, key, _float_list), rng)
-
-    return RunConfig(model=model, basis_spec=basis_spec, raw=raw)
+    basis_spec = vr.BasisSpec(**{
+        f.name: values.get(("numerics", f.name if f.name == "seed" else f"basis.{f.name}"))
+        for f in fields(vr.BasisSpec)
+    })
+    return RunConfig(model=model, basis_spec=basis_spec, raw=raw, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -422,14 +380,14 @@ class ResultStore:
 
 def _quad_for(cfg: RunConfig, pair: str) -> Quadrature:
     pot = cfg.model.scaled_potential(pair)
-    return Quadrature.for_potential(pot, n=cfg.int("numerics", "radial_nodes"))
+    return Quadrature.for_potential(pot, n=cfg["numerics", "radial_nodes"])
 
 
 def _grid_kw(cfg: RunConfig) -> dict:
     return dict(
-        n_x=cfg.int("numerics", "faddeev_nodes"),
-        n_p_per_panel=cfg.int("numerics", "p_per_panel"),
-        n_angle=cfg.int("numerics", "angle_nodes"),
+        n_x=cfg["numerics", "faddeev_nodes"],
+        n_p_per_panel=cfg["numerics", "p_per_panel"],
+        n_angle=cfg["numerics", "angle_nodes"],
     )
 
 
@@ -473,18 +431,10 @@ def _cmd_two_body_mu_curve(cfg: RunConfig, args, out) -> int:
 def _cmd_two_body_classify(cfg: RunConfig, args, out) -> int:
     rows = []
     for pair in PAIRS:
-        pot = cfg.model.scaled_potential(pair)
         lam = cfg.model.couplings.get(pair)
-        if pot.is_zero() or lam == 0.0:
-            rows.append(
-                {"pair": pair, "coupling": lam, "mu1": 0.0,
-                 "category": "unbound_with_margin", "ground_energy": None}
-            )
-            continue
-        quad = _quad_for(cfg, pair)
         cls = tb.classify_pair(
-            pot, lam, quad, cfg.model.couplings.margin_epsilon,
-            resonance_tol=cfg.float("numerics", "resonance_tol"),
+            cfg.model.scaled_potential(pair), lam, _quad_for(cfg, pair),
+            cfg.model.couplings.margin_epsilon, resonance_tol=cfg["numerics", "resonance_tol"],
         )
         rows.append(
             {"pair": pair, "coupling": lam, "mu1": cls.mu1,
@@ -515,7 +465,7 @@ def _ground_columns(gs: vr.GroundState, thr: float, ball, radii) -> dict:
 
 def _cmd_three_body_ground(cfg: RunConfig, args, out) -> int:
     basis = _basis(cfg)
-    radii = cfg.floats("experiment", "radii")
+    radii = cfg["experiment", "radii"]
     gs = vr.solve_ground(cfg.model, basis)
     row = _ground_columns(gs, vr.hvz_bottom(cfg.model), vr.ball_matrices(basis, radii), radii)
     header = ["e_gr", "e_thr", "bound_states", "basis_size"] + [f"p_r{_fmt(R)}" for R in radii]
@@ -542,8 +492,8 @@ def _sweep_point(cfg: RunConfig, shared, scale: float, radii) -> dict:
 
 
 def _cmd_three_body_sweep(cfg: RunConfig, args, out) -> int:
-    radii = cfg.floats("experiment", "radii")
-    scales = cfg.floats("experiment", "scale_grid")
+    radii = cfg["experiment", "radii"]
+    scales = cfg["experiment", "scale_grid"]
     if not scales:
         raise ConfigError("experiment.scale_grid must list sweep points")
     store = ResultStore(args.store, cfg.config_hash()) if args.store else None
@@ -572,16 +522,16 @@ def _cmd_three_body_sweep(cfg: RunConfig, args, out) -> int:
 
 def _cmd_three_body_dichotomy(cfg: RunConfig, args, out) -> int:
     basis = _basis(cfg)
-    scenario = ex.Scenario(args.scenario or cfg.get("experiment", "scenario"))
+    scenario = ex.Scenario(args.scenario or cfg["experiment", "scenario"])
     report = ex.spreading_dichotomy(
         scenario,
         cfg.model,
         basis,
-        r0=cfg.float("experiment", "r0") if cfg.raw.get(("experiment", "r0")) else None,
-        energy_targets=cfg.floats("experiment", "energy_targets"),
-        floor=cfg.float("experiment", "floor"),
-        ceiling_factor=cfg.float("experiment", "ceiling_factor"),
-        scale_bracket=tuple(cfg.floats("experiment", "scale_bracket")),
+        r0=cfg.values.get(("experiment", "r0")),
+        energy_targets=cfg["experiment", "energy_targets"],
+        floor=cfg["experiment", "floor"],
+        ceiling_factor=cfg["experiment", "ceiling_factor"],
+        scale_bracket=cfg["experiment", "scale_bracket"],
     )
     emit_csv(report.rows, ex.DichotomyRow, out)
     print(f"verdict: {report.verdict}", file=sys.stderr)
@@ -591,7 +541,7 @@ def _cmd_three_body_dichotomy(cfg: RunConfig, args, out) -> int:
 def _cmd_three_body_efimov(cfg: RunConfig, args, out) -> int:
     basis = _basis(cfg)
     scan = ex.efimov_scan(cfg.model, basis,
-                          resonance_tol=cfg.float("numerics", "resonance_tol"))
+                          resonance_tol=cfg["numerics", "resonance_tol"])
     rows = [
         {"level": i, "energy": e,
          "ratio_to_next": scan.ratios[i] if i < len(scan.ratios) else None}
@@ -604,8 +554,8 @@ def _cmd_three_body_efimov(cfg: RunConfig, args, out) -> int:
 
 def _cmd_three_body_theta0(cfg: RunConfig, args, out) -> int:
     basis = _basis(cfg)
-    bracket = tuple(cfg.floats("experiment", "theta_bracket"))
-    pair = cfg.get("experiment", "vary_pair")
+    bracket = cfg["experiment", "theta_bracket"]
+    pair = cfg["experiment", "vary_pair"]
     theta0 = ex.find_theta0(cfg.model, bracket, basis, pair=pair)
     emit_csv([{"pair": pair, "theta0": theta0}], ["pair", "theta0"], out)
     return EXIT_OK
@@ -613,7 +563,7 @@ def _cmd_three_body_theta0(cfg: RunConfig, args, out) -> int:
 
 def _cmd_three_body_bs_radius(cfg: RunConfig, args, out) -> int:
     rows = []
-    for z in sorted(cfg.floats("experiment", "z_list")):
+    for z in sorted(cfg["experiment", "z_list"]):
         sol = fd.faddeev_solve(fd.assemble_block_operator(cfg.model, z, **_grid_kw(cfg)))
         rows.append({"z": z, "spectral_radius": sol.spectral_radius, "residual": sol.residual})
     emit_csv(rows, ["z", "spectral_radius", "residual"], out)
@@ -625,7 +575,7 @@ def _cmd_three_body_cross_validate(cfg: RunConfig, args, out) -> int:
     report = ex.cross_validate(
         cfg.model,
         basis,
-        scale_bracket=tuple(cfg.floats("experiment", "scale_bracket")),
+        scale_bracket=cfg["experiment", "scale_bracket"],
         **_grid_kw(cfg),
     )
     emit_csv(report.rows, ex.CrossValidationRow, out)
@@ -641,7 +591,7 @@ def _cmd_three_body_cross_validate(cfg: RunConfig, args, out) -> int:
 def _cmd_checks_bounds(cfg: RunConfig, args, out) -> int:
     model = cfg.model
     quad = _quad_for(cfg, "12")
-    zs = sorted(cfg.floats("experiment", "z_list"))
+    zs = sorted(cfg["experiment", "z_list"])
     rows = []
     frame = model.frame("12")
     for z in zs:
@@ -650,7 +600,8 @@ def _cmd_checks_bounds(cfg: RunConfig, args, out) -> int:
                      "rhs": hs.bound, "passed": hs.passed})
     pairs_z = [(zs[i], zs[i + 1]) for i in range(len(zs) - 1)]
     for row_pair, col_pair in (("12", "12"), ("12", "23")):
-        for c in fd.continuity_modulus_check(model, row_pair, col_pair, pairs_z, quad):
+        for c in fd.continuity_modulus_check(model, row_pair, col_pair, pairs_z, quad,
+                                             **_grid_kw(cfg)):
             rows.append({"check": f"continuity_{row_pair}_{col_pair}", "z": c.z1,
                          "lhs": c.norm_diff, "rhs": c.bound, "passed": c.passed})
     for pair in PAIRS:
@@ -661,7 +612,7 @@ def _cmd_checks_bounds(cfg: RunConfig, args, out) -> int:
         for r in rep.rows:
             rows.append({"check": f"subthreshold_{pair}", "z": r.z, "lhs": r.lhs,
                          "rhs": r.rhs, "passed": r.passed and rep.precondition_met})
-    for g in fd.green6_bound_check(cfg.floats("experiment", "xi_list")):
+    for g in fd.green6_bound_check(cfg["experiment", "xi_list"]):
         rows.append({"check": "green6", "z": g.xi, "lhs": g.value,
                      "rhs": g.bound, "passed": g.passed})
     emit_csv(rows, ["check", "z", "lhs", "rhs", "passed"], out)
@@ -670,7 +621,7 @@ def _cmd_checks_bounds(cfg: RunConfig, args, out) -> int:
 
 
 def _cmd_checks_green6(cfg: RunConfig, args, out) -> int:
-    rows = fd.green6_bound_check(cfg.floats("experiment", "xi_list"))
+    rows = fd.green6_bound_check(cfg["experiment", "xi_list"])
     emit_csv(rows, fd.Green6Row, out)
     return EXIT_OK if all(r.passed for r in rows) else EXIT_NUMERIC
 
@@ -678,7 +629,7 @@ def _cmd_checks_green6(cfg: RunConfig, args, out) -> int:
 def _cmd_checks_jlog(cfg: RunConfig, args, out) -> int:
     pot = cfg.model.potential("23")
     result = fd.j_epsilon_divergence(
-        pot.value, cfg.float("experiment", "eps0"), cfg.floats("experiment", "z_list")
+        pot.value, cfg["experiment", "eps0"], cfg["experiment", "z_list"]
     )
     rows = [
         {"z": z, "j": j, "lower_bound": lb, "r_squared": result.r_squared}
@@ -689,15 +640,16 @@ def _cmd_checks_jlog(cfg: RunConfig, args, out) -> int:
 
 
 def _cmd_checks_merkuriev(cfg: RunConfig, args, out) -> int:
-    r0 = cfg.float("experiment", "r0") if cfg.raw.get(("experiment", "r0")) else 1.0
-    rows = ex.merkuriev_spreading(sorted(_k_values(cfg, args, "positive")), r0)
+    r0 = cfg.values.get(("experiment", "r0"))
+    ks = sorted(_k_values(cfg, args, "positive"))
+    rows = ex.merkuriev_spreading(ks, 1.0 if r0 is None else r0)
     emit_csv(rows, ex.MerkurievRow, out)
     return EXIT_OK
 
 
 def _cmd_validate_config(cfg: RunConfig, args, out) -> int:
-    b1 = cfg.float("experiment", "envelope_b1")
-    b2 = cfg.float("experiment", "envelope_b2")
+    b1 = cfg["experiment", "envelope_b1"]
+    b2 = cfg["experiment", "envelope_b2"]
     emit_csv(validate_requirements(cfg.model, (b1, b2)).checks, RequirementCheck, out)
     return EXIT_OK
 
@@ -756,21 +708,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = parse_config(args.config)
+        cfg = parse_config(args.config, seed=args.seed)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-
-    if args.seed is not None:
-        # the effective seed, not the file text, enters config_hash(): a store
-        # written under one random basis refuses a resume under another
-        cfg.raw[("numerics", "seed")] = str(args.seed)
-        object.__setattr__(
-            cfg, "basis_spec",
-            vr.BasisSpec(**{**cfg.basis_spec.__dict__, "seed": args.seed}),
-        )
     if not args.quiet:
-        cfg.echo()
+        cfg.echo(sys.stderr)
 
     out = _open_out(args)
     try:

@@ -220,13 +220,10 @@ def efimov_scan(
     """Negative-energy levels with (at least) two pairs at their thresholds."""
     quad = Quadrature.build(r_max=12.0 * model.max_range())
     resonant = 0
-    for pair in PAIRS:
-        lam = model.couplings.get(pair)
-        if lam == 0 or model.potential(pair).is_zero():
-            continue
+    for pair in model.active_pairs():
         cls = tb.classify_pair(
-            model.scaled_potential(pair), lam, quad, model.couplings.margin_epsilon,
-            resonance_tol=resonance_tol,
+            model.scaled_potential(pair), model.couplings.get(pair), quad,
+            model.couplings.margin_epsilon, resonance_tol=resonance_tol,
         )
         if cls.category is tb.PairClass.RESONANT:
             resonant += 1

@@ -46,7 +46,7 @@ extrapolates s_z linearly to z = 0.  No search is run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -57,7 +57,6 @@ import scipy.sparse.linalg
 from .model import (
     MassSet,
     ModelSpec,
-    PAIRS,
     PotentialSpec,
     Quadrature,
     _gauss_legendre_panels,
@@ -94,7 +93,6 @@ class MixedGrid:
     p_nodes: np.ndarray
     p_weights: np.ndarray
     p_edges: tuple
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if 1.0 < self.p_nodes[-1] and 1.0 not in self.p_edges:
@@ -302,11 +300,7 @@ def assemble_block_operator(
     is built once per distinct content key and shared by every pair that
     has that key.
     """
-    active = [
-        pair
-        for pair in PAIRS
-        if model.couplings.get(pair) > 0 and not model.potential(pair).is_zero()
-    ]
+    active = model.active_pairs()
     built: dict = {}
 
     def shared(key, build):
@@ -678,6 +672,7 @@ def continuity_modulus_check(
     col_pair: str,
     z_pairs: Sequence[tuple[float, float]],
     quad: Quadrature,
+    n_angle: int = 32,
     **grid_kw,
 ) -> list[ContinuityRow]:
     """Norm continuity in z of the coupling-free block against the volume-constant bound."""
@@ -709,6 +704,7 @@ def continuity_modulus_check(
                 coupling_col=1.0,
                 grid_row=g1,
                 grid_col=g2,
+                n_angle=n_angle,
             )
             b1 = assemble_offdiagonal_block(model.masses, row_pair, col_pair, z=z1, **kw)
             b2 = assemble_offdiagonal_block(model.masses, row_pair, col_pair, z=z2, **kw)
@@ -783,7 +779,7 @@ def j_epsilon_divergence(g, eps0: float, z_list: Sequence[float]) -> LogDivergen
     if np.any(gr < 0):
         raise ValueError("g must be non-negative")
     norm1 = float(4.0 * np.pi * np.sum(wr * r * r * gr))
-    if norm1 <= 0.0:
+    if norm1 <= 0.0 or not len(z_list):  # nothing to fit
         zs = np.asarray(z_list, float)
         zero = np.zeros_like(zs)
         return LogDivergenceResult(zs, zero, zero, 0.0, 0.0, 1.0)

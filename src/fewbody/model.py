@@ -248,6 +248,10 @@ class ModelSpec:
     def max_range(self) -> float:
         return max(self.pot12.range, self.pot13.range, self.pot23.range)
 
+    def active_pairs(self) -> list[str]:
+        """The pairs with a positive coupling and a nonzero well, in PAIRS order."""
+        return [p for p in PAIRS if self.couplings.get(p) > 0 and not self.potential(p).is_zero()]
+
 
 @dataclass(frozen=True)
 class KernelConstants:

@@ -381,11 +381,7 @@ def hamiltonian_matrices(model: ModelSpec, basis: GaussianBasis) -> HamiltonianM
     None of them depends on the couplings, so a coupling scan or path builds
     them once and pays one reduced eigensolve per point.
     """
-    active = [
-        pair
-        for pair in PAIRS
-        if model.couplings.get(pair) > 0 and not model.potential(pair).is_zero()
-    ]
+    active = model.active_pairs()
     forms = _pair_forms(basis)
     kinetic = kinetic_matrix(basis, forms)
     potentials = {pair: potential_matrix(basis, model, pair, forms=forms) for pair in active}
@@ -414,11 +410,9 @@ def solve_ground(model: ModelSpec, basis: GaussianBasis) -> GroundState:
 def hvz_bottom(model: ModelSpec) -> float:
     """Bottom of the essential spectrum: the lowest pair level, or zero."""
     bottom = 0.0
-    for pair in PAIRS:
-        lam = model.couplings.get(pair)
-        if lam <= 0 or model.potential(pair).is_zero():
-            continue
-        e0 = twobody.shooting_ground_energy(model.scaled_potential(pair), lam)
+    for pair in model.active_pairs():
+        e0 = twobody.shooting_ground_energy(model.scaled_potential(pair),
+                                            model.couplings.get(pair))
         if e0 is not None:
             bottom = min(bottom, e0)
     return bottom

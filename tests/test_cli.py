@@ -66,7 +66,8 @@ class TestParseConfig:
         p.write_text(MINIMAL)
         cfg = parse_config(p)
         assert cfg.model.masses.m1 == 1.0
-        assert cfg.get("numerics", "radial_nodes") == "64"
+        assert cfg["numerics", "radial_nodes"] == 64
+        assert cfg.raw[("numerics", "radial_nodes")] == "64"
         buf = io.StringIO()
         cfg.echo(buf)
         assert "[model]" in buf.getvalue() and "radial_nodes = 64" in buf.getvalue()
@@ -109,9 +110,15 @@ REMOVED_KEYS = {"momentum_nodes", "threshold_tol"}
 
 
 class TestConfigValues:
-    # a key read at parse time and one read only by the subcommand alike
+    # every value is converted when the config is parsed, whether or not the
+    # subcommand (here checks merkuriev) reads it
     @pytest.mark.parametrize("section,key,value", [
         ("experiment", "k_list", "0.1,x"),
+        ("experiment", "theta_bracket", "x"),
+        ("experiment", "scale_bracket", "0.9,x"),
+        ("experiment", "energy_targets", "x"),
+        ("experiment", "envelope_b1", "x"),
+        ("experiment", "envelope_b2", "x"),
         ("experiment", "r0", "x"),
         ("experiment", "floor", "x"),
         ("experiment", "ceiling_factor", "x"),
@@ -152,6 +159,25 @@ class TestConfigValues:
     def test_out_of_range_exits_config(self, tmp_path, capsys, section, key, value, word):
         err = self.assert_config_error(tmp_path, capsys, section, key, value)
         assert f"must be {word}" in err
+
+    # a bracket is two numbers lo < hi and the energy targets list one at least,
+    # checked when the config is parsed, not by the solver that unpacks them
+    @pytest.mark.parametrize("command,key,value,word", [
+        (("three-body", "theta0"), "theta_bracket", "1.8788", "lo < hi"),
+        (("three-body", "theta0"), "theta_bracket", "1.8,2.0,3.4", "lo < hi"),
+        (("three-body", "dichotomy"), "scale_bracket", "0.9", "lo < hi"),
+        (("three-body", "dichotomy"), "scale_bracket", "1.2,0.9", "lo < hi"),
+        (("three-body", "cross-validate"), "scale_bracket", "0.9", "lo < hi"),
+        (("three-body", "cross-validate"), "scale_bracket", "0.9,1.0,1.2", "lo < hi"),
+        (("three-body", "dichotomy"), "energy_targets", "", "at least one value"),
+        (("checks", "merkuriev"), "theta_bracket", "2.0,2.0", "lo < hi"),
+    ], ids=["theta0-one", "theta0-three", "dichotomy-one", "dichotomy-reversed",
+            "cross-validate-one", "cross-validate-three", "dichotomy-no-targets",
+            "merkuriev-empty-bracket"])
+    def test_bracket_and_targets_exit_config(self, tmp_path, capsys, command, key, value, word):
+        err = self.assert_config_error(tmp_path, capsys, "experiment", key, value,
+                                       command=command)
+        assert word in err
 
     # each grid panel takes at least 4 nodes, so a smaller count is not raised silently
     @pytest.mark.parametrize("key,value,least", [
@@ -444,6 +470,25 @@ class TestCrossValidate:
         assert captured.out == "" and "coupled-solver threshold scale 1.5" in captured.err
 
 
+class TestChecksBounds:
+    # the coupled-solver grid keys reach the cross-pair continuity rows
+    @pytest.mark.parametrize("angle_nodes", [32, 8])
+    def test_continuity_rows_take_grid_keys(self, tmp_path, capsys, angle_nodes):
+        cfg = tmp_path / "cv.cfg"
+        cfg.write_text(CV_CFG.replace("p_per_panel = 4",
+                                      f"p_per_panel = 4\nangle_nodes = {angle_nodes}"))
+        assert main(["checks", "bounds", "--config", str(cfg), "--quiet"]) == EXIT_OK
+        rows = [r for r in csv.DictReader(io.StringIO(capsys.readouterr().out))
+                if r["check"] == "continuity_12_23"]
+        conf = parse_config(cfg)
+        zs = sorted(conf["experiment", "z_list"])
+        quad = cli.Quadrature.for_potential(conf.model.scaled_potential("12"), n=64)
+        direct = fd.continuity_modulus_check(conf.model, "12", "23", list(zip(zs, zs[1:])), quad,
+                                             n_x=20, n_p_per_panel=4, n_angle=angle_nodes)
+        assert [(r["z"], r["lhs"], r["rhs"]) for r in rows] == [
+            (cli._fmt(c.z1), cli._fmt(c.norm_diff), cli._fmt(c.bound)) for c in direct]
+
+
 THETA0_CFG = FULL.replace("lambda13 = 2.1472\n", "").replace(
     "k_list = 1e-2,1e-3", "theta_bracket = 1.8788,3.4892"
 )
@@ -635,9 +680,9 @@ def reference_sweep_point(cfg, basis, scale, radii):
         row[f"p_r{cli._fmt(R)}"] = float(p)
     try:
         row["bs_radius"] = fd.radius_at_zero(
-            m, n_x=cfg.int("numerics", "faddeev_nodes"),
-            n_p_per_panel=cfg.int("numerics", "p_per_panel"),
-            n_angle=cfg.int("numerics", "angle_nodes"),
+            m, n_x=cfg["numerics", "faddeev_nodes"],
+            n_p_per_panel=cfg["numerics", "p_per_panel"],
+            n_angle=cfg["numerics", "angle_nodes"],
         )
     except fd.PairThresholdError:
         row["bs_radius"] = None
@@ -668,10 +713,10 @@ class TestSweepSharedWork:
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         conf = parse_config(cfg)
         basis = vr.build_basis(conf.basis_spec, conf.model.masses)
-        scales = conf.floats("experiment", "scale_grid")
+        scales = conf["experiment", "scale_grid"]
         assert [float(r["scale"]) for r in rows] == scales
         for row, s in zip(rows, scales):
-            ref = reference_sweep_point(conf, basis, s, conf.floats("experiment", "radii"))
+            ref = reference_sweep_point(conf, basis, s, conf["experiment", "radii"])
             assert list(row) == list(ref)
             for key in ref:
                 if key != "bs_radius":
@@ -745,6 +790,7 @@ class TestDocumentedHeaders:
         ("three-body", "bs-radius"): EMPTY_LISTS_CFG,
         ("checks", "green6"): EMPTY_LISTS_CFG,
         ("checks", "merkuriev"): EMPTY_LISTS_CFG,
+        ("checks", "jlog"): EMPTY_LISTS_CFG,
         ("two-body", "mu-curve"): EMPTY_LISTS_CFG,
     }
 
@@ -756,7 +802,7 @@ class TestDocumentedHeaders:
     def test_header_matches_docs(self, tmp_path, capsys, command):
         cfg = tmp_path / "m.cfg"
         cfg.write_text(self.HEADER_ONLY.get(command) or self.CONFIGS.get(command, FULL))
-        radii = parse_config(cfg).floats("experiment", "radii")
+        radii = parse_config(cfg)["experiment", "radii"]
         header = documented_columns()[command].replace(
             "p_r<R>...", ",".join(f"p_r{cli._fmt(R)}" for R in radii))
         rc = main([*filter(None, command), "--config", str(cfg), "--quiet"])

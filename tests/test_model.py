@@ -190,3 +190,13 @@ class TestCouplingConfig:
         s = c.scaled(2.0)
         assert (s.lambda12, s.lambda13, s.lambda23) == (2.0, 4.0, 6.0)
         assert s.margin_epsilon == 0.5
+
+
+class TestActivePairs:
+    def test_coupled_nonzero_wells_in_pair_order(self):
+        pot = PotentialSpec("gaussian", depth=1.0, range=1.0)
+        model = make_model(MassSet(1.0, 1.0, 1.0), pot, (0.5, 0.0, 2.0))
+        assert model.active_pairs() == ["12", "23"]
+        flat = PotentialSpec("gaussian", depth=0.0, range=1.0)
+        model = type(model)(model.masses, flat, pot, pot, CouplingConfig(1.0, 1.0, 0.0))
+        assert model.active_pairs() == ["13"]

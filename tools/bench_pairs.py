@@ -18,6 +18,7 @@ goes to stderr.  Standard library only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import shutil
 import statistics
@@ -85,6 +86,21 @@ def _git(*args: str) -> str:
                           check=True).stdout.strip()
 
 
+@contextlib.contextmanager
+def worktree(rev: str):
+    """rev checked out detached in a temporary directory, removed with its directory on exit."""
+    tmp = Path(tempfile.mkdtemp(prefix="fewbody-parent-"))
+    tree = tmp / "parent"
+    _git("worktree", "add", "--detach", str(tree), rev)
+    try:
+        yield tree
+    finally:
+        subprocess.run(["git", "worktree", "remove", "--force", str(tree)], cwd=ROOT,
+                       capture_output=True)
+        shutil.rmtree(tmp, ignore_errors=True)
+        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
@@ -96,11 +112,8 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"]
               for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     parent_rev = _git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
-    tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
-    parent_tree = tmp / "parent"
-    _git("worktree", "add", "--detach", str(parent_tree), parent_rev)
     pairs = []
-    try:
+    with worktree(parent_rev) as parent_tree:
         for i, seed in enumerate(args.seeds):
             sides = {"parent": parent_tree, "change": ROOT}
             order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
@@ -109,11 +122,6 @@ def main(argv=None) -> int:
                 got[side] = run_side(sides[side], args.workload, seed, args.seconds)
                 print(f"seed {seed} {side}: {json.dumps(got[side])}", file=sys.stderr)
             pairs.append((got["parent"], got["change"]))
-    finally:
-        subprocess.run(["git", "worktree", "remove", "--force", str(parent_tree)], cwd=ROOT,
-                       capture_output=True)
-        shutil.rmtree(tmp, ignore_errors=True)
-        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
 
     print(json.dumps({
         "parent": parent_rev,
