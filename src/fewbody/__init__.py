@@ -1,30 +1,3 @@
 """Spectral laboratory for thresholds, resonances and spreading in 2- and 3-particle systems."""
 
-from .model import (
-    CouplingConfig,
-    JacobiFrame,
-    KernelConstants,
-    MassSet,
-    ModelSpec,
-    PotentialSpec,
-    Quadrature,
-    kernel_constants,
-    make_jacobi_frame,
-    validate_requirements,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CouplingConfig",
-    "JacobiFrame",
-    "KernelConstants",
-    "MassSet",
-    "ModelSpec",
-    "PotentialSpec",
-    "Quadrature",
-    "kernel_constants",
-    "make_jacobi_frame",
-    "validate_requirements",
-    "__version__",
-]

@@ -26,7 +26,6 @@ from .model import (
     PAIRS,
     PotentialSpec,
     Quadrature,
-    QuadratureUnderresolvedError,
     RequirementCheck,
     validate_requirements,
 )
@@ -595,7 +594,7 @@ def _cmd_checks_bounds(cfg: RunConfig, args, out) -> int:
     rows = []
     frame = model.frame("12")
     for z in zs:
-        hs = fd.hs_norm_K2(model.scaled_potential("12"), model.potential("23"), frame, z, quad)
+        hs = fd.hs_norm_K2(model.scaled_potential("12"), model.potential("23"), frame, z)
         rows.append({"check": "hs_bound", "z": z, "lhs": hs.hs_norm_sq,
                      "rhs": hs.bound, "passed": hs.passed})
     pairs_z = [(zs[i], zs[i + 1]) for i in range(len(zs) - 1)]
@@ -627,9 +626,8 @@ def _cmd_checks_green6(cfg: RunConfig, args, out) -> int:
 
 
 def _cmd_checks_jlog(cfg: RunConfig, args, out) -> int:
-    pot = cfg.model.potential("23")
     result = fd.j_epsilon_divergence(
-        pot.value, cfg["experiment", "eps0"], cfg["experiment", "z_list"]
+        cfg.model.potential("23"), cfg["experiment", "eps0"], cfg["experiment", "z_list"]
     )
     rows = [
         {"z": z, "j": j, "lower_bound": lb, "r_squared": result.r_squared}
@@ -725,7 +723,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ex.PathPointUnboundError,
         ex.PairDriftError,
         fd.PairThresholdError,
-        QuadratureUnderresolvedError,
         tb.IntegrationUnderresolvedError,
         tb.NotAtThresholdError,
         tb.ResonanceWindowError,

@@ -54,12 +54,9 @@ class DichotomyRow:
 
 @dataclass(frozen=True)
 class DichotomyReport:
-    scenario: Scenario
     r0: float
     rows: tuple[DichotomyRow, ...]
     verdict: str
-    floor: float
-    ceiling_factor: float
 
 
 def _path_couplings(model: ModelSpec, knob: str, v: float) -> CouplingConfig:
@@ -195,14 +192,7 @@ def spreading_dichotomy(
         monotone = all(b <= a * (1.0 + 1e-9) for a, b in zip(p, p[1:]))
         collapsed = p[-1] <= ceiling_factor * p[0]
         verdict = "totally-spreading" if monotone and collapsed else "inconclusive"
-    return DichotomyReport(
-        scenario=scenario,
-        r0=float(r0),
-        rows=tuple(rows),
-        verdict=verdict,
-        floor=floor,
-        ceiling_factor=ceiling_factor,
-    )
+    return DichotomyReport(r0=float(r0), rows=tuple(rows), verdict=verdict)
 
 
 @dataclass(frozen=True)

@@ -51,8 +51,8 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad as adaptive_quad
 import scipy.sparse.linalg
+import scipy.special
 
 from .model import (
     MassSet,
@@ -589,7 +589,6 @@ def hs_norm_K2(
     pot23: PotentialSpec,
     frame,
     z: float,
-    quad: Quadrature,
 ) -> HsNormResult:
     """Hilbert-Schmidt norm^2 of the singular part of the rotation coupling.
 
@@ -599,12 +598,17 @@ def hs_norm_K2(
     """
     if not 0 < z:
         raise ValueError("z must be positive")
-    kc = kernel_constants(pot12, pot23, frame, quad)
-    # substitute p = t^2: the sqrt(p) cutoff profile becomes smooth in t
-    t, wt = np.polynomial.legendre.leggauss(80)
-    t = 0.5 * (t + 1.0)
-    wt = 0.5 * wt
-    bracket = 1.0 / (z + 1.0 + t_function(t**2)) - 1.0 / (z + 1.0)
+    kc = kernel_constants(pot12, pot23, frame)
+    # substitute p = t^2: the sqrt(p) cutoff profile becomes smooth in t.  The
+    # integrand turns over at t ~ z and t ~ sqrt(z), so panels grow by 4 from z.
+    edges, e = [0.0], z
+    while e < 1.0:
+        edges.append(e)
+        e *= 4.0
+    t, wt, _ = _gauss_legendre_panels(edges + [1.0], [20] * len(edges))
+    # 1/(z + 1 + tf) - 1/(z + 1), without the cancellation at large z
+    tf = t_function(t**2)
+    bracket = -tf / ((z + 1.0 + tf) * (z + 1.0))
     integrand = 4.0 * np.pi * t**4 * bracket**2 / np.sqrt(t**4 + z * z) * 2.0 * t
     ip = float(np.sum(wt * integrand))
     hs = kc.c * kc.c_prime * kc.c_tilde * ip / (2.0**7 * np.pi**5)
@@ -623,7 +627,6 @@ class SubthresholdRow:
 @dataclass(frozen=True)
 class SubthresholdReport:
     precondition_met: bool
-    delta: float
     rows: tuple[SubthresholdRow, ...]
 
     @property
@@ -654,13 +657,12 @@ def subthreshold_bound_check(
         rhs = 1.0 - delta
         passed = lhs <= rhs + _SUBTHRESHOLD_TOL
         rows.append(SubthresholdRow(z=float(z), lhs=lhs, rhs=rhs, passed=passed))
-    return SubthresholdReport(precondition_met=pre, delta=delta, rows=tuple(rows))
+    return SubthresholdReport(precondition_met=pre, rows=tuple(rows))
 
 
 @dataclass(frozen=True)
 class ContinuityRow:
     z1: float
-    z2: float
     norm_diff: float
     bound: float
     passed: bool
@@ -676,14 +678,7 @@ def continuity_modulus_check(
     **grid_kw,
 ) -> list[ContinuityRow]:
     """Norm continuity in z of the coupling-free block against the volume-constant bound."""
-    frame_row = model.frame(row_pair)
-    c_row = quad.radial_integral(
-        lambda r: model.potential(row_pair).value(frame_row.alpha * r)
-    )
-    frame_col = model.frame(col_pair)
-    c_col = quad.radial_integral(
-        lambda r: model.potential(col_pair).value(frame_col.alpha * r)
-    )
+    c_row, c_col = (model.scaled_potential(p).volume() for p in (row_pair, col_pair))
     ell = math.sqrt(c_row * c_col) / (4.0 * np.pi)
 
     rows = []
@@ -713,7 +708,6 @@ def continuity_modulus_check(
         rows.append(
             ContinuityRow(
                 z1=float(z1),
-                z2=float(z2),
                 norm_diff=norm_diff,
                 bound=bound,
                 passed=norm_diff <= bound,
@@ -731,23 +725,16 @@ class Green6Row:
 
 
 def green6_bound_check(xi_list: Sequence[float]) -> list[Green6Row]:
-    """Pointwise heat-kernel bound on the 6D free resolvent kernel at energy -1."""
+    """Pointwise heat-kernel bound on the 6D free resolvent kernel at energy -1.
+
+    The kernel is (4 pi)^-3 xi^-4 int_0^inf t^-3 exp(-t xi^2 - 1/(4t)) dt
+    = K_2(xi) / (8 pi^3 xi^2), with K_2 the modified Bessel function.
+    """
     rows = []
     for xi in xi_list:
         if not xi > 0:
             raise ValueError("xi must be positive")
-
-        def integrand(t):
-            return t**-3 * math.exp(-t * xi * xi - 0.25 / t)
-
-        t_peak = 0.5 / xi
-        val, err = adaptive_quad(integrand, 0.0, np.inf, points=None, limit=400)
-        if not math.isfinite(val) or err > 1e-10 * max(val, 1.0):
-            # fall back to a split at the saddle
-            v1, _ = adaptive_quad(integrand, 0.0, t_peak, limit=400)
-            v2, _ = adaptive_quad(integrand, t_peak, np.inf, limit=400)
-            val = v1 + v2
-        g0 = val / ((4.0 * np.pi) ** 3 * xi**4)
+        g0 = float(scipy.special.kv(2, xi)) / (8.0 * np.pi**3 * xi**2)
         bound = 4.0 / (9.0 * np.pi * xi**4) * math.exp(-xi / 2.0)
         rows.append(Green6Row(xi=float(xi), value=g0, bound=bound, passed=g0 <= bound))
     return rows
@@ -759,7 +746,6 @@ class LogDivergenceResult:
     j_values: np.ndarray
     lower_bounds: np.ndarray
     slope: float
-    intercept: float
     r_squared: float
 
     @property
@@ -767,22 +753,29 @@ class LogDivergenceResult:
         return bool(np.all(self.j_values >= self.lower_bounds * (1.0 - 1e-9)))
 
 
-def j_epsilon_divergence(g, eps0: float, z_list: Sequence[float]) -> LogDivergenceResult:
-    """Small-momentum weighted mass of a non-negative radial g against (p^2+z^2)^{-3/2}.
+def j_epsilon_divergence(
+    pot: PotentialSpec, eps0: float, z_list: Sequence[float]
+) -> LogDivergenceResult:
+    """Small-momentum weighted mass of a non-negative well g = V against (p^2+z^2)^{-3/2}.
 
     Returns the sampled integral J(z), its proven lower bound per z, and the
-    linear fit of J against log(1/z) (the divergence is logarithmic).  g is
-    sampled on 400 Gauss-Legendre nodes over (0, 40].
+    linear fit of J against log(1/z) (the divergence is logarithmic), with the
+    rows in descending z.  g is sampled on 400 m Gauss-Legendre nodes over
+    (0, 40 * range], m = ceil(eps0 * range / 10), so that sin(p r) stays
+    resolved up to p = eps0.
     """
-    r, wr, _ = _gauss_legendre_panels([0.0, 10.0, 20.0, 40.0], [200, 100, 100])
-    gr = np.asarray(g(r), dtype=float)
+    a = pot.range
+    m = max(1, math.ceil(eps0 * a / 10.0))
+    r, wr, _ = _gauss_legendre_panels([0.0, 10.0 * a, 20.0 * a, 40.0 * a],
+                                      [200 * m, 100 * m, 100 * m])
+    gr = np.asarray(pot.value(r), dtype=float)
     if np.any(gr < 0):
         raise ValueError("g must be non-negative")
     norm1 = float(4.0 * np.pi * np.sum(wr * r * r * gr))
-    if norm1 <= 0.0 or not len(z_list):  # nothing to fit
-        zs = np.asarray(z_list, float)
+    zs = np.asarray(sorted(z_list, reverse=True), dtype=float)
+    if norm1 <= 0.0 or not zs.size:  # nothing to fit
         zero = np.zeros_like(zs)
-        return LogDivergenceResult(zs, zero, zero, 0.0, 0.0, 1.0)
+        return LogDivergenceResult(zs, zero, zero, 0.0, 1.0)
 
     def ghat(p):
         # unnormalized radial transform: int d3y e^{ip.y} g = 4pi/p int g(y) y sin(py) dy
@@ -798,11 +791,12 @@ def j_epsilon_divergence(g, eps0: float, z_list: Sequence[float]) -> LogDivergen
     rq = float(r[min(idx, r.size - 1)])
     eps_low = min(eps0, np.pi / (3.0 * rq))
 
-    zs = np.asarray(sorted(z_list, reverse=True), dtype=float)
     js = np.empty_like(zs)
     lbs = np.empty_like(zs)
     for i, z in enumerate(zs):
+        # panels grow from z (the denominator) and from 1/range (the decay of ghat)
         pedges = [0.0] + [z * 4.0**j for j in range(0, 12) if z * 4.0**j < eps0] + [eps0]
+        pedges += [2.0**j / a for j in range(0, 24) if 2.0**j / a < eps0]
         pedges = sorted(set(pedges))
         pn, pw, _ = _gauss_legendre_panels(pedges, [12] * (len(pedges) - 1))
         gh = ghat(pn)
@@ -823,6 +817,5 @@ def j_epsilon_divergence(g, eps0: float, z_list: Sequence[float]) -> LogDivergen
         j_values=js,
         lower_bounds=lbs,
         slope=float(coef[0]),
-        intercept=float(coef[1]),
         r_squared=float(r2),
     )

@@ -26,10 +26,6 @@ _PAIR_INDEX = {"12": (0, 1, 2), "13": (0, 2, 1), "23": (1, 2, 0)}
 _POTENTIAL_KINDS = ("gaussian", "exponential", "square_well", "tabulated")
 
 
-class QuadratureUnderresolvedError(RuntimeError):
-    """Doubling the node count moved a reported constant by more than _DOUBLING_TOL."""
-
-
 class ZeroPotentialError(ValueError):
     """Operation needs a non-vanishing potential."""
 
@@ -54,6 +50,8 @@ class PotentialSpec:
             radii = [r for r, _ in self.table]
             if any(b <= a for a, b in zip(radii, radii[1:])) or radii[0] < 0:
                 raise ValueError("table radii must be non-negative and strictly increasing")
+            if not radii[-1] > 0:
+                raise ValueError("table must end at a positive radius")
             object.__setattr__(self, "range", float(radii[-1]))
         elif not (self.range > 0.0 and math.isfinite(self.range)):
             raise ValueError("range must be finite and > 0")
@@ -70,6 +68,20 @@ class PotentialSpec:
         radii = np.array([p[0] for p in self.table])
         vals = np.array([p[1] for p in self.table])
         return np.interp(r, radii, vals, left=vals[0], right=0.0)
+
+    def volume(self) -> float:
+        """Volume integral of V over R^3, in closed form."""
+        if self.kind != "tabulated":
+            shape = {"gaussian": math.pi**1.5, "exponential": 8.0 * math.pi,
+                     "square_well": 4.0 * math.pi / 3.0}[self.kind]
+            return shape * self.depth * self.range**3
+        # constant head below the first radius, then linear segments, on each of
+        # which Simpson's rule is exact for r^2 V(r)
+        r0, v0 = self.table[0]
+        total = v0 * r0**3 / 3.0
+        for (a, va), (b, vb) in zip(self.table, self.table[1:]):
+            total += (b - a) / 6.0 * (a * a * va + 0.5 * (a + b) ** 2 * (va + vb) + b * b * vb)
+        return 4.0 * math.pi * total
 
     def is_nonnegative(self) -> bool:
         if self.kind == "tabulated":
@@ -348,44 +360,19 @@ def _default_fractions(n_panels: int) -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 # kernel constants
 
-# Relative change of c or c~ under grid doubling above which the grid counts
-# as under-resolved.
-_DOUBLING_TOL = 1e-6
-
 
 def kernel_constants(
-    pot12: PotentialSpec,
-    pot23: PotentialSpec,
-    frame: JacobiFrame,
-    quad: Quadrature,
+    pot12: PotentialSpec, pot23: PotentialSpec, frame: JacobiFrame
 ) -> KernelConstants:
     """Volume constants of the pair kernels.
 
-    c   : volume integral of the (12) well over the scaled internal coordinate,
-    c'  : volume integral of exp(-2|x|)/|x|^2 (model independent),
+    c   : volume integral of the (12) well, given in its scaled internal coordinate,
+    c'  : volume integral of exp(-2|x|)/|x|^2, 2 pi (model independent),
     c~  : Plancherel norm of the Fourier transform of sqrt(V23), folded with gamma.
-
-    Raises QuadratureUnderresolvedError if doubling the grid moves c or c~ by
-    more than _DOUBLING_TOL relative.
     """
-
-    def _c(q: Quadrature) -> float:
-        return q.radial_integral(lambda r: pot12.value(frame.alpha * r))
-
-    def _c_tilde(q: Quadrature) -> float:
-        return q.radial_integral(pot23.value) / frame.gamma**3
-
-    c, c2 = _c(quad), _c(quad.doubled())
-    ct, ct2 = _c_tilde(quad), _c_tilde(quad.doubled())
-    for a, b in ((c, c2), (ct, ct2)):
-        if abs(a - b) > _DOUBLING_TOL * max(abs(b), 1e-300):
-            raise QuadratureUnderresolvedError(
-                f"constant moved {abs(a - b):.3e} (> {_DOUBLING_TOL:.1e} rel) on doubling"
-            )
-
-    cp_quad = Quadrature.build(r_max=24.0, n=64)
-    c_prime = cp_quad.radial_integral(lambda r: np.exp(-2.0 * r) / r**2)
-    return KernelConstants(c=c2, c_prime=c_prime, c_tilde=ct2)
+    return KernelConstants(
+        c=pot12.volume(), c_prime=2.0 * math.pi, c_tilde=pot23.volume() / frame.gamma**3
+    )
 
 
 # ---------------------------------------------------------------------------

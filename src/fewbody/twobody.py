@@ -174,9 +174,7 @@ class BSOperator:
     """Discretized s-wave Birman-Schwinger operator at spectral point k."""
 
     k: float
-    coupling: float
     matrix: np.ndarray
-    grid: Quadrature
 
     def __post_init__(self):
         asym = np.max(np.abs(self.matrix - self.matrix.T))
@@ -193,7 +191,7 @@ def assemble_bs(
     v = coupling * pot.value(quad.nodes)
     sq = np.sqrt(quad.weights * v)
     M = np.outer(sq, sq) * greens_matrix(k, quad)
-    return BSOperator(k=float(k), coupling=float(coupling), matrix=M, grid=quad)
+    return BSOperator(k=float(k), matrix=M)
 
 
 @dataclass(frozen=True, eq=False)

@@ -200,13 +200,19 @@ class TestConfigValues:
         assert main(["two-body", "threshold", "--config", str(cfg_file), "--quiet"]) == EXIT_OK
         assert capsys.readouterr().out.splitlines()[1].split(",")[3] == "2.684164730801585"
 
-    def test_underresolved_radial_grid_exits_numeric(self, cfg_file, capsys):
-        # the least radial grid parses, but the kernel constants of bounds move
-        # on doubling it: a numeric failure, not a traceback
-        cfg_file.write_text(FULL.replace("[numerics]\n", "[numerics]\nradial_nodes = 20\n"))
-        assert main(["checks", "bounds", "--config", str(cfg_file), "--quiet"]) == EXIT_NUMERIC
-        err = capsys.readouterr().err
-        assert "numeric failure:" in err and "on doubling" in err
+    # a table ending at r = 0 is a well of range 0: a config error naming the pair
+    @pytest.mark.parametrize("table,word", [
+        ("0:0", "positive radius"),
+        ("0:1,0.5:0.3,0.2:0", "strictly increasing"),
+    ])
+    def test_invalid_table_exits_config(self, tmp_path, capsys, table, word):
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text(FULL.replace("pair12.kind = gaussian",
+                                    f"pair12.kind = tabulated\npair12.table = {table}"))
+        assert main(["two-body", "threshold", "--config", str(cfg), "--quiet"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid potential model.pair12 " in captured.err and word in captured.err
 
     # a name read by one subcommand only is checked when the config is parsed
     @pytest.mark.parametrize("key,value", [("vary_pair", "14"), ("scenario", "bogus")])
@@ -487,6 +493,29 @@ class TestChecksBounds:
                                              n_x=20, n_p_per_panel=4, n_angle=angle_nodes)
         assert [(r["z"], r["lhs"], r["rhs"]) for r in rows] == [
             (cli._fmt(c.z1), cli._fmt(c.norm_diff), cli._fmt(c.bound)) for c in direct]
+
+
+    def test_least_radial_grid_keeps_hs_rows(self, cfg_file, capsys):
+        # the kernel constants are closed-form well volumes, so the radial grid
+        # moves no hs_bound row
+        def hs_rows(text):
+            cfg_file.write_text(text)
+            assert main(["checks", "bounds", "--config", str(cfg_file), "--quiet"]) == EXIT_OK
+            return [r for r in capsys.readouterr().out.splitlines() if r.startswith("hs_bound")]
+
+        least = hs_rows(FULL.replace("[numerics]\n", "[numerics]\nradial_nodes = 20\n"))
+        assert len(least) == 4 and least == hs_rows(FULL)
+
+
+class TestChecksJlog:
+    # rows in descending z, whether or not the (23) well vanishes
+    @pytest.mark.parametrize("text", [MINIMAL, FULL], ids=["zero-v23", "gaussian-v23"])
+    def test_rows_descend(self, tmp_path, capsys, text):
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text(text)
+        assert main(["checks", "jlog", "--config", str(cfg), "--quiet"]) == EXIT_OK
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [r["z"] for r in rows] == ["1", "0.10000000000000001", "0.01", "0.001"]
 
 
 THETA0_CFG = FULL.replace("lambda13 = 2.1472\n", "").replace(

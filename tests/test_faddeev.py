@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.sparse.linalg
@@ -236,16 +237,26 @@ class TestContinuityAndBounds:
         m = gauss_model_factory(0.8)
         frame = m.frame("12")
         for z in (1e-3, 1e-2, 1e-1, 1.0):
-            res = fd.hs_norm_K2(
-                m.scaled_potential("12"), m.potential("23"), frame, z, gauss_quad
-            )
+            res = fd.hs_norm_K2(m.scaled_potential("12"), m.potential("23"), frame, z)
             assert res.passed
 
-    def test_hs_zero_v23(self, gaussian_well, gauss_quad, equal_masses):
+    def test_hs_zero_v23(self, gaussian_well, equal_masses):
         frame = make_jacobi_frame(equal_masses, "12")
         zero = PotentialSpec("gaussian", depth=0.0, range=1.0)
-        res = fd.hs_norm_K2(gaussian_well, zero, frame, 0.5, gauss_quad)
+        res = fd.hs_norm_K2(gaussian_well, zero, frame, 0.5)
         assert res.hs_norm_sq == 0.0
+
+    @pytest.mark.parametrize("z", [1e-12, 1e-6, 1e-3, 3e-2, 0.25, 1.0, 1e3])
+    def test_hs_momentum_integral_matches_mpmath(self, gaussian_well, equal_masses, z):
+        # hs / bound = I(z) / (4 pi), with I the integral over t = sqrt(p) in (0, 1]
+        frame = make_jacobi_frame(equal_masses, "12")
+        res = fd.hs_norm_K2(gaussian_well, gaussian_well, frame, z)
+        with mp.workdps(40):
+            zm = mp.mpf(z)
+            kinks = sorted({p for p in (zm, mp.sqrt(zm), 10 * zm) if p < 1})
+            ref = mp.quad(lambda t: 8 * mp.pi * t**5 * (1 / (zm + t) - 1 / (zm + 1)) ** 2
+                          / mp.sqrt(t**4 + zm * zm), [0, *kinks, 1])
+        assert res.hs_norm_sq / res.bound * 4 * np.pi == pytest.approx(float(ref), rel=1e-13, abs=0)
 
     def test_subthreshold_margin(self, square_well, sw_quad):
         rep = fd.subthreshold_bound_check(square_well, 1.0, 0.2, [0.01, 0.1, 1.0], sw_quad)
@@ -280,6 +291,19 @@ class TestGreen6:
         row = fd.green6_bound_check([10.0])[0]
         assert row.value < 1e-4 and row.bound < 1e-4
 
+    # K_2(xi) / (8 pi^3 xi^2) at 40 digits (mpmath besselk)
+    @pytest.mark.parametrize("xi,value", [
+        (0.05, "1289.257035451702846814332215795257179013"),
+        (0.5, "0.1217525023899106502345972554025463758642"),
+        (1.0, "0.006550443460966795134830219082025950140723"),
+        (10.0, "8.671557548136402078560431487096906660454e-10"),
+        (30.0, "1.019951624424975308751924199361055173023e-19"),
+        (80.0, "1.630618161168345430037147412365564013664e-42"),
+        (100.0, "1.915025686922749836627058457990526199772e-51"),
+    ])
+    def test_matches_pinned_values(self, xi, value):
+        assert fd.green6_bound_check([xi])[0].value == pytest.approx(float(value), rel=1e-14, abs=0)
+
     def test_invalid_xi(self):
         with pytest.raises(ValueError):
             fd.green6_bound_check([0.0])
@@ -287,21 +311,40 @@ class TestGreen6:
 
 class TestLogDivergence:
     def test_zero_function(self):
-        res = fd.j_epsilon_divergence(lambda r: 0.0 * np.asarray(r), 1.0, [1e-1, 1e-2])
+        zero = PotentialSpec("gaussian", depth=0.0, range=1.0)
+        res = fd.j_epsilon_divergence(zero, 1.0, [1e-1, 1e-2])
         assert np.all(res.j_values == 0.0)
 
     def test_gaussian_log_fit(self, gaussian_well):
         zs = [1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4]
-        res = fd.j_epsilon_divergence(gaussian_well.value, 1.0, zs)
+        res = fd.j_epsilon_divergence(gaussian_well, 1.0, zs)
         assert res.r_squared > 0.99
         assert res.bound_holds
         # J ~ 4 pi |ghat(0)|^2 log(1/z): slope pinned by the L1 norm
         norm1 = np.pi**1.5
         assert abs(res.slope - 4 * np.pi * norm1**2) / (4 * np.pi * norm1**2) < 0.05
 
+    def test_rows_descend_for_any_well(self, gaussian_well):
+        zero = PotentialSpec("gaussian", depth=0.0, range=1.0)
+        for pot in (zero, gaussian_well):
+            res = fd.j_epsilon_divergence(pot, 1.0, [1e-2, 1e-1, 1e-3])
+            assert list(res.z_values) == [1e-1, 1e-2, 1e-3]
+
+    def test_wide_well_matches_closed_form(self):
+        # the samples of g scale with its range: a range-20 Gaussian against
+        # J = 4 pi int_0^eps0 p^2 ghat^2 / (p^2 + z^2)^(3/2), ghat = pi^(3/2) R^3 exp(-p^2 R^2 / 4)
+        R, eps0, zs = 20.0, 1.0, [1.0, 1e-1, 1e-2, 1e-3]
+        res = fd.j_epsilon_divergence(PotentialSpec("gaussian", depth=1.0, range=R), eps0, zs)
+        for z, j in zip(res.z_values, res.j_values):
+            with mp.workdps(30):
+                ghat = lambda p: mp.pi**1.5 * R**3 * mp.exp(-p * p * R * R / 4)
+                ref = 4 * mp.pi * mp.quad(lambda p: p * p * ghat(p) ** 2 / (p * p + z * z) ** 1.5,
+                                          sorted({0, z, 4 * z, 1 / R, 4 / R, eps0}))
+            assert j == pytest.approx(float(ref), rel=1e-8, abs=0)
+
     def test_monotone_in_eps0(self, gaussian_well):
-        j1 = fd.j_epsilon_divergence(gaussian_well.value, 0.5, [1e-2]).j_values[0]
-        j2 = fd.j_epsilon_divergence(gaussian_well.value, 1.0, [1e-2]).j_values[0]
+        j1 = fd.j_epsilon_divergence(gaussian_well, 0.5, [1e-2]).j_values[0]
+        j2 = fd.j_epsilon_divergence(gaussian_well, 1.0, [1e-2]).j_values[0]
         assert j2 >= j1
 
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,6 @@ from fewbody.model import (
     MassSet,
     PotentialSpec,
     Quadrature,
-    QuadratureUnderresolvedError,
     kernel_constants,
     make_jacobi_frame,
     minimal_envelope_b1,
@@ -46,6 +46,10 @@ class TestPotentialSpec:
         with pytest.raises(ValueError):
             PotentialSpec("yukawa")
 
+    def test_table_must_end_at_positive_radius(self):
+        with pytest.raises(ValueError, match="positive radius"):
+            PotentialSpec("tabulated", table=((0.0, 0.0),))
+
     def test_dilated(self):
         g = PotentialSpec("gaussian", depth=1.0, range=1.0)
         d = g.dilated(2.0)
@@ -56,6 +60,52 @@ class TestPotentialSpec:
         assert PotentialSpec("gaussian", depth=0.0, range=1.0).is_zero()
         assert not PotentialSpec("gaussian", depth=1.0, range=1.0).is_zero()
         assert PotentialSpec("tabulated", table=((0.5, 0.0), (1.0, 0.0))).is_zero()
+
+
+# wells of every kind; the tables have kinks, a constant head below their first
+# radius and a jump to zero at their last
+VOLUME_WELLS = [
+    PotentialSpec("gaussian", depth=1.7, range=0.8),
+    PotentialSpec("exponential", depth=0.6, range=2.5),
+    PotentialSpec("square_well", depth=2.0, range=1.3),
+    PotentialSpec("tabulated", table=((0.5, 2.0), (1.0, 0.5), (1.5, 1.2), (3.0, 0.0))),
+    PotentialSpec("tabulated", table=((0.0, 1.0), (1.0, 0.25), (2.0, 0.75))),
+]
+
+
+def mp_volume(pot: PotentialSpec) -> mp.mpf:
+    """4 pi int r^2 V(r) dr at 40 digits, V written out again in mpmath."""
+    with mp.workdps(40):
+        if pot.kind == "tabulated":
+            (r0, v0), tab = pot.table[0], pot.table
+            total = mp.mpf(v0) * mp.mpf(r0) ** 3 / 3
+            for (a, va), (b, vb) in zip(tab, tab[1:]):
+                a, va, b, vb = map(mp.mpf, (a, va, b, vb))
+                total += mp.quad(lambda r: r * r * (va + (vb - va) * (r - a) / (b - a)), [a, b])
+            return 4 * mp.pi * total
+        d, a = mp.mpf(pot.depth), mp.mpf(pot.range)
+        shape, upper = {
+            "gaussian": (lambda r: mp.exp(-((r / a) ** 2)), mp.inf),
+            "exponential": (lambda r: mp.exp(-r / a), mp.inf),
+            "square_well": (lambda r: 1, a),
+        }[pot.kind]
+        return 4 * mp.pi * d * mp.quad(lambda r: r * r * shape(r), [0, upper])
+
+
+class TestVolume:
+    @pytest.mark.parametrize("pot", VOLUME_WELLS, ids=lambda p: p.kind)
+    def test_matches_mpmath(self, pot):
+        ref = mp_volume(pot)
+        assert abs(pot.volume() - float(ref)) <= 1e-14 * float(ref)
+
+    @pytest.mark.parametrize("pot", VOLUME_WELLS, ids=lambda p: p.kind)
+    @pytest.mark.parametrize("alpha", [0.3, 1.7])
+    def test_dilation_scales_by_alpha_cubed(self, pot, alpha):
+        assert pot.dilated(alpha).volume() * alpha**3 == pytest.approx(pot.volume(), rel=1e-14, abs=0)
+
+    def test_zero_well(self):
+        assert PotentialSpec("exponential", depth=0.0, range=3.0).volume() == 0.0
+        assert PotentialSpec("tabulated", table=((0.5, 0.0), (1.0, 0.0))).volume() == 0.0
 
 
 class TestMassesAndFrames:
@@ -96,38 +146,24 @@ class TestQuadrature:
         assert np.all(np.diff(q.nodes) > 0)
         assert np.isclose(q.weights.sum(), 12.0, rtol=1e-12)
 
-    def test_doubling_convergence(self, gaussian_well, gauss_quad, equal_masses):
-        frame = make_jacobi_frame(equal_masses, "12")
-        kc1 = kernel_constants(gaussian_well, gaussian_well, frame, gauss_quad)
-        kc2 = kernel_constants(gaussian_well, gaussian_well, frame, gauss_quad.doubled())
-        for f in ("c", "c_prime", "c_tilde"):
-            a, b = getattr(kc1, f), getattr(kc2, f)
-            assert abs(a - b) <= 1e-6 * max(abs(b), 1e-30)
-
-    def test_underresolved_raises(self, gaussian_well, equal_masses):
-        frame = make_jacobi_frame(equal_masses, "12")
-        # 8 nodes on one panel: c moves by about 0.5 relative on doubling
-        coarse = Quadrature.build(r_max=12.0, n=8, edges=[0.0, 12.0])
-        with pytest.raises(QuadratureUnderresolvedError):
-            kernel_constants(gaussian_well, gaussian_well, frame, coarse)
 
 
 class TestKernelConstants:
-    def test_c_prime(self, square_well, gaussian_well, sw_quad, equal_masses):
+    def test_c_prime(self, square_well, gaussian_well, equal_masses):
         frame = make_jacobi_frame(equal_masses, "12")
-        kc = kernel_constants(square_well, gaussian_well, frame, sw_quad)
+        kc = kernel_constants(square_well, gaussian_well, frame)
         assert np.isclose(kc.c_prime, 2.0 * np.pi, rtol=1e-8)
 
-    def test_c_zero_iff_zero_potential(self, gaussian_well, sw_quad, equal_masses):
+    def test_c_zero_iff_zero_potential(self, gaussian_well, equal_masses):
         frame = make_jacobi_frame(equal_masses, "12")
         zero = PotentialSpec("gaussian", depth=0.0, range=1.0)
-        kc = kernel_constants(zero, gaussian_well, frame, sw_quad)
+        kc = kernel_constants(zero, gaussian_well, frame)
         assert kc.c == 0.0
 
-    def test_c_tilde_gaussian_plancherel(self, gaussian_well, gauss_quad):
+    def test_c_tilde_gaussian_plancherel(self, gaussian_well):
         # unit-gamma frame: c~ equals the volume integral pi^(3/2)
         frame = make_jacobi_frame(MassSet(1, 1, 1), "12")
-        kc = kernel_constants(gaussian_well, gaussian_well, frame, gauss_quad)
+        kc = kernel_constants(gaussian_well, gaussian_well, frame)
         expected = np.pi**1.5 / frame.gamma**3
         assert np.isclose(kc.c_tilde, expected, rtol=1e-9)
         # Plancherel cross-check through an explicit radial transform
@@ -145,11 +181,19 @@ class TestKernelConstants:
         # V(r/s) multiplies the volume constant by s^3
         frame = make_jacobi_frame(equal_masses, "12")
         wide = PotentialSpec("gaussian", depth=1.0, range=2.0)
-        q1 = Quadrature.for_potential(gaussian_well)
-        q2 = Quadrature.for_potential(wide)
-        c1 = kernel_constants(gaussian_well, gaussian_well, frame, q1).c
-        c2 = kernel_constants(wide, wide, frame, q2).c
+        c1 = kernel_constants(gaussian_well, gaussian_well, frame).c
+        c2 = kernel_constants(wide, wide, frame).c
         assert np.isclose(c2, 8.0 * c1, rtol=1e-9)
+
+
+    def test_c_is_the_scaled_well_volume(self, gaussian_well):
+        # the (12) well is passed already in its scaled coordinate, x = r / alpha:
+        # c = int V(alpha x) d3x = volume / alpha^3
+        m = make_model(MassSet(1.0, 0.7, 1.6), gaussian_well, (1.0, 1.0, 1.0))
+        kc = kernel_constants(m.scaled_potential("12"), m.potential("23"), m.frame("12"))
+        assert kc.c == m.scaled_potential("12").volume()
+        alpha = m.frame("12").alpha
+        assert kc.c == pytest.approx(np.pi**1.5 / alpha**3, rel=1e-14, abs=0)
 
 
 class TestValidation:

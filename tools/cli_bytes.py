@@ -39,11 +39,16 @@ SUBCOMMANDS = [
 ]
 
 # (section, key, value) set in FULL: malformed and out-of-range values, the
-# brackets, the energy targets, the sweep grid and the coupled-solver grid keys
+# brackets, the energy targets, the sweep grid, the coupled-solver grid keys,
+# the least radial grid, unequal masses, a wide (23) well and large
+# Green's-function arguments
 VARIANTS = [
     ("model", "m1", "x"),
     ("model", "m1", "-1"),
+    ("model", "m2", "0.7"),
+    ("model", "pair23.range", "20"),
     ("numerics", "radial_nodes", "3"),
+    ("numerics", "radial_nodes", "20"),
     ("numerics", "basis.n_x", "x"),
     ("numerics", "basis.correlations", "0.1,nan"),
     ("numerics", "seed", "x"),
@@ -53,6 +58,7 @@ VARIANTS = [
     ("experiment", "r0", "0"),
     ("experiment", "z_list", "nan,1e-2"),
     ("experiment", "k_list", "0,1e-3"),
+    ("experiment", "xi_list", "0.5,30,80"),
     ("experiment", "scenario", "bogus"),
     ("experiment", "theta_bracket", "x"),
     ("experiment", "theta_bracket", "1.8788"),
