@@ -538,16 +538,9 @@ def _cmd_three_body_dichotomy(cfg: RunConfig, args, out) -> int:
 
 
 def _cmd_three_body_efimov(cfg: RunConfig, args, out) -> int:
-    basis = _basis(cfg)
-    scan = ex.efimov_scan(cfg.model, basis,
-                          resonance_tol=cfg["numerics", "resonance_tol"])
-    rows = [
-        {"level": i, "energy": e,
-         "ratio_to_next": scan.ratios[i] if i < len(scan.ratios) else None}
-        for i, e in enumerate(scan.levels)
-    ]
-    emit_csv(rows, ["level", "energy", "ratio_to_next"], out)
-    print(f"count: {scan.count}", file=sys.stderr)
+    rows = ex.efimov_scan(cfg.model, _basis(cfg), resonance_tol=cfg["numerics", "resonance_tol"])
+    emit_csv(rows, ex.EfimovLevel, out)
+    print(f"count: {len(rows)}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -588,35 +581,12 @@ def _cmd_three_body_cross_validate(cfg: RunConfig, args, out) -> int:
 
 
 def _cmd_checks_bounds(cfg: RunConfig, args, out) -> int:
-    model = cfg.model
-    quad = _quad_for(cfg, "12")
-    zs = sorted(cfg["experiment", "z_list"])
-    rows = []
-    frame = model.frame("12")
-    for z in zs:
-        hs = fd.hs_norm_K2(model.scaled_potential("12"), model.potential("23"), frame, z)
-        rows.append({"check": "hs_bound", "z": z, "lhs": hs.hs_norm_sq,
-                     "rhs": hs.bound, "passed": hs.passed})
-    pairs_z = [(zs[i], zs[i + 1]) for i in range(len(zs) - 1)]
-    for row_pair, col_pair in (("12", "12"), ("12", "23")):
-        for c in fd.continuity_modulus_check(model, row_pair, col_pair, pairs_z, quad,
-                                             **_grid_kw(cfg)):
-            rows.append({"check": f"continuity_{row_pair}_{col_pair}", "z": c.z1,
-                         "lhs": c.norm_diff, "rhs": c.bound, "passed": c.passed})
-    for pair in PAIRS:
-        lam = model.couplings.get(pair)
-        rep = fd.subthreshold_bound_check(
-            model.scaled_potential(pair), lam, model.couplings.margin_epsilon, zs, quad
-        )
-        for r in rep.rows:
-            rows.append({"check": f"subthreshold_{pair}", "z": r.z, "lhs": r.lhs,
-                         "rhs": r.rhs, "passed": r.passed and rep.precondition_met})
-    for g in fd.green6_bound_check(cfg["experiment", "xi_list"]):
-        rows.append({"check": "green6", "z": g.xi, "lhs": g.value,
-                     "rhs": g.bound, "passed": g.passed})
-    emit_csv(rows, ["check", "z", "lhs", "rhs", "passed"], out)
-    ok = all(r["passed"] for r in rows)
-    return EXIT_OK if ok else EXIT_NUMERIC
+    rows = fd.inequality_suite(
+        cfg.model, cfg["experiment", "z_list"], cfg["experiment", "xi_list"],
+        cfg["numerics", "radial_nodes"], **_grid_kw(cfg),
+    )
+    emit_csv(rows, fd.BoundRow, out)
+    return EXIT_OK if all(r.passed for r in rows) else EXIT_NUMERIC
 
 
 def _cmd_checks_green6(cfg: RunConfig, args, out) -> int:
@@ -626,15 +596,11 @@ def _cmd_checks_green6(cfg: RunConfig, args, out) -> int:
 
 
 def _cmd_checks_jlog(cfg: RunConfig, args, out) -> int:
-    result = fd.j_epsilon_divergence(
+    rows = fd.j_epsilon_divergence(
         cfg.model.potential("23"), cfg["experiment", "eps0"], cfg["experiment", "z_list"]
     )
-    rows = [
-        {"z": z, "j": j, "lower_bound": lb, "r_squared": result.r_squared}
-        for z, j, lb in zip(result.z_values, result.j_values, result.lower_bounds)
-    ]
-    emit_csv(rows, ["z", "j", "lower_bound", "r_squared"], out)
-    return EXIT_OK if result.bound_holds else EXIT_NUMERIC
+    emit_csv(rows, fd.JRow, out)
+    return EXIT_OK if all(r.bound_holds for r in rows) else EXIT_NUMERIC
 
 
 def _cmd_checks_merkuriev(cfg: RunConfig, args, out) -> int:
@@ -648,7 +614,7 @@ def _cmd_checks_merkuriev(cfg: RunConfig, args, out) -> int:
 def _cmd_validate_config(cfg: RunConfig, args, out) -> int:
     b1 = cfg["experiment", "envelope_b1"]
     b2 = cfg["experiment", "envelope_b2"]
-    emit_csv(validate_requirements(cfg.model, (b1, b2)).checks, RequirementCheck, out)
+    emit_csv(validate_requirements(cfg.model, (b1, b2)), RequirementCheck, out)
     return EXIT_OK
 
 

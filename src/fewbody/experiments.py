@@ -142,14 +142,14 @@ def spreading_dichotomy(
     targets = sorted((abs(t) * depth for t in energy_targets), reverse=True)
     if r0 is None:
         r0 = 10.0 * model.max_range()
-    quad = Quadrature.build(r_max=12.0 * model.max_range())
+    quads = {p: Quadrature.for_potential(model.scaled_potential(p)) for p in PAIRS}
 
     if scenario is Scenario.NO_PAIR_RESONANCE:
         knob, bracket = "scale", scale_bracket
     else:
         lam12 = model.couplings.lambda12
         cls = tb.classify_pair(
-            model.scaled_potential("12"), lam12, quad, model.couplings.margin_epsilon
+            model.scaled_potential("12"), lam12, quads["12"], model.couplings.margin_epsilon
         )
         if cls.category is not tb.PairClass.RESONANT:
             raise PairDriftError(
@@ -172,7 +172,7 @@ def spreading_dichotomy(
                 if lam == 0.0:
                     continue
                 cls = tb.classify_pair(
-                    m.scaled_potential(pair), lam, quad, m.couplings.margin_epsilon
+                    m.scaled_potential(pair), lam, quads[pair], m.couplings.margin_epsilon
                 )
                 if cls.category is not tb.PairClass.UNBOUND_WITH_MARGIN:
                     raise PairDriftError(
@@ -196,23 +196,26 @@ def spreading_dichotomy(
 
 
 @dataclass(frozen=True)
-class EfimovScan:
-    levels: tuple[float, ...]
-    count: int
-    ratios: tuple[float, ...]
+class EfimovLevel:
+    level: int
+    energy: float
+    ratio_to_next: Optional[float]
 
 
 def efimov_scan(
     model: ModelSpec,
     basis: vr.GaussianBasis,
     resonance_tol: float = 1e-4,
-) -> EfimovScan:
-    """Negative-energy levels with (at least) two pairs at their thresholds."""
-    quad = Quadrature.build(r_max=12.0 * model.max_range())
+) -> list[EfimovLevel]:
+    """Negative-energy levels with (at least) two pairs at their thresholds.
+
+    Deepest first, each with its ratio to the next level (None for the last).
+    """
     resonant = 0
     for pair in model.active_pairs():
+        pot = model.scaled_potential(pair)
         cls = tb.classify_pair(
-            model.scaled_potential(pair), model.couplings.get(pair), quad,
+            pot, model.couplings.get(pair), Quadrature.for_potential(pot),
             model.couplings.margin_epsilon, resonance_tol=resonance_tol,
         )
         if cls.category is tb.PairClass.RESONANT:
@@ -221,9 +224,9 @@ def efimov_scan(
         raise PairDriftError(f"need two resonant pairs, found {resonant}")
     gs = vr.solve_ground(model, basis)
     thr = vr.hvz_bottom(model)
-    levels = tuple(float(e) for e in gs.eigenvalues if e < thr - EPS_NUM)
-    ratios = tuple(levels[i] / levels[i + 1] for i in range(len(levels) - 1))
-    return EfimovScan(levels=levels, count=len(levels), ratios=ratios)
+    levels = [float(e) for e in gs.eigenvalues if e < thr - EPS_NUM]
+    return [EfimovLevel(i, e, e / levels[i + 1] if i + 1 < len(levels) else None)
+            for i, e in enumerate(levels)]
 
 
 @dataclass(frozen=True)
@@ -237,8 +240,9 @@ class MerkurievRow:
 def merkuriev_spreading(k_list: Sequence[float], r: float) -> list[MerkurievRow]:
     """Ball probability of the normalized hyperradial tail family exp(-k rho)/rho^{5/2}.
 
-    The rho^5 volume element cancels the prefactor, so P(R) = 1 - exp(-2kR);
-    each row carries an independent quadrature evaluation of the same ratio.
+    The rho^5 volume element cancels the prefactor, so P(R) = 1 - exp(-2kR),
+    taken as -expm1(-2kR) so that small kR does not cancel; each row carries
+    an independent quadrature evaluation of the same ratio.
     """
     if r <= 0:
         raise ValueError("R must be positive")
@@ -247,7 +251,7 @@ def merkuriev_spreading(k_list: Sequence[float], r: float) -> list[MerkurievRow]
     for k in k_list:
         if k <= 0:
             raise ValueError("k must be positive")
-        closed = 1.0 - math.exp(-2.0 * k * r)
+        closed = -math.expm1(-2.0 * k * r)
         inner = 0.5 * r * np.sum(w * np.exp(-2.0 * k * (0.5 * r * (x + 1.0))))
         span = 40.0 / k
         t = 0.5 * span * (x + 1.0) + r

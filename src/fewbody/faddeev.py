@@ -55,6 +55,7 @@ import scipy.sparse.linalg
 import scipy.special
 
 from .model import (
+    PAIRS,
     MassSet,
     ModelSpec,
     PotentialSpec,
@@ -92,11 +93,6 @@ class MixedGrid:
     x_quad: Quadrature
     p_nodes: np.ndarray
     p_weights: np.ndarray
-    p_edges: tuple
-
-    def __post_init__(self):
-        if 1.0 < self.p_nodes[-1] and 1.0 not in self.p_edges:
-            raise ValueError("momentum panels must carry an edge at |p| = 1")
 
     @property
     def n_x(self) -> int:
@@ -140,7 +136,7 @@ def build_mixed_grid(
     edges = momentum_edges(z, p_max)
     counts = [n_p_per_panel] * (len(edges) - 1)
     pn, pw, _ = _gauss_legendre_panels(edges, counts)
-    return MixedGrid(x_quad=x_quad, p_nodes=pn, p_weights=pw, p_edges=tuple(edges))
+    return MixedGrid(x_quad=x_quad, p_nodes=pn, p_weights=pw)
 
 
 # ---------------------------------------------------------------------------
@@ -575,13 +571,14 @@ _CONTINUITY_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
-class HsNormResult:
-    hs_norm_sq: float
-    bound: float
+class BoundRow:
+    """One operator-inequality row: lhs against its bound rhs at z (at xi for green6)."""
 
-    @property
-    def passed(self) -> bool:
-        return self.hs_norm_sq <= self.bound * (1.0 + 1e-12)
+    check: str
+    z: float
+    lhs: float
+    rhs: float
+    passed: bool
 
 
 def hs_norm_K2(
@@ -589,7 +586,7 @@ def hs_norm_K2(
     pot23: PotentialSpec,
     frame,
     z: float,
-) -> HsNormResult:
+) -> BoundRow:
     """Hilbert-Schmidt norm^2 of the singular part of the rotation coupling.
 
     The squared kernel factorizes into the pair-volume constants times a
@@ -613,59 +610,31 @@ def hs_norm_K2(
     ip = float(np.sum(wt * integrand))
     hs = kc.c * kc.c_prime * kc.c_tilde * ip / (2.0**7 * np.pi**5)
     bound = kc.c * kc.c_prime * kc.c_tilde / (2.0**5 * np.pi**4)
-    return HsNormResult(hs_norm_sq=hs, bound=bound)
-
-
-@dataclass(frozen=True)
-class SubthresholdRow:
-    z: float
-    lhs: float
-    rhs: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class SubthresholdReport:
-    precondition_met: bool
-    rows: tuple[SubthresholdRow, ...]
-
-    @property
-    def passed(self) -> bool:
-        return self.precondition_met and all(r.passed for r in self.rows)
+    return BoundRow("hs_bound", float(z), hs, bound, hs <= bound * (1.0 + 1e-12))
 
 
 def subthreshold_bound_check(
-    pot: PotentialSpec,
-    coupling: float,
-    epsilon: float,
-    z_list: Sequence[float],
-    quad: Quadrature,
-) -> SubthresholdReport:
+    model: ModelSpec, pair: str, z_list: Sequence[float], n: int
+) -> list[BoundRow]:
     """coupling * |pair resolvent-sandwich norm| <= 1 - eps/(coupling+eps) per z.
 
     The 3-body diagonal block norm is the small-momentum fiber, i.e. the
-    2-body norm at k = z.  With a resonant or bound pair the margin
-    precondition fails and rows report the saturation instead of passing.
-    A row passes within _SUBTHRESHOLD_TOL of its bound.
+    2-body norm at k = z, taken on the pair well's own n-node radial grid.  A
+    row passes within _SUBTHRESHOLD_TOL of its bound and only if the pair holds
+    the margin: a resonant or bound pair reports its rows as failed.
     """
+    pot = model.scaled_potential(pair)
+    coupling, epsilon = model.couplings.get(pair), model.couplings.margin_epsilon
+    quad = Quadrature.for_potential(pot, n=n)
     cls = twobody.classify_pair(pot, coupling, quad, epsilon)
-    pre = cls.category == twobody.PairClass.UNBOUND_WITH_MARGIN or coupling == 0.0
-    delta = epsilon / (coupling + epsilon) if coupling + epsilon > 0 else 0.0
+    pre = cls.category == twobody.PairClass.UNBOUND_WITH_MARGIN
+    rhs = 1.0 - epsilon / (coupling + epsilon)
     rows = []
     for z in z_list:
         lhs = coupling * twobody.mu_max(pot, 1.0, z, quad) if coupling > 0 else 0.0
-        rhs = 1.0 - delta
-        passed = lhs <= rhs + _SUBTHRESHOLD_TOL
-        rows.append(SubthresholdRow(z=float(z), lhs=lhs, rhs=rhs, passed=passed))
-    return SubthresholdReport(precondition_met=pre, rows=tuple(rows))
-
-
-@dataclass(frozen=True)
-class ContinuityRow:
-    z1: float
-    norm_diff: float
-    bound: float
-    passed: bool
+        rows.append(BoundRow(f"subthreshold_{pair}", float(z), lhs, rhs,
+                             pre and lhs <= rhs + _SUBTHRESHOLD_TOL))
+    return rows
 
 
 def continuity_modulus_check(
@@ -673,46 +642,36 @@ def continuity_modulus_check(
     row_pair: str,
     col_pair: str,
     z_pairs: Sequence[tuple[float, float]],
-    quad: Quadrature,
+    n: int,
     n_angle: int = 32,
     **grid_kw,
-) -> list[ContinuityRow]:
-    """Norm continuity in z of the coupling-free block against the volume-constant bound."""
-    c_row, c_col = (model.scaled_potential(p).volume() for p in (row_pair, col_pair))
-    ell = math.sqrt(c_row * c_col) / (4.0 * np.pi)
+) -> list[BoundRow]:
+    """Norm continuity in z of the coupling-free block against the volume-constant bound.
 
+    A diagonal block is the pair operator on the well's own n-node radial
+    grid; a cross block is assembled on the mixed grids of grid_kw.
+    """
+    pot_row, pot_col = (model.scaled_potential(p) for p in (row_pair, col_pair))
+    ell = math.sqrt(pot_row.volume() * pot_col.volume()) / (4.0 * np.pi)
+    quad = Quadrature.for_potential(pot_row, n=n)
     rows = []
     for z1, z2 in z_pairs:
         if row_pair == col_pair:
             # the fiber difference norm is bounded by the difference at the
             # smallest wave number; evaluate the matrix difference directly
-            m1 = twobody.assemble_bs(model.scaled_potential(row_pair), 1.0, z1, quad).matrix
-            m2 = twobody.assemble_bs(model.scaled_potential(row_pair), 1.0, z2, quad).matrix
+            m1, m2 = (twobody.assemble_bs(pot_row, 1.0, z, quad).matrix for z in (z1, z2))
             norm_diff = float(np.max(np.abs(np.linalg.eigvalsh(m1 - m2))))
         else:
-            g1 = build_mixed_grid(model.scaled_potential(row_pair), min(z1, z2), **grid_kw)
-            g2 = build_mixed_grid(model.scaled_potential(col_pair), min(z1, z2), **grid_kw)
-            kw = dict(
-                pot_row=model.scaled_potential(row_pair),
-                pot_col=model.scaled_potential(col_pair),
-                coupling_row=1.0,
-                coupling_col=1.0,
-                grid_row=g1,
-                grid_col=g2,
-                n_angle=n_angle,
+            grids = [build_mixed_grid(p, min(z1, z2), **grid_kw) for p in (pot_row, pot_col)]
+            b1, b2 = (
+                assemble_offdiagonal_block(model.masses, row_pair, col_pair, pot_row, pot_col,
+                                           1.0, 1.0, z, *grids, n_angle=n_angle)
+                for z in (z1, z2)
             )
-            b1 = assemble_offdiagonal_block(model.masses, row_pair, col_pair, z=z1, **kw)
-            b2 = assemble_offdiagonal_block(model.masses, row_pair, col_pair, z=z2, **kw)
             norm_diff = float(np.linalg.norm(b1 - b2, 2))
         bound = ell * math.sqrt(abs(z2 * z2 - z1 * z1)) + _CONTINUITY_SLACK
-        rows.append(
-            ContinuityRow(
-                z1=float(z1),
-                norm_diff=norm_diff,
-                bound=bound,
-                passed=norm_diff <= bound,
-            )
-        )
+        rows.append(BoundRow(f"continuity_{row_pair}_{col_pair}", float(z1), norm_diff, bound,
+                             norm_diff <= bound))
     return rows
 
 
@@ -740,27 +699,49 @@ def green6_bound_check(xi_list: Sequence[float]) -> list[Green6Row]:
     return rows
 
 
+def inequality_suite(
+    model: ModelSpec, z_list: Sequence[float], xi_list: Sequence[float], n: int, **grid_kw
+) -> list[BoundRow]:
+    """The operator inequalities of the absorption argument, one row per check and point.
+
+    In order, over ascending z: the Hilbert-Schmidt bound of the (12)-(23)
+    coupling; norm continuity between consecutive z of the (12) diagonal and
+    the (12)-(23) cross block; each pair's sub-threshold margin; then the 6D
+    Green's-function bound per xi.  n is the node count of each pair well's
+    own radial grid, grid_kw the mixed grid of the cross block.
+    """
+    zs = sorted(z_list)
+    frame = model.frame("12")
+    rows = [hs_norm_K2(model.scaled_potential("12"), model.potential("23"), frame, z) for z in zs]
+    for col_pair in ("12", "23"):
+        rows += continuity_modulus_check(model, "12", col_pair, list(zip(zs, zs[1:])), n,
+                                         **grid_kw)
+    for pair in PAIRS:
+        rows += subthreshold_bound_check(model, pair, zs, n)
+    return rows + [BoundRow("green6", g.xi, g.value, g.bound, g.passed)
+                   for g in green6_bound_check(xi_list)]
+
+
 @dataclass(frozen=True)
-class LogDivergenceResult:
-    z_values: np.ndarray
-    j_values: np.ndarray
-    lower_bounds: np.ndarray
-    slope: float
+class JRow:
+    z: float
+    j: float
+    lower_bound: float
     r_squared: float
 
     @property
     def bound_holds(self) -> bool:
-        return bool(np.all(self.j_values >= self.lower_bounds * (1.0 - 1e-9)))
+        return self.j >= self.lower_bound * (1.0 - 1e-9)
 
 
 def j_epsilon_divergence(
     pot: PotentialSpec, eps0: float, z_list: Sequence[float]
-) -> LogDivergenceResult:
+) -> list[JRow]:
     """Small-momentum weighted mass of a non-negative well g = V against (p^2+z^2)^{-3/2}.
 
-    Returns the sampled integral J(z), its proven lower bound per z, and the
-    linear fit of J against log(1/z) (the divergence is logarithmic), with the
-    rows in descending z.  g is sampled on 400 m Gauss-Legendre nodes over
+    One row per z, in descending z: the sampled integral J(z), its proven
+    lower bound, and the R^2 of the linear fit of J against log(1/z) (the
+    divergence is logarithmic).  g is sampled on 400 m Gauss-Legendre nodes over
     (0, 40 * range], m = ceil(eps0 * range / 10), so that sin(p r) stays
     resolved up to p = eps0.
     """
@@ -774,8 +755,7 @@ def j_epsilon_divergence(
     norm1 = float(4.0 * np.pi * np.sum(wr * r * r * gr))
     zs = np.asarray(sorted(z_list, reverse=True), dtype=float)
     if norm1 <= 0.0 or not zs.size:  # nothing to fit
-        zero = np.zeros_like(zs)
-        return LogDivergenceResult(zs, zero, zero, 0.0, 1.0)
+        return [JRow(float(z), 0.0, 0.0, 1.0) for z in zs]
 
     def ghat(p):
         # unnormalized radial transform: int d3y e^{ip.y} g = 4pi/p int g(y) y sin(py) dy
@@ -812,10 +792,4 @@ def j_epsilon_divergence(
     ss_tot = float(np.sum((js - js.mean()) ** 2))
     ss_res = float(res[0]) if res.size else float(np.sum((js - A @ coef) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return LogDivergenceResult(
-        z_values=zs,
-        j_values=js,
-        lower_bounds=lbs,
-        slope=float(coef[0]),
-        r_squared=float(r2),
-    )
+    return [JRow(float(z), float(j), float(lb), float(r2)) for z, j, lb in zip(zs, js, lbs)]

@@ -339,12 +339,6 @@ class Quadrature:
     def for_potential(cls, pot: PotentialSpec, n: int = 64) -> "Quadrature":
         return cls.build(r_max=12.0 * pot.range, n=n)
 
-    def doubled(self) -> "Quadrature":
-        edges = [self.panels[0][0]] + [p[1] for p in self.panels]
-        counts = [2 * (hi - lo) for (_, _, lo, hi) in self.panels]
-        nodes, weights, panels = _gauss_legendre_panels(edges, counts)
-        return Quadrature(nodes=nodes, weights=weights, panels=panels, r_max=self.r_max)
-
     def radial_integral(self, f: Callable) -> float:
         """4*pi * integral of f(r) r^2 dr over (0, r_max] -- a 3D volume integral."""
         return float(4.0 * np.pi * np.sum(self.weights * self.nodes**2 * f(self.nodes)))
@@ -386,15 +380,6 @@ class RequirementCheck:
     detail: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple[RequirementCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
 def minimal_envelope_b1(pot: PotentialSpec, b2: float) -> float:
     """Smallest b1 such that V(r) <= b1*exp(-b2*r) on a dense grid to 16 ranges."""
     if b2 <= 0:
@@ -403,13 +388,15 @@ def minimal_envelope_b1(pot: PotentialSpec, b2: float) -> float:
     return float(np.max(pot.value(r) * np.exp(b2 * r)))
 
 
-def validate_requirements(model: ModelSpec, envelopes: tuple[float, float]) -> ValidationReport:
-    """Data-checkable requirement report: sign, envelope, integrability, V23 != 0.
+def validate_requirements(
+    model: ModelSpec, envelopes: tuple[float, float]
+) -> list[RequirementCheck]:
+    """Data-checkable requirements: sign, envelope, integrability, V23 != 0.
 
-    Failures are report entries, never exceptions.
+    Failures are entries, never exceptions.  L1 is the closed-form well
+    volume, L2^2 a quadrature on the well's own grid.
     """
     b1, b2 = envelopes
-    quad = Quadrature.build(r_max=12.0 * model.max_range())
     checks: list[RequirementCheck] = []
 
     for pair in PAIRS:
@@ -435,8 +422,8 @@ def validate_requirements(model: ModelSpec, envelopes: tuple[float, float]) -> V
 
     for pair in PAIRS:
         pot = model.potential(pair)
-        l1 = quad.radial_integral(pot.value)
-        l2 = quad.radial_integral(lambda r: pot.value(r) ** 2)
+        l1 = pot.volume()
+        l2 = Quadrature.for_potential(pot).radial_integral(lambda r: pot.value(r) ** 2)
         ok = math.isfinite(l1) and math.isfinite(l2)
         checks.append(
             RequirementCheck(
@@ -449,4 +436,4 @@ def validate_requirements(model: ModelSpec, envelopes: tuple[float, float]) -> V
         RequirementCheck("v23_nonzero", ok, "V23 != 0" if ok else "V23 vanishes identically")
     )
 
-    return ValidationReport(checks=tuple(checks))
+    return checks

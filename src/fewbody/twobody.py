@@ -97,9 +97,9 @@ class _ProductCorrection:
     """
 
     rows: np.ndarray  # (m,) corrected row indices
-    points: np.ndarray  # (m, 48) sub-quadrature points
-    weights: np.ndarray  # (m, 48)
-    lagrange: np.ndarray  # (m, 48, width)
+    points: np.ndarray  # (m, 2q) sub-quadrature points, q = max(24, width) per half
+    weights: np.ndarray  # (m, 2q)
+    lagrange: np.ndarray  # (m, 2q, width)
     valid: np.ndarray  # (m, width) mask of the unpadded entries
     target: tuple  # omega indices of the valid entries, row-major
 
@@ -109,8 +109,9 @@ def _product_correction(quad: Quadrature) -> _ProductCorrection:
     if cached is not None:
         return cached
     r = quad.nodes
-    xs, ws = np.polynomial.legendre.leggauss(24)
     width = max(hi - lo for _, _, lo, hi in quad.panels)
+    # a half-panel rule needs as many points as the Lagrange basis has degrees
+    xs, ws = np.polynomial.legendre.leggauss(max(24, width))
     rows, points, weights, lagrange, sizes, starts = [], [], [], [], [], []
     for a, b, lo, hi in quad.panels:
         nodes = r[lo:hi]

@@ -9,6 +9,7 @@ import pytest
 
 from fewbody import cli
 from fewbody import faddeev as fd
+from fewbody import twobody as tb
 from fewbody import variational as vr
 from fewbody.cli import (
     ConfigError,
@@ -448,6 +449,18 @@ class TestMainEntry:
         assert rc == EXIT_OK
         assert "envelope[12]" in capsys.readouterr().out
 
+    def test_validate_config_l1_is_the_well_volume(self, tmp_path, capsys):
+        # a range-20 (23) well no longer truncates the others' L1 to its grid
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(FULL.replace("pair23.kind = gaussian\n",
+                                    "pair23.kind = gaussian\npair23.range = 20\n"))
+        assert main(["validate-config", "--config", str(cfg), "--quiet"]) == EXIT_OK
+        details = {r["requirement"]: r["detail"]
+                   for r in csv.DictReader(io.StringIO(capsys.readouterr().out))}
+        for pair in cli.PAIRS:
+            l1 = parse_config(cfg).model.potential(pair).volume()
+            assert details[f"integrable[{pair}]"].startswith(f"L1={l1:.6g};")
+
     @pytest.mark.parametrize("command,key", [
         ("theta0", "experiment.theta_bracket"),
         ("sweep", "experiment.scale_grid"),
@@ -488,11 +501,23 @@ class TestChecksBounds:
                 if r["check"] == "continuity_12_23"]
         conf = parse_config(cfg)
         zs = sorted(conf["experiment", "z_list"])
-        quad = cli.Quadrature.for_potential(conf.model.scaled_potential("12"), n=64)
-        direct = fd.continuity_modulus_check(conf.model, "12", "23", list(zip(zs, zs[1:])), quad,
+        direct = fd.continuity_modulus_check(conf.model, "12", "23", list(zip(zs, zs[1:])), 64,
                                              n_x=20, n_p_per_panel=4, n_angle=angle_nodes)
         assert [(r["z"], r["lhs"], r["rhs"]) for r in rows] == [
-            (cli._fmt(c.z1), cli._fmt(c.norm_diff), cli._fmt(c.bound)) for c in direct]
+            (cli._fmt(c.z), cli._fmt(c.lhs), cli._fmt(c.rhs)) for c in direct]
+
+    def test_subthreshold_rows_take_each_wells_own_grid(self, tmp_path, capsys):
+        # a range-20 (23) well on its own 128-node grid, not on the range-1 (12) grid
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(FULL.replace("pair23.kind = gaussian\n",
+                                    "pair23.kind = gaussian\npair23.range = 20\n")
+                       .replace("[numerics]\n", "[numerics]\nradial_nodes = 128\n"))
+        main(["checks", "bounds", "--config", str(cfg), "--quiet"])
+        row = next(r for r in csv.DictReader(io.StringIO(capsys.readouterr().out))
+                   if r["check"] == "subthreshold_23" and float(r["z"]) == 1e-3)
+        pot = parse_config(cfg).model.scaled_potential("23")
+        own = 2.1472 * tb.mu_max(pot, 1.0, 1e-3, cli.Quadrature.for_potential(pot, n=128))
+        assert float(row["lhs"]) == pytest.approx(own, rel=1e-10, abs=0)
 
 
     def test_least_radial_grid_keeps_hs_rows(self, cfg_file, capsys):

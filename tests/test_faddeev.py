@@ -222,18 +222,15 @@ class TestOffDiagonalBlock:
 
 
 class TestContinuityAndBounds:
-    def test_continuity_modulus(self, gauss_model_factory, gauss_quad):
+    def test_continuity_modulus(self, gauss_model_factory):
         m = gauss_model_factory(0.8)
-        rows = fd.continuity_modulus_check(
-            m, "12", "12", [(0.1, 0.2), (0.01, 0.02)], gauss_quad
-        )
+        rows = fd.continuity_modulus_check(m, "12", "12", [(0.1, 0.2), (0.01, 0.02)], 64)
         rows += fd.continuity_modulus_check(
-            m, "12", "23", [(0.1, 0.2), (0.01, 0.02)], gauss_quad,
-            n_x=16, n_p_per_panel=4,
+            m, "12", "23", [(0.1, 0.2), (0.01, 0.02)], 64, n_x=16, n_p_per_panel=4,
         )
         assert all(r.passed for r in rows)
 
-    def test_hs_bound_all_z(self, gauss_model_factory, gauss_quad):
+    def test_hs_bound_all_z(self, gauss_model_factory):
         m = gauss_model_factory(0.8)
         frame = m.frame("12")
         for z in (1e-3, 1e-2, 1e-1, 1.0):
@@ -244,7 +241,7 @@ class TestContinuityAndBounds:
         frame = make_jacobi_frame(equal_masses, "12")
         zero = PotentialSpec("gaussian", depth=0.0, range=1.0)
         res = fd.hs_norm_K2(gaussian_well, zero, frame, 0.5)
-        assert res.hs_norm_sq == 0.0
+        assert res.lhs == 0.0
 
     @pytest.mark.parametrize("z", [1e-12, 1e-6, 1e-3, 3e-2, 0.25, 1.0, 1e3])
     def test_hs_momentum_integral_matches_mpmath(self, gaussian_well, equal_masses, z):
@@ -256,29 +253,34 @@ class TestContinuityAndBounds:
             kinks = sorted({p for p in (zm, mp.sqrt(zm), 10 * zm) if p < 1})
             ref = mp.quad(lambda t: 8 * mp.pi * t**5 * (1 / (zm + t) - 1 / (zm + 1)) ** 2
                           / mp.sqrt(t**4 + zm * zm), [0, *kinks, 1])
-        assert res.hs_norm_sq / res.bound * 4 * np.pi == pytest.approx(float(ref), rel=1e-13, abs=0)
+        assert res.lhs / res.rhs * 4 * np.pi == pytest.approx(float(ref), rel=1e-13, abs=0)
 
-    def test_subthreshold_margin(self, square_well, sw_quad):
-        rep = fd.subthreshold_bound_check(square_well, 1.0, 0.2, [0.01, 0.1, 1.0], sw_quad)
-        assert rep.precondition_met and rep.passed
+    # the (12) pair of an equal-mass model carries the unit well on its 64-node grid
+    def test_subthreshold_margin(self, square_well, equal_masses):
+        m = make_model(equal_masses, square_well, (1.0, 0.0, 0.0))
+        rows = fd.subthreshold_bound_check(m, "12", [0.01, 0.1, 1.0], 64)
+        assert all(r.passed for r in rows)
 
-    def test_subthreshold_saturation_at_resonance(self, square_well, sw_quad, sw_resonance):
-        rep = fd.subthreshold_bound_check(
-            square_well, sw_resonance.lambda_star, 0.2, [1e-3, 1e-2], sw_quad
-        )
-        assert not rep.precondition_met
-        assert all(not r.passed for r in rep.rows)  # saturated rows reported
+    def test_subthreshold_saturation_at_resonance(self, square_well, equal_masses,
+                                                  sw_resonance):
+        m = make_model(equal_masses, square_well, (sw_resonance.lambda_star, 0.0, 0.0))
+        rows = fd.subthreshold_bound_check(m, "12", [1e-3, 1e-2], 64)
+        assert all(not r.passed for r in rows)
+        assert all(r.lhs > r.rhs for r in rows)  # saturated rows reported
 
-    def test_subthreshold_zero_coupling(self, square_well, sw_quad):
-        rep = fd.subthreshold_bound_check(square_well, 0.0, 0.2, [0.1], sw_quad)
-        assert rep.passed
+    def test_subthreshold_zero_coupling(self, square_well, equal_masses):
+        m = make_model(equal_masses, square_well, (0.0, 0.0, 0.0))
+        rows = fd.subthreshold_bound_check(m, "12", [0.1], 64)
+        assert all(r.passed for r in rows)
 
-    def test_subthreshold_bound_pair_fails_precondition(self, square_well, sw_quad,
+    def test_subthreshold_bound_pair_fails_precondition(self, square_well, equal_masses,
                                                         sw_resonance):
-        rep = fd.subthreshold_bound_check(
-            square_well, 2.0 * sw_resonance.lambda_star, 0.2, [0.1], sw_quad
-        )
-        assert not rep.precondition_met and not rep.passed
+        # at z = 10 the bound pair's row meets its bound; the precondition fails it
+        m = make_model(equal_masses, square_well, (2.0 * sw_resonance.lambda_star, 0.0, 0.0))
+        rows = fd.subthreshold_bound_check(m, "12", [0.1, 10.0], 64)
+        assert not any(r.passed for r in rows)
+        assert rows[1].lhs <= rows[1].rhs
+
 
 
 class TestGreen6:
@@ -312,30 +314,31 @@ class TestGreen6:
 class TestLogDivergence:
     def test_zero_function(self):
         zero = PotentialSpec("gaussian", depth=0.0, range=1.0)
-        res = fd.j_epsilon_divergence(zero, 1.0, [1e-1, 1e-2])
-        assert np.all(res.j_values == 0.0)
+        rows = fd.j_epsilon_divergence(zero, 1.0, [1e-1, 1e-2])
+        assert all(r.j == 0.0 for r in rows)
 
     def test_gaussian_log_fit(self, gaussian_well):
         zs = [1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4]
-        res = fd.j_epsilon_divergence(gaussian_well, 1.0, zs)
-        assert res.r_squared > 0.99
-        assert res.bound_holds
+        rows = fd.j_epsilon_divergence(gaussian_well, 1.0, zs)
+        assert rows[0].r_squared > 0.99
+        assert all(r.bound_holds for r in rows)
         # J ~ 4 pi |ghat(0)|^2 log(1/z): slope pinned by the L1 norm
         norm1 = np.pi**1.5
-        assert abs(res.slope - 4 * np.pi * norm1**2) / (4 * np.pi * norm1**2) < 0.05
+        slope = np.polyfit([np.log(1 / r.z) for r in rows], [r.j for r in rows], 1)[0]
+        assert abs(slope - 4 * np.pi * norm1**2) / (4 * np.pi * norm1**2) < 0.05
 
     def test_rows_descend_for_any_well(self, gaussian_well):
         zero = PotentialSpec("gaussian", depth=0.0, range=1.0)
         for pot in (zero, gaussian_well):
-            res = fd.j_epsilon_divergence(pot, 1.0, [1e-2, 1e-1, 1e-3])
-            assert list(res.z_values) == [1e-1, 1e-2, 1e-3]
+            rows = fd.j_epsilon_divergence(pot, 1.0, [1e-2, 1e-1, 1e-3])
+            assert [r.z for r in rows] == [1e-1, 1e-2, 1e-3]
 
     def test_wide_well_matches_closed_form(self):
         # the samples of g scale with its range: a range-20 Gaussian against
         # J = 4 pi int_0^eps0 p^2 ghat^2 / (p^2 + z^2)^(3/2), ghat = pi^(3/2) R^3 exp(-p^2 R^2 / 4)
         R, eps0, zs = 20.0, 1.0, [1.0, 1e-1, 1e-2, 1e-3]
-        res = fd.j_epsilon_divergence(PotentialSpec("gaussian", depth=1.0, range=R), eps0, zs)
-        for z, j in zip(res.z_values, res.j_values):
+        rows = fd.j_epsilon_divergence(PotentialSpec("gaussian", depth=1.0, range=R), eps0, zs)
+        for z, j in ((r.z, r.j) for r in rows):
             with mp.workdps(30):
                 ghat = lambda p: mp.pi**1.5 * R**3 * mp.exp(-p * p * R * R / 4)
                 ref = 4 * mp.pi * mp.quad(lambda p: p * p * ghat(p) ** 2 / (p * p + z * z) ** 1.5,
@@ -343,8 +346,8 @@ class TestLogDivergence:
             assert j == pytest.approx(float(ref), rel=1e-8, abs=0)
 
     def test_monotone_in_eps0(self, gaussian_well):
-        j1 = fd.j_epsilon_divergence(gaussian_well, 0.5, [1e-2]).j_values[0]
-        j2 = fd.j_epsilon_divergence(gaussian_well, 1.0, [1e-2]).j_values[0]
+        j1 = fd.j_epsilon_divergence(gaussian_well, 0.5, [1e-2])[0].j
+        j2 = fd.j_epsilon_divergence(gaussian_well, 1.0, [1e-2])[0].j
         assert j2 >= j1
 
 

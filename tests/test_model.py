@@ -200,25 +200,25 @@ class TestValidation:
     def test_gaussian_envelope(self, equal_masses, gaussian_well):
         model = make_model(equal_masses, gaussian_well, (1.0, 1.0, 1.0))
         bad = validate_requirements(model, (1.0, 1.0))
-        assert any(not c.passed and c.requirement == "envelope[12]" for c in bad.checks)
+        assert any(not c.passed and c.requirement == "envelope[12]" for c in bad)
         b1_min = minimal_envelope_b1(gaussian_well, 1.0)
         assert np.isclose(b1_min, np.exp(0.25), rtol=1e-6)
         good = validate_requirements(model, (b1_min * 1.0001, 1.0))
-        assert all(c.passed for c in good.checks if c.requirement == "envelope[12]")
+        assert all(c.passed for c in good if c.requirement == "envelope[12]")
 
     def test_v23_zero_fails(self, equal_masses, gaussian_well):
         zero = PotentialSpec("gaussian", depth=0.0, range=1.0)
         model = make_model(equal_masses, gaussian_well, (1, 1, 1))
         model = type(model)(model.masses, model.pot12, model.pot13, zero, model.couplings)
         rep = validate_requirements(model, (2.0, 1.0))
-        assert any(c.requirement == "v23_nonzero" and not c.passed for c in rep.checks)
+        assert any(c.requirement == "v23_nonzero" and not c.passed for c in rep)
 
     def test_negative_table_value_fails_sign_check(self, equal_masses, gaussian_well):
         tab = PotentialSpec("tabulated", table=((0.0, 1.0), (1.0, -0.1), (2.0, 0.0)))
         model = make_model(equal_masses, gaussian_well, (1, 1, 1))
         model = type(model)(model.masses, model.pot12, tab, model.pot23, model.couplings)
         rep = validate_requirements(model, (2.0, 1.0))
-        assert any(c.requirement == "sign[13]" and not c.passed for c in rep.checks)
+        assert any(c.requirement == "sign[13]" and not c.passed for c in rep)
 
 
 class TestCouplingConfig:

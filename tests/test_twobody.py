@@ -123,6 +123,13 @@ class TestCriticalCoupling:
         lam_shoot = tb.shooting_critical_coupling(gaussian_well)
         assert abs(lam - lam_shoot) / lam < 1e-9
 
+    @pytest.mark.parametrize("n", [192, 256, 384])
+    def test_wide_panels_converge(self, gaussian_well, n):
+        # the widest panel holds 53 to 104 nodes: its self-panel rule grows with it
+        lam = tb.critical_coupling(gaussian_well, Quadrature.for_potential(gaussian_well, n=n))
+        lam_shoot = tb.shooting_critical_coupling(gaussian_well)
+        assert lam == pytest.approx(lam_shoot, rel=1e-11, abs=0)
+
     def test_exponential_bessel_zero(self, exponential_well):
         # tails matter here: push the grid out far enough to hold the well
         quad = Quadrature.build(r_max=30.0, n=96, edges=[0, 1, 2, 4, 8, 16, 30])
@@ -199,7 +206,7 @@ class TestResonance:
         assert abs(richardson - res.a_coefficient) / res.a_coefficient < 0.02
 
     def test_resonance_coefficient_grid_convergence(self, square_well, sw_quad, sw_resonance):
-        fine = sw_quad.doubled()
+        fine = Quadrature.for_potential(square_well, n=128)
         res2 = tb.resonance_data(square_well, fine)
         rel = abs(res2.a_coefficient - sw_resonance.a_coefficient) / sw_resonance.a_coefficient
         assert rel < 1e-4

@@ -40,8 +40,8 @@ SUBCOMMANDS = [
 
 # (section, key, value) set in FULL: malformed and out-of-range values, the
 # brackets, the energy targets, the sweep grid, the coupled-solver grid keys,
-# the least radial grid, unequal masses, a wide (23) well and large
-# Green's-function arguments
+# the least radial grid and one with panels wider than 24 nodes, unequal
+# masses, a wide (23) well and large Green's-function arguments
 VARIANTS = [
     ("model", "m1", "x"),
     ("model", "m1", "-1"),
@@ -49,6 +49,7 @@ VARIANTS = [
     ("model", "pair23.range", "20"),
     ("numerics", "radial_nodes", "3"),
     ("numerics", "radial_nodes", "20"),
+    ("numerics", "radial_nodes", "192"),
     ("numerics", "basis.n_x", "x"),
     ("numerics", "basis.correlations", "0.1,nan"),
     ("numerics", "seed", "x"),

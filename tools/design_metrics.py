@@ -6,6 +6,7 @@ src_lines         lines of the .py files under src/fewbody
 defaulted_params  parameters with a default, over every def in src/fewbody
 config_keys       keys the config parser accepts, over all sections
 cli_options       option flags summed over the subcommand parsers, --help excluded
+csv_headers       emit_csv calls in cli.py whose columns are written out, not a dataclass
 
 Standard library plus the fewbody package of this checkout.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -49,6 +51,22 @@ def cli_options(parser: argparse.ArgumentParser) -> int:
     return sum(cli_options(p) for a in subs for p in a.choices.values())
 
 
+def _names_dataclass(node: ast.expr, namespace: dict) -> bool:
+    """Whether node is a module-level name, or module.name, bound to a dataclass."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return dataclasses.is_dataclass(getattr(namespace.get(node.value.id), node.attr, None))
+    return isinstance(node, ast.Name) and dataclasses.is_dataclass(namespace.get(node.id))
+
+
+def csv_headers(text: str, namespace: dict) -> int:
+    """emit_csv calls in the source text whose columns argument does not name a dataclass."""
+    return sum(
+        1 for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "emit_csv"
+        and not _names_dataclass(node.args[1], namespace)
+    )
+
+
 def metrics() -> dict:
     texts = [p.read_text() for p in _sources()]
     return {
@@ -56,6 +74,7 @@ def metrics() -> dict:
         "defaulted_params": sum(defaulted_params(t) for t in texts),
         "config_keys": len(set().union(*cli._SECTION_KEYS.values())),
         "cli_options": cli_options(cli.build_parser()),
+        "csv_headers": csv_headers(Path(cli.__file__).read_text(), vars(cli)),
     }
 
 
