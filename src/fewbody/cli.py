@@ -554,11 +554,8 @@ def _cmd_three_body_theta0(cfg: RunConfig, args, out) -> int:
 
 
 def _cmd_three_body_bs_radius(cfg: RunConfig, args, out) -> int:
-    rows = []
-    for z in sorted(cfg["experiment", "z_list"]):
-        sol = fd.faddeev_solve(fd.assemble_block_operator(cfg.model, z, **_grid_kw(cfg)))
-        rows.append({"z": z, "spectral_radius": sol.spectral_radius, "residual": sol.residual})
-    emit_csv(rows, ["z", "spectral_radius", "residual"], out)
+    emit_csv(fd.radius_rows(cfg.model, cfg["experiment", "z_list"], **_grid_kw(cfg)),
+             fd.RadiusRow, out)
     return EXIT_OK
 
 

@@ -22,12 +22,15 @@ T is exactly symmetric under (r,p) <-> (s,q) together with row <-> col.
 Within one operator (one z, one set of grid arguments) blocks are keyed by
 what goes into them: a grid by the scaled well, a diagonal stack by the well
 and its coupling, a cross block by both wells, both couplings, |a|, |b| and
-the signed d of the rotation (only a^2, |b|^3 and d enter T).  Equal masses therefore build one grid, one
-diagonal stack and one cross block per z.  A cross block whose two sides
-carry the same nodes, well and coupling is stored exactly symmetric and
-serves both orientations, so every (row, col) entry points at that buffer,
-and each matvec applies every distinct matrix once, in one product over all
-the components it multiplies.
+the signed d of the rotation (only a^2, |b|^3 and d enter T).  Equal masses
+therefore build one grid, one diagonal stack and one cross block per z.  A
+cross block whose two sides carry the same nodes, well and coupling is stored
+exactly symmetric and serves both orientations, so every (row, col) entry
+points at that buffer, and each matvec applies every distinct matrix once, in
+one product over all the components it multiplies.  A cross block's only
+table-sized buffer is its sin table (one per side on unequal nodes), built and
+contracted into the block one momentum row at a time with the arithmetic of
+one einsum over the whole table.
 
 At fixed z every block is linear in an overall coupling scale s (the
 diagonal fibers carry lam, the cross blocks sqrt(lam_row lam_col)), so the
@@ -194,42 +197,52 @@ def assemble_offdiagonal_block(
     P = grid_row.p_nodes[:, None, None]
     Q = grid_col.p_nodes[None, :, None]
     U = u[None, None, :]
-    nu2 = (a * a * P**2 + Q**2 - 2.0 * d * P * Q * U) / (b * b)
     D2 = (P**2 + Q**2 - 2.0 * d * P * Q * U) / (b * b) + z * z
-    nu = np.sqrt(np.maximum(nu2, 0.0))
-    r = grid_row.x_quad.nodes
-    s = grid_col.x_quad.nodes
-    # sin(nu r)/nu and sin(m s)/m, stable at vanishing wave numbers
-    SR = r[None, None, None, :] * np.sinc(nu[..., None] * r[None, None, None, :] / np.pi)
-    if mirrored:
-        SC = SR.transpose(1, 0, 2, 3)
-    else:
-        m2 = (a * a * Q**2 + P**2 - 2.0 * d * P * Q * U) / (b * b)
-        m = np.sqrt(np.maximum(m2, 0.0))
-        SC = s[None, None, None, :] * np.sinc(m[..., None] * s[None, None, None, :] / np.pi)
     coef = (P * Q / (np.pi * abs(b) ** 3)) * wu[None, None, :] / D2
-    T = np.einsum("pqur,pqus,pqu->prqs", SR, SC, coef, optimize=True)
 
-    row_fold = np.sqrt(
-        grid_row.p_weights[:, None]
-        * grid_row.x_quad.weights[None, :]
-        * coupling_row
-        * pot_row.value(grid_row.x_quad.nodes)[None, :]
-    )
-    col_fold = np.sqrt(
-        grid_col.p_weights[:, None]
-        * grid_col.x_quad.weights[None, :]
-        * coupling_col
-        * pot_col.value(grid_col.x_quad.nodes)[None, :]
-    )
-    T *= row_fold[:, :, None, None]
-    T *= col_fold[None, None, :, :]
+    def wave(v, w):  # nu = wave(P, Q), m = wave(Q, P)
+        return np.sqrt(np.maximum((a * a * v**2 + w**2 - 2.0 * d * P * Q * U) / (b * b), 0.0))
+
+    # sin(nu r)/nu and sin(m s)/m as (p, q, u, r) tables, stable at vanishing
+    # wave numbers; the only table-sized buffers
+    SR = _sin_table(wave(P, Q), grid_row.x_quad.nodes)
+    SC = SR.transpose(1, 0, 2, 3) if mirrored else _sin_table(wave(Q, P), grid_col.x_quad.nodes)
+
+    def fold(grid, pot, coupling):  # sqrt of both quadrature weights and the coupled well
+        return np.sqrt(grid.p_weights[:, None] * grid.x_quad.weights[None, :] * coupling
+                       * pot.value(grid.x_quad.nodes)[None, :])
+
+    row_fold = fold(grid_row, pot_row, coupling_row)
+    col_fold = fold(grid_col, pot_col, coupling_col)
+
+    # row by row, the products of einsum's optimized path for "pqur,pqus,pqu->prqs",
+    # which keep its bits: coef * SR in SR's layout, then one GEMM per (p, q) over
+    # u with that product as the transposed left factor (not a C-ordered copy)
+    T = np.empty((grid_row.n_p, grid_row.n_x, grid_col.n_p, grid_col.n_x))
+    x_row = np.empty_like(SR[0])
+    for i, T_i in enumerate(T):
+        np.multiply(coef[i][..., None], SR[i], out=x_row)
+        np.matmul(x_row.transpose(0, 2, 1), SC[i], out=T_i.transpose(1, 0, 2))
+        T_i *= row_fold[i][:, None, None]
+        T_i *= col_fold
     T = T.reshape(grid_row.dim, grid_col.dim)
     if mirrored and np.array_equal(row_fold, col_fold):
         # symmetric in exact arithmetic (same nodes, well and coupling on both
-        # sides): store it exactly symmetric
-        T = 0.5 * (T + T.T)
+        # sides): store it exactly symmetric, 0.5 (T + T^T) one block row at a time
+        for lo in range(0, grid_row.dim, grid_row.n_x):
+            half = T[lo : lo + grid_row.n_x, lo:] + T[lo:, lo : lo + grid_row.n_x].T
+            half *= 0.5
+            T[lo : lo + grid_row.n_x, lo:] = half
+            T[lo:, lo : lo + grid_row.n_x] = half.T
     return T
+
+
+def _sin_table(k: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x * sinc(k x / pi) = sin(k x)/k, shape k.shape + x.shape, one row of k at a time."""
+    out = np.empty(k.shape + x.shape)
+    for k_row, out_row in zip(k, out):
+        np.multiply(x, np.sinc(k_row[..., None] * x / np.pi), out=out_row)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -503,6 +516,21 @@ def faddeev_solve(op: BlockOperator, scale: float = 1.0) -> FaddeevSolution:
 
 def spectral_radius(model: ModelSpec, z: float, **grid_kw) -> float:
     return faddeev_solve(assemble_block_operator(model, z, **grid_kw)).spectral_radius
+
+
+@dataclass(frozen=True)
+class RadiusRow:
+    """Spectral radius of the coupled system at z and the residual of its solve."""
+
+    z: float
+    spectral_radius: float
+    residual: float
+
+
+def radius_rows(model: ModelSpec, z_list: Sequence[float], **grid_kw) -> list[RadiusRow]:
+    """One RadiusRow per z of z_list, in ascending z; a radius of one is a level at -z^2."""
+    sols = (faddeev_solve(assemble_block_operator(model, z, **grid_kw)) for z in sorted(z_list))
+    return [RadiusRow(sol.z, sol.spectral_radius, sol.residual) for sol in sols]
 
 
 def threshold_operators(model: ModelSpec, z_pair=(1e-2, 1e-3), **grid_kw) -> tuple:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -627,24 +628,39 @@ def reference_radius(op, scale):
     return float(abs(vals[0]))
 
 
-def two_pass_block(model, row, col, z, grid, n_angle=32):
-    """The cross block of two pairs with the same well and coupling on one grid,
-    with its own sin table per side and no symmetrization."""
+def einsum_block(model, row, col, z, grid_row, grid_col, n_angle=32, mirror=True):
+    """The cross block as it was assembled over whole tables: np.sinc tables, one
+    optimized einsum, in-place folds and 0.5 (T + T^T) on a mirrored equal-fold block.
+
+    mirror=False builds each side's own table and never symmetrizes."""
     R = fd.kinematic_rotation(model.masses, row, col)
     a, b, d = R[0, 0], R[0, 1], R[1, 1]
+    mirrored = mirror and (np.array_equal(grid_row.p_nodes, grid_col.p_nodes)
+                           and np.array_equal(grid_row.x_quad.nodes, grid_col.x_quad.nodes))
     u, wu = np.polynomial.legendre.leggauss(n_angle)
-    P, Q, U = grid.p_nodes[:, None, None], grid.p_nodes[None, :, None], u[None, None, :]
+    P, Q, U = grid_row.p_nodes[:, None, None], grid_col.p_nodes[None, :, None], u[None, None, :]
     nu = np.sqrt(np.maximum((a * a * P**2 + Q**2 - 2.0 * d * P * Q * U) / (b * b), 0.0))
-    m = np.sqrt(np.maximum((a * a * Q**2 + P**2 - 2.0 * d * P * Q * U) / (b * b), 0.0))
     D2 = (P**2 + Q**2 - 2.0 * d * P * Q * U) / (b * b) + z * z
-    r = grid.x_quad.nodes
+    r, s = grid_row.x_quad.nodes, grid_col.x_quad.nodes
     SR = r * np.sinc(nu[..., None] * r / np.pi)
-    SC = r * np.sinc(m[..., None] * r / np.pi)
+    if mirrored:
+        SC = SR.transpose(1, 0, 2, 3)
+    else:
+        m = np.sqrt(np.maximum((a * a * Q**2 + P**2 - 2.0 * d * P * Q * U) / (b * b), 0.0))
+        SC = s * np.sinc(m[..., None] * s / np.pi)
     coef = (P * Q / (np.pi * abs(b) ** 3)) * wu / D2
     T = np.einsum("pqur,pqus,pqu->prqs", SR, SC, coef, optimize=True)
-    lam, pot = model.couplings.get(row), model.scaled_potential(row)
-    fold = np.sqrt(grid.p_weights[:, None] * grid.x_quad.weights * lam * pot.value(r))
-    return (T * fold[:, :, None, None] * fold).reshape(grid.dim, grid.dim)
+    row_fold, col_fold = (
+        np.sqrt(g.p_weights[:, None] * g.x_quad.weights * model.couplings.get(pair)
+                * model.scaled_potential(pair).value(g.x_quad.nodes))
+        for g, pair in ((grid_row, row), (grid_col, col))
+    )
+    T *= row_fold[:, :, None, None]
+    T *= col_fold
+    T = T.reshape(grid_row.dim, grid_col.dim)
+    if mirrored and np.array_equal(row_fold, col_fold):
+        T = 0.5 * (T + T.T)
+    return T
 
 
 def per_pair_blocks(model, z, n_x, n_p_per_panel, p_max=4.0, n_angle=32):
@@ -667,6 +683,8 @@ def per_pair_blocks(model, z, n_x, n_p_per_panel, p_max=4.0, n_angle=32):
 class TestContentKeyedBlocks:
     KW = dict(n_x=12, n_p_per_panel=4)
     UPPER = (("12", "13"), ("12", "23"), ("13", "23"))
+    # (z, grid arguments): the tests' grid, and the cross-threshold workload's
+    GRIDS = {"KW": (0.05, KW), "cross-threshold": (1e-3, dict(n_x=16, n_p_per_panel=4))}
 
     def test_equal_masses_share_one_buffer(self, gauss_model_factory):
         op = fd.assemble_block_operator(gauss_model_factory(0.8), 0.05, **self.KW)
@@ -686,7 +704,7 @@ class TestContentKeyedBlocks:
         op = fd.assemble_block_operator(model, 0.05, **self.KW)
         B = op.offdiagonal[(row, col)]
         assert np.array_equal(B, B.T)
-        ref = two_pass_block(model, row, col, 0.05, op.grids[row])
+        ref = einsum_block(model, row, col, 0.05, op.grids[row], op.grids[row], mirror=False)
         assert np.max(np.abs(B - ref)) <= 2e-16 * np.max(np.abs(ref))
 
     def test_unequal_masses_build_distinct_blocks(self, unequal_model):
@@ -741,3 +759,46 @@ class TestContentKeyedBlocks:
         for (row, col), B in offdiag.items():
             assert np.array_equal(op.offdiagonal[(row, col)], B)
             assert np.array_equal(op.offdiagonal[(col, row)], B.T)
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_blocks_bit_identical_to_einsum_assembly(self, model, grid):
+        z, kw = self.GRIDS[grid]
+        op = fd.assemble_block_operator(model, z, **kw)
+        pots = {p: model.scaled_potential(p) for p in op.pairs}
+        lams = {p: model.couplings.get(p) for p in op.pairs}
+        for row, col in self.UPPER:
+            want = einsum_block(model, row, col, z, op.grids[row], op.grids[col])
+            assert np.array_equal(op.offdiagonal[(row, col)], want)
+            # the reverse orientation, assembled on its own
+            got = fd.assemble_offdiagonal_block(
+                model.masses, col, row, pots[col], pots[row], lams[col], lams[row], z,
+                op.grids[col], op.grids[row],
+            )
+            assert np.array_equal(got, einsum_block(model, col, row, z, op.grids[col],
+                                                    op.grids[row]))
+
+
+@pytest.mark.parametrize("masses,n_x,n_p_per_panel", [
+    ((1.0, 1.0, 1.0), 16, 4),  # the cross-threshold workload's grid
+    ((1.0, 1.0, 1.0), 24, 6),  # criterion 6's grid
+    ((1.0, 1.6, 0.7), 16, 4),  # unequal masses: a table per side
+], ids=["equal-cross-threshold", "equal-criterion6", "unequal"])
+def test_block_assembly_memory_budget(gaussian_well, masses, n_x, n_p_per_panel):
+    # the sin tables and the block are the only buffers of their size: everything
+    # else fits in six (n_p_row, n_p_col, n_angle) arrays
+    model = make_model(MassSet(*masses), gaussian_well, (0.8 * GAUSS_LAMBDA_STAR,) * 3)
+    z, n_angle = 1e-3, 32
+    pots = [model.scaled_potential(p) for p in ("12", "13")]
+    grids = [fd.build_mixed_grid(pot, z, n_x, n_p_per_panel) for pot in pots]
+    tracemalloc.start()
+    try:
+        B = fd.assemble_offdiagonal_block(model.masses, "12", "13", *pots, 1.0, 1.0, z, *grids,
+                                          n_angle=n_angle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    mirrored = np.array_equal(grids[0].x_quad.nodes, grids[1].x_quad.nodes)
+    assert mirrored == (masses == (1.0, 1.0, 1.0))
+    angle_grid = grids[0].n_p * grids[1].n_p * n_angle * 8
+    tables = angle_grid * (grids[0].n_x if mirrored else grids[0].n_x + grids[1].n_x)
+    assert peak <= tables + B.nbytes + 6 * angle_grid

@@ -54,6 +54,7 @@ VARIANTS = [
     ("numerics", "basis.correlations", "0.1,nan"),
     ("numerics", "seed", "x"),
     ("numerics", "angle_nodes", "8"),
+    ("numerics", "angle_nodes", "48"),
     ("numerics", "faddeev_nodes", "20"),
     ("experiment", "r0", "-1"),
     ("experiment", "r0", "0"),
