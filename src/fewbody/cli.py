@@ -73,10 +73,11 @@ def _bracket(text: str) -> tuple[float, ...]:
 # (section, key) -> (default text or None, conversion, range), every key the
 # parser accepts.  The range is the least value of an integer; "positive" or
 # "non-negative" for every number; the allowed names; "bracket" for two
-# numbers lo < hi; "non-empty" for a list with at least one value.  A pair
-# key has no conversion: _parse_potential reads it.  model._split_counts gives
-# each grid panel at least 4 nodes, so a count below 4 per panel (5 radial
-# panels) would be raised silently.
+# numbers lo < hi; "non-empty" for a list with at least one value;
+# "correlation" for frames or one level at least, each in (-1, 1).  A pair
+# key has no conversion: _parse_potential reads it.  model._split_counts
+# gives each grid panel at least 4 nodes, so a count below 4 per panel (5
+# radial panels) would be raised silently.
 _KEYS = {
     ("model", "m1"): ("1.0", _finite, None),
     ("model", "m2"): ("1.0", _finite, None),
@@ -93,14 +94,15 @@ _KEYS = {
     ("numerics", "angle_nodes"): ("32", int, 1),
     ("numerics", "resonance_tol"): ("1e-4", _finite, "positive"),
     ("numerics", "seed"): (None, _blank_none(int), None),
-    ("numerics", "basis.scale_min_x"): ("0.25", _finite, None),
-    ("numerics", "basis.scale_max_x"): ("15.0", _finite, None),
+    ("numerics", "basis.scale_min_x"): ("0.25", _finite, "positive"),
+    ("numerics", "basis.scale_max_x"): ("15.0", _finite, "positive"),
     ("numerics", "basis.n_x"): ("9", int, 1),
-    ("numerics", "basis.scale_min_y"): ("0.25", _finite, None),
-    ("numerics", "basis.scale_max_y"): ("600.0", _finite, None),
+    ("numerics", "basis.scale_min_y"): ("0.25", _finite, "positive"),
+    ("numerics", "basis.scale_max_y"): ("600.0", _finite, "positive"),
     ("numerics", "basis.n_y"): ("15", int, 1),
     ("numerics", "basis.correlations"): (
-        "frames", lambda t: "frames" if t == "frames" else tuple(_float_list(t)), None),
+        "frames", lambda t: "frames" if t == "frames" else tuple(_float_list(t)),
+        "correlation"),
     ("numerics", "basis.n_random"): ("0", int, 0),
     ("numerics", "basis.symmetrize_12"): ("false", lambda t: t.lower() in ("true", "1", "yes"),
                                           None),
@@ -166,6 +168,9 @@ def _check_range(name: str, text: str, value, rng) -> None:
     elif rng == "non-empty":
         if not value:
             raise ConfigError(f"{name} = {text!r}: must list at least one value")
+    elif rng == "correlation":
+        if value != "frames" and not (value and all(-1.0 < v < 1.0 for v in value)):
+            raise ConfigError(f"{name} = {text!r}: must be frames or levels in (-1, 1)")
     elif any(v < 0 or (v == 0 and rng == "positive")
              for v in (value if isinstance(value, list) else [value])):
         raise ConfigError(f"{name} = {text!r}: values must be {rng}")

@@ -54,7 +54,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse.linalg
 import scipy.special
 
 from .model import (
@@ -438,6 +437,8 @@ def _top_eigenpair(n: int, matvec):
     once the Rayleigh-quotient residual is below _LANCZOS_TOL times the
     eigenvalue.
     """
+    import scipy.sparse.linalg  # deferred: only the coupled solver loads scipy.sparse
+
     v0 = np.ones(n)
     lin = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=float)
     try:

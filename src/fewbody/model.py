@@ -75,13 +75,47 @@ class PotentialSpec:
             shape = {"gaussian": math.pi**1.5, "exponential": 8.0 * math.pi,
                      "square_well": 4.0 * math.pi / 3.0}[self.kind]
             return shape * self.depth * self.range**3
-        # constant head below the first radius, then linear segments, on each of
-        # which Simpson's rule is exact for r^2 V(r)
+        return 4.0 * math.pi * self._table_moments()[0]
+
+    def bs_hs2(self) -> float:
+        """Squared Hilbert-Schmidt norm of the unit-coupling, zero-energy s-wave
+        Birman-Schwinger kernel sqrt(V(r)) min(r, s) sqrt(V(s)), in closed form:
+
+            T2 = int int V(r) V(s) min(r, s)^2 dr ds = 2 int_0^inf V(s) W(s) ds,
+            W(s) = int_0^s r^2 V(r) dr.
+
+        A well V >= 0 binds nothing at coupling lam when lam^2 T2 < 1: the top
+        Birman-Schwinger eigenvalue is at most lam sqrt(T2) (B. Simon, Trace
+        Ideals and Their Applications, 2005).
+        """
+        if self.kind != "tabulated":
+            shape = {"gaussian": math.pi / 8.0 - 0.25, "exponential": 0.5,
+                     "square_well": 1.0 / 6.0}[self.kind]
+            return shape * self.depth**2 * self.range**4
+        return self._table_moments()[1]
+
+    def _table_moments(self) -> tuple[float, float]:
+        """(W(r_last), T2) of a tabulated well, exact per piece.
+
+        The head below the first radius is constant.  On each linear segment
+        Simpson's rule is exact for r^2 V(r), which gives W exactly, and V W is
+        a degree-5 polynomial, on which 3-point Gauss-Legendre is exact.
+        """
+        def simpson(a, va, b, vb):  # int_a^b r^2 V(r) dr, V linear on [a, b]
+            return (b - a) / 6.0 * (a * a * va + 0.5 * (a + b) ** 2 * (va + vb) + b * b * vb)
+
+        x = math.sqrt(0.6)
         r0, v0 = self.table[0]
-        total = v0 * r0**3 / 3.0
+        w = v0 * r0**3 / 3.0
+        t2 = v0 * v0 * r0**4 / 6.0
         for (a, va), (b, vb) in zip(self.table, self.table[1:]):
-            total += (b - a) / 6.0 * (a * a * va + 0.5 * (a + b) ** 2 * (va + vb) + b * b * vb)
-        return 4.0 * math.pi * total
+            mid, half, slope = 0.5 * (a + b), 0.5 * (b - a), (vb - va) / (b - a)
+            for node, weight in ((-x, 5.0 / 9.0), (0.0, 8.0 / 9.0), (x, 5.0 / 9.0)):
+                t = mid + half * node
+                vt = va + slope * (t - a)
+                t2 += 2.0 * half * weight * vt * (w + simpson(a, va, t, vt))
+            w += simpson(a, va, b, vb)
+        return w, t2
 
     def is_nonnegative(self) -> bool:
         if self.kind == "tabulated":

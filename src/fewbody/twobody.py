@@ -23,8 +23,6 @@ from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .model import PotentialSpec, Quadrature, ZeroPotentialError
 
@@ -344,6 +342,7 @@ def _integrate_radial(pot: PotentialSpec, coupling: float, energy: float, r_max:
     Returns (u(r_max), u'(r_max), node_count).  Piecewise integration keeps
     the RHS smooth across well edges.
     """
+    from scipy.integrate import solve_ivp  # deferred: it loads scipy's ODE and sparse stacks
 
     def rhs(r, y):
         return (y[1], -(energy + coupling * float(pot.value(r))) * y[0])
@@ -370,8 +369,8 @@ def _integrate_radial(pot: PotentialSpec, coupling: float, energy: float, r_max:
 def _node_count(pot, coupling, energy, r_max) -> int:
     u, up, nodes = _integrate_radial(pot, coupling, energy, r_max)
     kappa = math.sqrt(max(-energy, 0.0))
-    if u > 0 and up + kappa * u < 0:
-        nodes += 1  # growing-exponential amplitude negative: crossing beyond r_max
+    if u * (up + kappa * u) < 0:
+        nodes += 1  # growing-exponential amplitude of the other sign: crossing beyond r_max
     return nodes
 
 
@@ -391,6 +390,8 @@ def shooting_ground_energy(pot: PotentialSpec, coupling: float) -> Optional[floa
     u'(R) + k u(R) = 0 is refined by Brent's method.  Memoized: coupling
     scans revisit unchanged pairs constantly.
     """
+    from scipy.optimize import brentq
+
     if coupling <= 0 or pot.is_zero():
         return None
     r_max = _auto_r_max(pot, coupling, 0.0)
@@ -428,20 +429,39 @@ def shooting_ground_energy(pot: PotentialSpec, coupling: float) -> Optional[floa
 
 
 def shooting_critical_coupling(pot: PotentialSpec, tol: float = 1e-12) -> float:
-    """Independent threshold oracle: coupling where the zero-energy solution flattens."""
+    """Independent threshold oracle: the least coupling where the zero-energy solution flattens.
+
+    The E = 0 node count is the number of levels, so couplings where it goes
+    from 0 to 1 bracket the first threshold alone; there the slope u'(r_max)
+    changes sign once.  The solution is integrated out to where the well's
+    tail is negligible at the bracket's top coupling.
+    """
+    from scipy.optimize import brentq
+
     if pot.is_zero():
         raise ZeroPotentialError("zero potential has no coupling threshold")
-    r_max = 14.0 * pot.range
+
+    def nodes(lam):
+        return _node_count(pot, lam, 0.0, r_max)
+
+    lo, hi = 0.0, 1.0
+    r_max = _auto_r_max(pot, hi, 0.0)
+    while nodes(hi) < 1:
+        lo, hi = hi, 2.0 * hi
+        if hi > 1e6:
+            raise IntegrationUnderresolvedError("no threshold below coupling 1e6")
+        r_max = _auto_r_max(pot, hi, 0.0)
+    while nodes(hi) > 1:  # bisect on the node count down to the first threshold
+        mid = 0.5 * (lo + hi)
+        if nodes(mid) == 0:
+            lo = mid
+        else:
+            hi = mid
 
     def slope(lam):
         _, up, _ = _integrate_radial(pot, lam, 0.0, r_max)
         return up
 
-    lo, hi = 1e-6, 1.0
-    while slope(hi) > 0:
-        hi *= 2.0
-        if hi > 1e6:
-            raise IntegrationUnderresolvedError("no threshold below coupling 1e6")
     return float(brentq(slope, lo, hi, xtol=1e-300, rtol=max(tol, 1e-15)))
 
 

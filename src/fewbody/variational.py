@@ -408,11 +408,17 @@ def solve_ground(model: ModelSpec, basis: GaussianBasis) -> GroundState:
 
 
 def hvz_bottom(model: ModelSpec) -> float:
-    """Bottom of the essential spectrum: the lowest pair level, or zero."""
+    """Bottom of the essential spectrum: the lowest pair level, or zero.
+
+    A pair whose well is non-negative with coupling^2 * bs_hs2() < 1 has no
+    level (PotentialSpec.bs_hs2), so it is not shot.
+    """
     bottom = 0.0
     for pair in model.active_pairs():
-        e0 = twobody.shooting_ground_energy(model.scaled_potential(pair),
-                                            model.couplings.get(pair))
+        pot, coupling = model.scaled_potential(pair), model.couplings.get(pair)
+        if pot.is_nonnegative() and coupling**2 * pot.bs_hs2() < 1.0:
+            continue
+        e0 = twobody.shooting_ground_energy(pot, coupling)
         if e0 is not None:
             bottom = min(bottom, e0)
     return bottom

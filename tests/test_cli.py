@@ -1,6 +1,9 @@
 import csv
 import io
+import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -261,6 +264,22 @@ class TestConfigValues:
         assert captured.out == ""
         assert "config error" in captured.err and "--k" in captured.err
         assert message in captured.err
+
+    # a basis ladder takes positive scales and one correlation level at least,
+    # each in (-1, 1); vr.build_basis would otherwise fail as a numeric error
+    # (exit 3), or with a traceback on an empty list
+    @pytest.mark.parametrize("key,value,word", [
+        ("basis.scale_min_x", "0", "positive"),
+        ("basis.scale_min_x", "-1", "positive"),
+        ("basis.scale_max_y", "-600", "positive"),
+        ("basis.correlations", "1.5", "frames or levels in (-1, 1)"),
+        ("basis.correlations", "0.3,-1", "frames or levels in (-1, 1)"),
+        ("basis.correlations", "", "frames or levels in (-1, 1)"),
+    ])
+    def test_basis_value_out_of_range_exits_config(self, tmp_path, capsys, key, value, word):
+        err = self.assert_config_error(tmp_path, capsys, "numerics", key, value,
+                                       command=("three-body", "ground"))
+        assert f"must be {word}" in err
 
     @pytest.mark.parametrize("z_list", ["nan,1e-2", "-1e-3,1e-2"])
     def test_bs_radius_rejects_z_list_before_solving(self, tmp_path, capsys, z_list):
@@ -897,3 +916,34 @@ def documented_keys() -> dict:
 
 def test_config_docs_name_every_parser_key():
     assert documented_keys() == cli._SECTION_KEYS
+
+
+# scipy's root finders, ODE solvers and sparse stack load only when first used:
+# the CLI and a ground state on unbound pairs need none of them, and the
+# coupled solver adds scipy.sparse alone
+_FOOTPRINT = """
+import json, sys
+from fewbody import cli
+loaded = {"import": sorted(sys.modules)}
+for command in (("three-body", "ground"), ("three-body", "bs-radius")):
+    assert cli.main([*command, "--config", sys.argv[1], "--quiet", "--out", sys.argv[2]]) == 0
+    loaded[command[1]] = sorted(sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_scipy_solvers_load_only_when_used(tmp_path):
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text(CV_CFG.replace("k_list = 1e-2,1e-3", "z_list = 1e-2"))
+    src = str(Path(__file__).parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _FOOTPRINT, str(cfg), str(tmp_path / "o.csv")],
+                         env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+                         text=True, check=True).stdout
+    loaded = {step: set(mods) for step, mods in json.loads(out).items()}
+    watched = ("scipy.optimize", "scipy.integrate", "scipy.sparse")
+    for step in ("import", "ground"):
+        assert not {m for m in loaded[step] if m.startswith(watched)}, step
+    added = {m for m in loaded["bs-radius"] - loaded["ground"] if m.startswith("scipy.")}
+    assert "scipy.sparse.linalg" in added
+    assert all(m.startswith("scipy.sparse") for m in added), sorted(added)

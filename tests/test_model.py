@@ -108,6 +108,57 @@ class TestVolume:
         assert PotentialSpec("tabulated", table=((0.5, 0.0), (1.0, 0.0))).volume() == 0.0
 
 
+# the volume wells plus a table that is its constant head alone
+BS_WELLS = VOLUME_WELLS + [PotentialSpec("tabulated", table=((1.2, 0.7),))]
+
+
+def mp_bs_hs2(pot: PotentialSpec) -> mp.mpf:
+    """2 int V(s) W(s) ds, W(s) = int_0^s r^2 V(r) dr, at 40 digits, V written out
+    again in mpmath.  W is a lower incomplete gamma function for the Gaussian
+    and exponential wells, a quadrature split at the kinks below s otherwise.
+    """
+    with mp.workdps(40):
+        if pot.kind == "tabulated":
+            tab = [tuple(map(mp.mpf, p)) for p in pot.table]
+            breaks = [mp.mpf(0)] + [r for r, _ in tab]
+
+            def shape(r):
+                if r <= tab[0][0]:
+                    return tab[0][1]
+                for (a, va), (b, vb) in zip(tab, tab[1:]):
+                    if r <= b:
+                        return va + (vb - va) * (r - a) / (b - a)
+                return mp.mpf(0)
+
+            def w(s):
+                pts = [b for b in breaks if b < s] + [s]
+                return mp.quad(lambda r: r * r * shape(r), pts, method="gauss-legendre")
+
+            return 2 * mp.quad(lambda s: shape(s) * w(s), breaks, method="gauss-legendre")
+        d, a = mp.mpf(pot.depth), mp.mpf(pot.range)
+        if pot.kind == "square_well":
+            return 2 * mp.quad(lambda s: d * d * s**3 / 3, [0, a])
+        shape, w = {
+            "gaussian": (lambda r: d * mp.exp(-((r / a) ** 2)),
+                         lambda s: d * a**3 * mp.gammainc(1.5, 0, (s / a) ** 2) / 2),
+            "exponential": (lambda r: d * mp.exp(-r / a),
+                            lambda s: d * a**3 * mp.gammainc(3, 0, s / a)),
+        }[pot.kind]
+        return 2 * mp.quad(lambda s: shape(s) * w(s), [0, mp.inf])
+
+
+class TestBsHs2:
+    @pytest.mark.parametrize("pot", BS_WELLS, ids=lambda p: p.kind)
+    def test_matches_mpmath(self, pot):
+        assert pot.bs_hs2() == pytest.approx(float(mp_bs_hs2(pot)), rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("pot", BS_WELLS, ids=lambda p: p.kind)
+    @pytest.mark.parametrize("alpha", [0.3, 1.7])
+    def test_dilation_scales_by_alpha_to_minus_four(self, pot, alpha):
+        assert pot.dilated(alpha).bs_hs2() == pytest.approx(pot.bs_hs2() / alpha**4,
+                                                             rel=1e-14, abs=0)
+
+
 class TestMassesAndFrames:
     def test_mass_validation(self):
         with pytest.raises(ValueError):

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.special import jn_zeros
 
 from fewbody.model import PotentialSpec, Quadrature, ZeroPotentialError
 from fewbody import twobody as tb
 from tests.conftest import EXP_LAMBDA_STAR, GAUSS_LAMBDA_STAR, SW_LAMBDA_STAR
+from tests.test_model import BS_WELLS
 
 
 def sw_ground_energy(lam: float) -> float:
@@ -165,6 +167,28 @@ class TestShooting:
             e0 = tb.shooting_ground_energy(square_well, float(lam))
             mu = tb.mu_max(square_well, float(lam), math.sqrt(-e0), sw_quad)
             assert abs(mu - 1.0) < 1e-6
+
+
+class TestShootingOracle:
+    # lam* of a well of range a is lam*(range 1) / a^2; the oracle integrates out
+    # to where the tail is negligible and brackets the first threshold only
+    # (at range 4 the exponential well has three thresholds below coupling 2)
+    @pytest.mark.parametrize("a", [0.25, 1.0, 4.0])
+    def test_exponential_is_the_bessel_zero(self, a):
+        lam = tb.shooting_critical_coupling(PotentialSpec("exponential", range=a))
+        assert lam == pytest.approx(jn_zeros(0, 1)[0] ** 2 / 4.0 / a**2, rel=1e-11, abs=0)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "square_well"])
+    @pytest.mark.parametrize("a", [0.25, 4.0])
+    def test_scales_with_range(self, kind, a):
+        unit = tb.shooting_critical_coupling(PotentialSpec(kind))
+        lam = tb.shooting_critical_coupling(PotentialSpec(kind, range=a))
+        assert lam == pytest.approx(unit / a**2, rel=1e-11, abs=0)
+
+    # the top Birman-Schwinger eigenvalue, one at lam*, is at most lam* sqrt(T2)
+    @pytest.mark.parametrize("pot", BS_WELLS, ids=lambda p: p.kind)
+    def test_hilbert_schmidt_bound_is_sound(self, pot):
+        assert tb.shooting_critical_coupling(pot) * math.sqrt(pot.bs_hs2()) >= 1.0
 
 
 class TestResonance:

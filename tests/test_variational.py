@@ -14,9 +14,16 @@ from fewbody import twobody as tb
 from fewbody import variational as vr
 from fewbody.cli import EXIT_NUMERIC, main
 from fewbody.model import (
-    CouplingConfig, MassSet, ModelSpec, _gauss_legendre_panels,
+    CouplingConfig, MassSet, ModelSpec, PotentialSpec, _gauss_legendre_panels,
 )
-from tests.conftest import GAUSS_LAMBDA_STAR, bound_state_count, make_model, relabelled_models
+from tests.conftest import (
+    EXP_LAMBDA_STAR,
+    GAUSS_LAMBDA_STAR,
+    SW_LAMBDA_STAR,
+    bound_state_count,
+    make_model,
+    relabelled_models,
+)
 from tests.test_cli import FULL
 
 
@@ -213,6 +220,19 @@ class TestSolveGround:
             vr.solve_ground(gauss_model_factory(1.0), basis)
 
 
+@pytest.fixture
+def shot(monkeypatch):
+    """The couplings shooting_ground_energy is called at, in call order."""
+    calls, shoot = [], tb.shooting_ground_energy
+
+    def recording(pot, coupling):
+        calls.append(coupling)
+        return shoot(pot, coupling)
+
+    monkeypatch.setattr(tb, "shooting_ground_energy", recording)
+    return calls
+
+
 class TestHvzBottom:
     def test_all_unbound(self, gauss_model_factory):
         assert vr.hvz_bottom(gauss_model_factory(0.8)) == 0.0
@@ -228,6 +248,30 @@ class TestHvzBottom:
         m = make_model(equal_masses, gaussian_well, (lam_a, lam_b, 0.0))
         e_b = tb.shooting_ground_energy(gaussian_well, lam_b)
         assert np.isclose(vr.hvz_bottom(m), e_b, rtol=1e-10)
+
+    # the Hilbert-Schmidt bound skips the shooting below 0.9863, 0.9781 and
+    # 0.9927 of lam* (Gaussian, exponential, square well); every value stays
+    @pytest.mark.parametrize("pot", [
+        PotentialSpec("gaussian"), PotentialSpec("exponential"), PotentialSpec("square_well"),
+        PotentialSpec("tabulated", table=((0.5, 2.0), (1.0, 0.5), (1.5, 1.2), (3.0, 0.0))),
+    ], ids=lambda p: p.kind)
+    @pytest.mark.parametrize("fraction", [0.97, 0.99, 0.995, 1.01])
+    def test_equals_shooting_only(self, shot, equal_masses, pot, fraction):
+        lam_star = {"gaussian": GAUSS_LAMBDA_STAR, "exponential": EXP_LAMBDA_STAR,
+                    "square_well": SW_LAMBDA_STAR}.get(pot.kind)
+        lam = fraction * (lam_star or tb.shooting_critical_coupling(pot))
+        bottom = vr.hvz_bottom(make_model(equal_masses, pot, (lam, 0.0, 0.0)))
+        assert bool(shot) == (lam**2 * pot.bs_hs2() >= 1.0)
+        e0 = tb.shooting_ground_energy(pot, lam)
+        assert (e0 is not None) == (fraction > 1.0)
+        assert bottom == (0.0 if e0 is None else e0)
+
+    def test_signed_table_shoots(self, shot, equal_masses):
+        # the bound holds for V >= 0 only: a well with a repulsive part is shot
+        pot = PotentialSpec("tabulated", table=((0.5, 1.0), (1.0, -0.2), (2.0, 0.0)))
+        assert pot.bs_hs2() < 1.0
+        assert vr.hvz_bottom(make_model(equal_masses, pot, (1.0, 0.0, 0.0))) == 0.0
+        assert shot == [1.0]
 
 
 class TestBoundStateCount:

@@ -41,11 +41,15 @@ SUBCOMMANDS = [
 # (section, key, value) set in FULL: malformed and out-of-range values, the
 # brackets, the energy targets, the sweep grid, the coupled-solver grid keys,
 # the least radial grid and one with panels wider than 24 nodes, unequal
-# masses, a wide (23) well and large Green's-function arguments
+# masses, a wide (23) well, large Green's-function arguments, and a (12)
+# coupling on each side of lam* = 2.684 above the Hilbert-Schmidt bound
+# 0.9863 lam*, where hvz_bottom shoots: unbound at 2.67, bound at 2.7
 VARIANTS = [
     ("model", "m1", "x"),
     ("model", "m1", "-1"),
     ("model", "m2", "0.7"),
+    ("model", "lambda12", "2.67"),
+    ("model", "lambda12", "2.7"),
     ("model", "pair23.range", "20"),
     ("numerics", "radial_nodes", "3"),
     ("numerics", "radial_nodes", "20"),
