@@ -39,6 +39,10 @@ class ConfigError(ValueError):
     pass
 
 
+class NonFiniteOutputError(ArithmeticError):
+    """A float cell of the CSV output is nan or infinite (exit 3, naming its column)."""
+
+
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -320,13 +324,19 @@ def emit_csv(rows: Sequence, columns: Sequence[str] | type, out) -> None:
     """RFC-4180-style CSV, fixed header order, deterministic row order.
 
     columns is the header, with rows as dicts, or a dataclass whose fields are
-    the columns, with rows its instances.
+    the columns, with rows its instances.  A nan or infinite float cell raises
+    NonFiniteOutputError before anything is written; a None cell is blank.
     """
     if isinstance(columns, type):
         columns, rows = [f.name for f in fields(columns)], [vars(r) for r in rows]
-    out.write(",".join(columns) + "\r\n")
+    lines = [",".join(columns)]
     for row in rows:
-        out.write(",".join(_fmt(row.get(h)) for h in columns) + "\r\n")
+        cells = [row.get(h) for h in columns]
+        for h, v in zip(columns, cells):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise NonFiniteOutputError(f"column {h} = {v!r} is not a finite number")
+        lines.append(",".join(_fmt(v) for v in cells))
+    out.write("".join(line + "\r\n" for line in lines))
 
 
 class ResultStore:
@@ -695,6 +705,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         tb.NotAtThresholdError,
         tb.ResonanceWindowError,
         vr.IllConditionedBasisError,
+        NonFiniteOutputError,
         ValueError,
     ) as err:
         print(f"numeric failure: {err}", file=sys.stderr)

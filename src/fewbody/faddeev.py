@@ -54,7 +54,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-import scipy.special
 
 from .model import (
     PAIRS,
@@ -718,6 +717,8 @@ def green6_bound_check(xi_list: Sequence[float]) -> list[Green6Row]:
     The kernel is (4 pi)^-3 xi^-4 int_0^inf t^-3 exp(-t xi^2 - 1/(4t)) dt
     = K_2(xi) / (8 pi^3 xi^2), with K_2 the modified Bessel function.
     """
+    import scipy.special  # deferred: no other path of the package needs scipy.special
+
     rows = []
     for xi in xi_list:
         if not xi > 0:

@@ -13,9 +13,15 @@ integral per distinct eigenvalue pair of the pair forms (the ball is
 rotation invariant); a pair of frames-mode functions takes its eigenvalues
 from the two frame widths and the frame angle, so equal content in any
 frames is one integral.  The Bessel weight takes its power series at small
-arguments (w < 2) and scipy's i1e above.  Each state then costs one
-quadratic form.  A P(R) outside [0, 1] by more than its rounding estimate
-raises IllConditionedBasisError (CLI exit 3) instead of being clamped.
+arguments (w < 2) and a numpy port of Cephes' i1e above.  Each state then
+costs one quadratic form.  A P(R) outside [0, 1] by more than its rounding
+estimate raises IllConditionedBasisError (CLI exit 3) instead of being
+clamped.
+
+The basis, the matrix elements, the ground state, hvz_bottom on unbound
+pairs and P(R) run on numpy alone; scipy.linalg loads on the first
+HamiltonianMatrices.crossing, and a pair that hvz_bottom has to shoot loads
+twobody's scipy solvers.
 """
 
 from __future__ import annotations
@@ -26,8 +32,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
-import scipy.linalg
-from scipy.special import i1e
 
 from .model import (
     _PAIR_INDEX, CouplingConfig, MassSet, ModelSpec, PAIRS, Quadrature, _gauss_legendre_panels,
@@ -370,6 +374,8 @@ class HamiltonianMatrices:
         W = self._project(
             sum((end.get(pair) - start.get(pair)) * V for pair, V in self.potentials.items())
         )
+        import scipy.linalg  # deferred: no other variational path needs scipy
+
         n = A.shape[0]
         mu = scipy.linalg.eigh(W, A, subset_by_index=[n - 1, n - 1], eigvals_only=True)[0]
         return float(1.0 / mu) if mu > 0 else math.inf
@@ -448,10 +454,67 @@ _ROUNDING_ULPS = 1024
 
 # Below w = _SERIES_MAX, I_1(w)/w = sum_k u^k / (2 k! (k+1)!) with u = w^2/4
 # (DLMF 10.25.2): all terms positive, and the first omitted one is below 2^-56
-# of the sum at w = _SERIES_MAX.  From there up, scipy's i1e (exact through
-# w ~ 1e20).
+# of the sum at w = _SERIES_MAX.  From there up, _i1e: Cephes' i1e (exact
+# through w ~ 1e20) in numpy, bit for bit.
 _SERIES_MAX = 2.0
 _SERIES = tuple(1.0 / (2.0 * math.factorial(k) * math.factorial(k + 1)) for k in range(12))
+
+# Chebyshev coefficients of Cephes' i1e (S. L. Moshier, Methods and Programs
+# for Mathematical Functions, 1989), as scipy.special compiles them:
+# exp(-z) I_1(z) / z on [0, 8] in t = z/2 - 2, and exp(-z) I_1(z) sqrt(z) on
+# (8, inf) in t = 32/z - 2.
+_I1E_A = (
+    2.7779141127610464e-18, -2.111421214358166e-17, 1.5536319577362005e-16,
+    -1.1055969477353862e-15, 7.600684294735408e-15, -5.042185504727912e-14,
+    3.223793365945575e-13, -1.9839743977649436e-12, 1.1736186298890901e-11,
+    -6.663489723502027e-11, 3.625590281552117e-10, -1.8872497517228294e-09,
+    9.381537386495773e-09, -4.445059128796328e-08, 2.0032947535521353e-07,
+    -8.568720264695455e-07, 3.4702513081376785e-06, -1.3273163656039436e-05,
+    4.781565107550054e-05, -0.00016176081582589674, 0.0005122859561685758,
+    -0.0015135724506312532, 0.004156422944312888, -0.010564084894626197,
+    0.024726449030626516, -0.05294598120809499, 0.1026436586898471,
+    -0.17641651835783406, 0.25258718644363365,
+)
+_I1E_B = (
+    7.517296310842105e-18, 4.414348323071708e-18, -4.6503053684893586e-17,
+    -3.209525921993424e-17, 2.96262899764595e-16, 3.3082023109209285e-16,
+    -1.8803547755107825e-15, -3.8144030724370075e-15, 1.0420276984128802e-14,
+    4.272440016711951e-14, -2.1015418427726643e-14, -4.0835511110921974e-13,
+    -7.198551776245908e-13, 2.0356285441470896e-12, 1.4125807436613782e-11,
+    3.2526035830154884e-11, -1.8974958123505413e-11, -5.589743462196584e-10,
+    -3.835380385964237e-09, -2.6314688468895196e-08, -2.512236237870209e-07,
+    -3.882564808877691e-06, -0.00011058893876262371, -0.009761097491361469,
+    0.7785762350182801,
+)
+# Arguments per _i1e block: its buffers stay in cache (a whole 2048-key chunk
+# at once ran about twice as slow per element on 2 cores).
+_I1E_BLOCK = 16384
+
+
+def _chbevl(t: np.ndarray, coeffs: tuple) -> np.ndarray:
+    """Cephes chbevl: the Chebyshev series at t by Clenshaw's steps, in Cephes' order."""
+    b0, b1, b2 = np.full_like(t, coeffs[0]), np.zeros_like(t), np.empty_like(t)
+    for c in coeffs[1:]:
+        b2, b1, b0 = b1, b0, b2
+        np.multiply(t, b1, out=b0)
+        b0 -= b2
+        b0 += c
+    b0 -= b2
+    b0 *= 0.5
+    return b0
+
+
+def _i1e(z: np.ndarray, out: np.ndarray) -> None:
+    """out = exp(-z) I_1(z) for 1-D z >= 0, bit-equal to scipy.special.i1e."""
+    for s in range(0, z.size, _I1E_BLOCK):
+        zb, ob = z[s : s + _I1E_BLOCK], out[s : s + _I1E_BLOCK]
+        small = zb <= 8.0
+        if small.any():
+            x = zb[small]
+            ob[small] = _chbevl(x * 0.5 - 2.0, _I1E_A) * x
+        if not small.all():
+            x = zb[~small]
+            ob[~small] = _chbevl(32.0 / x - 2.0, _I1E_B) / np.sqrt(x)
 
 
 def _series_kernel(gap, beta_min, rho2, out):
@@ -468,9 +531,9 @@ def _series_kernel(gap, beta_min, rho2, out):
 
 
 def _i1e_kernel(gap, beta_min, rho2, out):
-    """out = exp(-beta_min rho2) * [exp(-w) I_1(w)/w] by i1e, w = gap rho2 > 0."""
+    """out = exp(-beta_min rho2) * [exp(-w) I_1(w)/w] by _i1e, w = gap rho2 > 0."""
     w = gap * rho2
-    i1e(w, out=out)
+    _i1e(w.reshape(-1), out.reshape(-1, copy=False))
     out /= w
     np.multiply(-beta_min, rho2, out=w)
     out *= np.exp(w, out=w)
@@ -542,6 +605,20 @@ def pair_keys(Ba, Bb, Bc2, frames: Optional[Frames] = None):
     return beta_min, gap, beta_max
 
 
+def _below_interior(beta_min: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """beta_min * r^2 < _INTERIOR, radii x pairs, with no product that can overflow.
+
+    r^2 is infinite from r = 2^512 on.  When both factors are at least 1,
+    clamping each at _INTERIOR keeps the verdict (one above it fails either
+    way); otherwise the product is below the larger factor.  So every radius
+    with a finite square gets the verdict of the plain product, bit for bit.
+    """
+    r2 = np.square(r, out=np.full(r.shape, np.inf), where=r < 2.0**512)
+    b = np.where(r2 >= 1.0, np.minimum(beta_min, _INTERIOR), beta_min)
+    r2 = np.where(beta_min >= 1.0, np.minimum(r2, _INTERIOR), r2)
+    return b * r2 < _INTERIOR
+
+
 def ball_overlap(Ba, Bb, Bc2, R, frames: Optional[Frames] = None):
     """Integral of exp(-xi^T B xi) over the 6D ball |xi| <= R, for symmetric N x N forms.
 
@@ -568,7 +645,7 @@ def ball_overlap(Ba, Bb, Bc2, R, frames: Optional[Frames] = None):
     beta_min, gap, beta_max = pair_keys(Ba, Bb, Bc2, frames)
     det = Ba[iu] * Bb[iu] - Bc2[iu] ** 2
     vals = np.where(r > 0, np.pi**3 / det**1.5, 0.0)
-    quad = (r > 0) & (beta_min * r**2 < _INTERIOR)  # radii x pairs
+    quad = (r > 0) & _below_interior(beta_min, r)  # radii x pairs
     pairs = np.flatnonzero(quad.any(axis=0))
     if pairs.size:
         cuts = np.unique(r[quad.any(axis=1), 0])

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -379,6 +380,14 @@ class TestEmitCsv:
         emit_csv(rows, fd.Green6Row, buf)
         assert buf.getvalue() == text
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan")])
+    def test_non_finite_cell_is_refused_before_any_output(self, value):
+        buf = io.StringIO()
+        rows = [{"a": 1.0, "b": None}, {"a": 2.0, "b": value}]
+        with pytest.raises(cli.NonFiniteOutputError, match="column b = "):
+            emit_csv(rows, ["a", "b"], buf)
+        assert buf.getvalue() == ""
+
     def test_comma_in_text_cell_becomes_semicolon(self):
         buf = io.StringIO()
         emit_csv([{"a": "L1=1, L2^2=2", "b": 1.5}], ["a", "b"], buf)
@@ -434,6 +443,16 @@ class TestMainEntry:
         assert rc1 == rc2 == EXIT_OK
         assert out1 == out2
         assert out1.startswith("potential,depth,range,lambda_star\r\n")
+
+    def test_non_finite_output_exits_numeric(self, tmp_path, capsys):
+        # a range of 1e-300 gives a nan threshold: no CSV, the column named
+        p = tmp_path / "tiny.cfg"
+        p.write_text(MINIMAL.replace("pair12.range = 1.0", "pair12.range = 1e-300"))
+        with np.errstate(all="ignore"):
+            rc = main(["two-body", "threshold", "--config", str(p), "--quiet"])
+        captured = capsys.readouterr()
+        assert rc == EXIT_NUMERIC and captured.out == ""
+        assert "numeric failure: column lambda_star = nan is not a finite number" in captured.err
 
     def test_config_error_exit(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
@@ -918,9 +937,9 @@ def test_config_docs_name_every_parser_key():
     assert documented_keys() == cli._SECTION_KEYS
 
 
-# scipy's root finders, ODE solvers and sparse stack load only when first used:
-# the CLI and a ground state on unbound pairs need none of them, and the
-# coupled solver adds scipy.sparse alone
+# scipy loads only when first used: the CLI and a ground state on unbound
+# pairs load no scipy module at all, and the coupled solver adds the sparse
+# eigensolver, none of the ODE solvers, root finders or special functions
 _FOOTPRINT = """
 import json, sys
 from fewbody import cli
@@ -941,9 +960,9 @@ def test_scipy_solvers_load_only_when_used(tmp_path):
                          env={**os.environ, "PYTHONPATH": path}, capture_output=True,
                          text=True, check=True).stdout
     loaded = {step: set(mods) for step, mods in json.loads(out).items()}
-    watched = ("scipy.optimize", "scipy.integrate", "scipy.sparse")
     for step in ("import", "ground"):
-        assert not {m for m in loaded[step] if m.startswith(watched)}, step
-    added = {m for m in loaded["bs-radius"] - loaded["ground"] if m.startswith("scipy.")}
+        assert not {m for m in loaded[step] if m == "scipy" or m.startswith("scipy.")}, step
+    added = loaded["bs-radius"] - loaded["ground"]
     assert "scipy.sparse.linalg" in added
-    assert all(m.startswith("scipy.sparse") for m in added), sorted(added)
+    unused = ("scipy.optimize", "scipy.integrate", "scipy.special")
+    assert not {m for m in added if m.startswith(unused)}, sorted(added)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import erf, ive
+from scipy.special import erf, i1e, ive
 
 from fewbody import twobody as tb
 from fewbody import variational as vr
@@ -405,6 +405,28 @@ class TestBallOverlapReference:
         np.testing.assert_allclose(bessel_ratio_scaled(w), ref, rtol=1e-15, atol=0.0)
 
 
+class TestI1e:
+    """The numpy port of Cephes' i1e against scipy.special.i1e, bit for bit."""
+
+    @staticmethod
+    def assert_bit_equal(z):
+        got = np.empty_like(z)
+        vr._i1e(z, got)
+        np.testing.assert_array_equal(got.view(np.int64), i1e(z).view(np.int64))
+
+    def test_dense_log_grid(self):
+        # 2^20 + 3 arguments: many _I1E_BLOCK blocks and a short last one
+        self.assert_bit_equal(np.geomspace(2.0, 1e20, 2**20 + 3))
+
+    def test_branch_edge(self):
+        z = np.array([2.0, 8.0, np.nextafter(8.0, 0.0), np.nextafter(8.0, np.inf)])
+        self.assert_bit_equal(z)
+        self.assert_bit_equal(np.repeat(z, 3 * vr._I1E_BLOCK // 4))  # mixed blocks
+
+    def test_near_zero_and_beyond(self):
+        self.assert_bit_equal(np.array([0.0, 5e-324, 1e-300, 1e-8, 1e100, 1e300, np.inf]))
+
+
 def bessel_ratio_scaled(w):
     """exp(-w) I_1(w)/w from the ball kernel: one key with gap 1 and beta_min 0, rho2 = w."""
     return vr._ball_kernel(np.ones(1), np.zeros(1), np.asarray(w, dtype=float))[0]
@@ -733,6 +755,39 @@ class TestProbabilityInside:
         monkeypatch.setattr(vr, "ball_overlap", inflated_ball)
         with pytest.raises(vr.IllConditionedBasisError, match="rounding estimate"):
             p_of_state(small_basis, ground_small, 10.0)
+
+    def test_radius_with_overflowing_square(self, tmp_path):
+        # 1e300^2 overflows: every pair takes the closed form, with no warning
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text(FULL.replace("[experiment]\n", "[experiment]\nradii = 10,1e300\n"))
+        src = str(Path(__file__).parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "fewbody.cli", "three-body",
+             "ground", "--config", str(cfg), "--quiet"],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        header, row = done.stdout.splitlines()
+        p = dict(zip(header.split(","), row.split(",")))
+        assert float(p["p_r1.0000000000000001e+300"]) == 1.0
+        assert 0.0 < float(p["p_r10"]) < 1.0
+
+    def test_interior_test_cannot_overflow(self):
+        # the plain product's verdict wherever r^2 is finite, and not interior beyond
+        rng = np.random.default_rng(3)
+        beta = np.concatenate([10.0 ** rng.uniform(-300, 300, 4000), rng.uniform(0.0, 100.0, 4000),
+                               [1.0, 50.0, np.nextafter(50.0, 0.0), 5e-324, 1e308]])
+        r = np.concatenate([10.0 ** rng.uniform(-150, 154.1, 60), rng.uniform(0.0, 20.0, 40),
+                            [0.0, 1.0, math.sqrt(50.0), np.nextafter(2.0**512, 0.0), 2.0**512,
+                             1e300]])[:, None]
+        with np.errstate(over="raise", invalid="raise", under="ignore"):
+            got = vr._below_interior(beta, r)
+        with np.errstate(over="ignore", under="ignore"):
+            finite = np.isfinite(r[:, 0] ** 2)
+            plain = beta * r**2 < vr._INTERIOR
+        np.testing.assert_array_equal(got[finite], plain[finite])
+        assert not got[~finite].any() and (~finite).sum() == 2
 
     def test_out_of_range_exits_numeric(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "model.cfg"
