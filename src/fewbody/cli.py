@@ -76,7 +76,8 @@ def _bracket(text: str) -> tuple[float, ...]:
 
 # (section, key) -> (default text or None, conversion, range), every key the
 # parser accepts.  The range is the least value of an integer; "positive" or
-# "non-negative" for every number; the allowed names; "bracket" for two
+# "non-negative" for every number, or "positive with a finite square" for a
+# spectral point z at energy -z^2; the allowed names; "bracket" for two
 # numbers lo < hi; "non-empty" for a list with at least one value;
 # "correlation" for frames or one level at least, each in (-1, 1).  A pair
 # key has no conversion: _parse_potential reads it.  model._split_counts
@@ -119,7 +120,8 @@ _KEYS = {
     ("experiment", "scale_bracket"): ("0.9,1.2", _bracket, "bracket"),
     ("experiment", "theta_bracket"): (None, _bracket, "bracket"),
     ("experiment", "vary_pair"): ("13", str, PAIRS),
-    ("experiment", "z_list"): ("1e-3,1e-2,1e-1,1.0", _float_list, "positive"),
+    ("experiment", "z_list"): ("1e-3,1e-2,1e-1,1.0", _float_list,
+                               "positive with a finite square"),
     ("experiment", "xi_list"): ("0.5,1.0,10.0", _float_list, "positive"),
     ("experiment", "k_list"): ("1e-2,1e-3,1e-4", _float_list, None),  # range: _k_values
     ("experiment", "scale_grid"): (None, _float_list, "non-negative"),
@@ -175,7 +177,8 @@ def _check_range(name: str, text: str, value, rng) -> None:
     elif rng == "correlation":
         if value != "frames" and not (value and all(-1.0 < v < 1.0 for v in value)):
             raise ConfigError(f"{name} = {text!r}: must be frames or levels in (-1, 1)")
-    elif any(v < 0 or (v == 0 and rng == "positive")
+    elif any(v < 0 or (v == 0 and rng != "non-negative")
+             or ("square" in rng and not math.isfinite(v * v))
              for v in (value if isinstance(value, list) else [value])):
         raise ConfigError(f"{name} = {text!r}: values must be {rng}")
 
@@ -406,6 +409,8 @@ def _grid_kw(cfg: RunConfig) -> dict:
 
 
 def _basis(cfg: RunConfig) -> vr.GaussianBasis:
+    if cfg.basis_spec.n_random > 0 and cfg.basis_spec.seed is None:
+        raise ConfigError("numerics.seed is required when numerics.basis.n_random > 0")
     return vr.build_basis(cfg.basis_spec, cfg.model.masses)
 
 

@@ -290,7 +290,6 @@ def cross_validate(
     basis: vr.GaussianBasis,
     scale_bracket: tuple[float, float] = (0.5, 1.0),
     n_grid: int = 10,
-    z_pair: tuple[float, float] = (1e-2, 1e-3),
     **grid_kw,
 ) -> CrossValidationReport:
     """Threshold agreement plus sign consistency on a coupling scan.
@@ -298,13 +297,13 @@ def cross_validate(
     The two solvers share no code path; the scan checks radius < 1 wherever
     the variational energy says unbound and radius > 1 wherever it says
     clearly bound.  Each solver builds its coupling-independent work once:
-    the variational matrices, and one block operator per z in z_pair.  Each
-    threshold is an eigensolve, not a search: the variational one
-    (E_gr = -EPS_NUM; the HVZ bottom is zero on any valid bracket) one
-    pencil eigensolve, the coupled-solver one a Lanczos solve per z
-    (fd.threshold_scale).  Either outside scale_bracket, lo < s <= hi, is a
-    BracketInvalidError.  The scan rows take the full ground solve, so their
-    energies equal solve_ground's.
+    the variational matrices, and one block operator per z of
+    fd.THRESHOLD_Z.  Each threshold is an eigensolve, not a search: the
+    variational one (E_gr = -EPS_NUM; the HVZ bottom is zero on any valid
+    bracket) one pencil eigensolve, the coupled-solver one a Lanczos solve
+    per z (fd.threshold_scale).  Either outside scale_bracket, lo < s <= hi,
+    is a BracketInvalidError.  The scan rows take the full ground solve, so
+    their energies equal solve_ground's.
     """
     hm = vr.hamiltonian_matrices(model, basis)
     s_var = _knob_at_level(hm, model, "scale", scale_bracket, -EPS_NUM)
@@ -313,7 +312,7 @@ def cross_validate(
     energies = [hm.ground(model.couplings.scaled(s)).energy for s in scales]
     del hm  # the N x N matrices are not needed while the block operators live
 
-    ops = fd.threshold_operators(model, z_pair, **grid_kw)
+    ops = fd.threshold_operators(model, **grid_kw)
     s_bs = fd.threshold_scale(ops)
     if not scale_bracket[0] < s_bs <= scale_bracket[1]:
         raise BracketInvalidError(

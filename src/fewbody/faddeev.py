@@ -62,7 +62,6 @@ from .model import (
     PotentialSpec,
     Quadrature,
     _gauss_legendre_panels,
-    kernel_constants,
     kinematic_rotation,
 )
 from . import twobody
@@ -84,7 +83,7 @@ def t_function(p):
 
 @dataclass(frozen=True, eq=False)
 class MixedGrid:
-    """Product grid for one pair: radial x on (0, r_max], momentum p on (0, p_max].
+    """Product grid for one pair: radial x on (0, r_max], momentum p on (0, 4].
 
     Momentum panels refine geometrically toward p = 0 (scale set by z, where
     the small-momentum structure of the kernels lives) and carry an edge at
@@ -108,17 +107,13 @@ class MixedGrid:
         return self.n_x * self.n_p
 
 
-def momentum_edges(z: float, p_max: float = 4.0) -> list[float]:
+def momentum_edges(z: float) -> list[float]:
     edges = [0.0]
     t = max(z, 1e-6) / 3.0
     while t < 0.25:
         edges.append(t)
         t *= 4.0
-    edges += [0.5, 1.0]
-    if p_max > 2.0:
-        edges.append(2.0)
-    edges.append(p_max)
-    return sorted(set(edges))
+    return sorted(set(edges + [0.5, 1.0, 2.0, 4.0]))
 
 
 def build_mixed_grid(
@@ -126,7 +121,6 @@ def build_mixed_grid(
     z: float,
     n_x: int = 28,
     n_p_per_panel: int = 6,
-    p_max: float = 4.0,
 ) -> MixedGrid:
     """Radial x grid of the pair well and the momentum panels of z.
 
@@ -134,7 +128,7 @@ def build_mixed_grid(
     holds max(n_x, 20) nodes: n_x = 16 builds 20.
     """
     x_quad = Quadrature.for_potential(pot_scaled, n=n_x)
-    edges = momentum_edges(z, p_max)
+    edges = momentum_edges(z)
     counts = [n_p_per_panel] * (len(edges) - 1)
     pn, pw, _ = _gauss_legendre_panels(edges, counts)
     return MixedGrid(x_quad=x_quad, p_nodes=pn, p_weights=pw)
@@ -148,8 +142,8 @@ def assemble_diagonal_block(
     pot: PotentialSpec, coupling: float, z: float, grid: MixedGrid
 ) -> np.ndarray:
     """Per-momentum stack of 2-body kernels at k = sqrt(p^2 + z^2), shape (n_p, n_x, n_x)."""
-    if z <= 0:
-        raise ValueError("z must be positive")
+    if not (z > 0 and math.isfinite(z * z)):
+        raise ValueError("z must be positive with a finite square")
     out = np.empty((grid.n_p, grid.n_x, grid.n_x))
     for i, p in enumerate(grid.p_nodes):
         k = math.sqrt(p * p + z * z)
@@ -179,8 +173,8 @@ def assemble_offdiagonal_block(
     serves both sides; with the same well and coupling too, the block is
     returned exactly symmetric.
     """
-    if z <= 0:
-        raise ValueError("z must be positive")
+    if not (z > 0 and math.isfinite(z * z)):
+        raise ValueError("z must be positive with a finite square")
     if row_pair == col_pair:
         raise ValueError("off-diagonal block needs distinct pairs")
 
@@ -298,7 +292,6 @@ def assemble_block_operator(
     z: float,
     n_x: int = 28,
     n_p_per_panel: int = 6,
-    p_max: float = 4.0,
     n_angle: int = 32,
 ) -> BlockOperator:
     """Build all active blocks of the coupled system for the given model.
@@ -321,7 +314,7 @@ def assemble_block_operator(
     for pair in active:
         grids[pair] = shared(
             ("grid", pots[pair]),
-            lambda: build_mixed_grid(pots[pair], z, n_x, n_p_per_panel, p_max),
+            lambda: build_mixed_grid(pots[pair], z, n_x, n_p_per_panel),
         )
         key = (pots[pair], lams[pair])
         diagonal[pair] = shared(
@@ -533,13 +526,17 @@ def radius_rows(model: ModelSpec, z_list: Sequence[float], **grid_kw) -> list[Ra
     return [RadiusRow(sol.z, sol.spectral_radius, sol.residual) for sol in sols]
 
 
-def threshold_operators(model: ModelSpec, z_pair=(1e-2, 1e-3), **grid_kw) -> tuple:
-    """One block operator per z of z_pair, assembled at the model's couplings.
+# The two spectral points z of the extrapolation to the threshold z = 0.
+THRESHOLD_Z = (1e-2, 1e-3)
+
+
+def threshold_operators(model: ModelSpec, **grid_kw) -> tuple:
+    """One block operator per z of THRESHOLD_Z, assembled at the model's couplings.
 
     Every overall coupling scale of the model reuses them through
     faddeev_solve(..., scale=s).
     """
-    return tuple(assemble_block_operator(model, z, **grid_kw) for z in z_pair)
+    return tuple(assemble_block_operator(model, z, **grid_kw) for z in THRESHOLD_Z)
 
 
 def _to_zero(ops: Sequence[BlockOperator], values: Sequence[float]) -> float:
@@ -553,9 +550,9 @@ def extrapolated_radius(ops: Sequence[BlockOperator], scale: float = 1.0) -> flo
     return _to_zero(ops, [faddeev_solve(op, scale=scale).spectral_radius for op in ops])
 
 
-def radius_at_zero(model: ModelSpec, z_pair=(1e-2, 1e-3), **grid_kw) -> float:
+def radius_at_zero(model: ModelSpec, **grid_kw) -> float:
     """Linear-in-z extrapolation of the spectral radius to the threshold point."""
-    return extrapolated_radius(threshold_operators(model, z_pair, **grid_kw))
+    return extrapolated_radius(threshold_operators(model, **grid_kw))
 
 
 def bound_scale(op: BlockOperator) -> float:
@@ -584,9 +581,9 @@ def threshold_scale(ops: Sequence[BlockOperator]) -> float:
     return _to_zero(ops, [bound_scale(op) for op in ops])
 
 
-def bs_threshold_coupling(model: ModelSpec, z_pair=(1e-2, 1e-3), **grid_kw) -> float:
+def bs_threshold_coupling(model: ModelSpec, **grid_kw) -> float:
     """Overall coupling scale at which the model's coupled system binds at z = 0."""
-    return threshold_scale(threshold_operators(model, z_pair, **grid_kw))
+    return threshold_scale(threshold_operators(model, **grid_kw))
 
 
 # ---------------------------------------------------------------------------
@@ -610,20 +607,24 @@ class BoundRow:
 
 
 def hs_norm_K2(
-    pot12: PotentialSpec,
-    pot23: PotentialSpec,
-    frame,
-    z: float,
+    pot12: PotentialSpec, pot23: PotentialSpec, masses: MassSet, z: float
 ) -> BoundRow:
     """Hilbert-Schmidt norm^2 of the singular part of the rotation coupling.
 
-    The squared kernel factorizes into the pair-volume constants times a
+    The squared kernel factorizes into the volume constants c c' c~ times a
     momentum integral over the unit ball; the closed bound replaces that
-    integral by its p^-2 majorant.
+    integral by its p^-2 majorant.  pot12 is the (12) well in its scaled
+    internal coordinate, pot23 the (23) well as given:
+
+    c   : volume integral of pot12,
+    c'  : volume integral of exp(-2|x|)/|x|^2, 2 pi (model independent),
+    c~  : Plancherel norm of the Fourier transform of sqrt(V23), volume(V23) / gamma^3,
+          with gamma = 1/sqrt(2 M) the spectator scale of the (12) frame.
     """
     if not 0 < z:
         raise ValueError("z must be positive")
-    kc = kernel_constants(pot12, pot23, frame)
+    gamma = 1.0 / math.sqrt(2.0 * masses.big_m("12"))
+    c, c_prime, c_tilde = pot12.volume(), 2.0 * math.pi, pot23.volume() / gamma**3
     # substitute p = t^2: the sqrt(p) cutoff profile becomes smooth in t.  The
     # integrand turns over at t ~ z and t ~ sqrt(z), so panels grow by 4 from z.
     edges, e = [0.0], z
@@ -636,8 +637,8 @@ def hs_norm_K2(
     bracket = -tf / ((z + 1.0 + tf) * (z + 1.0))
     integrand = 4.0 * np.pi * t**4 * bracket**2 / np.sqrt(t**4 + z * z) * 2.0 * t
     ip = float(np.sum(wt * integrand))
-    hs = kc.c * kc.c_prime * kc.c_tilde * ip / (2.0**7 * np.pi**5)
-    bound = kc.c * kc.c_prime * kc.c_tilde / (2.0**5 * np.pi**4)
+    hs = c * c_prime * c_tilde * ip / (2.0**7 * np.pi**5)
+    bound = c * c_prime * c_tilde / (2.0**5 * np.pi**4)
     return BoundRow("hs_bound", float(z), hs, bound, hs <= bound * (1.0 + 1e-12))
 
 
@@ -715,7 +716,11 @@ def green6_bound_check(xi_list: Sequence[float]) -> list[Green6Row]:
     """Pointwise heat-kernel bound on the 6D free resolvent kernel at energy -1.
 
     The kernel is (4 pi)^-3 xi^-4 int_0^inf t^-3 exp(-t xi^2 - 1/(4t)) dt
-    = K_2(xi) / (8 pi^3 xi^2), with K_2 the modified Bessel function.
+    = K_2(xi) / (8 pi^3 xi^2), with K_2 the modified Bessel function.  Both
+    sides are float64 expressions, so no xi raises: a side above float64's
+    range is infinite (xi below ~1e-77), one below it zero (xi above ~700).
+    The bound holds with a margin of 12 or more at every xi, so a side that
+    underflows to zero still compares as the exact values do.
     """
     import scipy.special  # deferred: no other path of the package needs scipy.special
 
@@ -723,8 +728,10 @@ def green6_bound_check(xi_list: Sequence[float]) -> list[Green6Row]:
     for xi in xi_list:
         if not xi > 0:
             raise ValueError("xi must be positive")
-        g0 = float(scipy.special.kv(2, xi)) / (8.0 * np.pi**3 * xi**2)
-        bound = 4.0 / (9.0 * np.pi * xi**4) * math.exp(-xi / 2.0)
+        x = np.float64(xi)
+        with np.errstate(over="ignore", divide="ignore"):
+            g0 = float(scipy.special.kv(2, x) / (8.0 * np.pi**3 * x**2))
+            bound = float(4.0 / (9.0 * np.pi * x**4)) * math.exp(-xi / 2.0)
         rows.append(Green6Row(xi=float(xi), value=g0, bound=bound, passed=g0 <= bound))
     return rows
 
@@ -741,8 +748,8 @@ def inequality_suite(
     own radial grid, grid_kw the mixed grid of the cross block.
     """
     zs = sorted(z_list)
-    frame = model.frame("12")
-    rows = [hs_norm_K2(model.scaled_potential("12"), model.potential("23"), frame, z) for z in zs]
+    rows = [hs_norm_K2(model.scaled_potential("12"), model.potential("23"), model.masses, z)
+            for z in zs]
     for col_pair in ("12", "23"):
         rows += continuity_modulus_check(model, "12", col_pair, list(zip(zs, zs[1:])), n,
                                          **grid_kw)

@@ -1,11 +1,11 @@
-"""Problem definitions: pair potentials, masses, Jacobi frames and the rotations
-between them, couplings, grids.
+"""Problem definitions: pair potentials, masses, the kinematic rotations between
+pair frames, couplings, grids.
 
 Units: hbar = 1 and every pair problem is expressed in mass-scaled Jacobi
 coordinates, so the free operator is a bare Laplacian and all mass dependence
-lives in the frame coefficients (alpha, beta, gamma) and in potential
-arguments.  Potentials store the non-negative magnitude V >= 0; Hamiltonians
-subtract coupling * V.
+lives in the frame scales 1/sqrt(2 mu) of the pair and 1/sqrt(2 M) of the
+spectator, and in potential arguments.  Potentials store the non-negative
+magnitude V >= 0; Hamiltonians subtract coupling * V.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-
-HBAR = 1.0
 
 PAIRS = ("12", "13", "23")
 
@@ -147,6 +145,10 @@ class MassSet:
         for m in (self.m1, self.m2, self.m3):
             if not (m > 0.0 and math.isfinite(m)):
                 raise ValueError("masses must be finite and strictly positive")
+        # every pair's frame scales 1/sqrt(2 mu) and 1/sqrt(2 M) must be finite and nonzero
+        for pair in PAIRS:
+            if not all(m > 0.0 and math.isfinite(m) for m in (self.mu(pair), self.big_m(pair))):
+                raise ValueError(f"reduced masses of pair {pair} must be finite and positive")
 
     @property
     def masses(self) -> tuple[float, float, float]:
@@ -163,38 +165,6 @@ class MassSet:
         i, j, l = _PAIR_INDEX[pair]
         mi, mj, ml = self.masses[i], self.masses[j], self.masses[l]
         return (mi + mj) * ml / (mi + mj + ml)
-
-
-@dataclass(frozen=True)
-class JacobiFrame:
-    """Coefficients of the mass-scaled Jacobi coordinates adapted to one pair.
-
-    alpha maps the scaled internal coordinate back to the physical pair
-    separation; beta/gamma give the third-particle separation as a linear
-    combination of the two scaled coordinates.
-    """
-
-    pair: str
-    alpha: float
-    beta: float
-    gamma: float
-
-    def __post_init__(self):
-        if self.gamma == 0 or not all(
-            math.isfinite(v) for v in (self.alpha, self.beta, self.gamma)
-        ):
-            raise ValueError("frame coefficients must be finite with gamma != 0")
-
-
-def make_jacobi_frame(masses: MassSet, pair: str) -> JacobiFrame:
-    """Frame coefficients for the given pair, hbar = 1."""
-    i, j, _ = _PAIR_INDEX[pair]
-    mi, mj = masses.masses[i], masses.masses[j]
-    mu = masses.mu(pair)
-    alpha = HBAR / math.sqrt(2.0 * mu)
-    beta = -mj * HBAR / ((mi + mj) * math.sqrt(2.0 * mu))
-    gamma = HBAR / math.sqrt(2.0 * masses.big_m(pair))
-    return JacobiFrame(pair=pair, alpha=alpha, beta=beta, gamma=gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +251,9 @@ class ModelSpec:
     def potential(self, pair: str) -> PotentialSpec:
         return {"12": self.pot12, "13": self.pot13, "23": self.pot23}[pair]
 
-    def frame(self, pair: str) -> JacobiFrame:
-        return make_jacobi_frame(self.masses, pair)
-
     def scaled_potential(self, pair: str) -> PotentialSpec:
-        """Pair well as a function of the pair's scaled internal coordinate."""
-        return self.potential(pair).dilated(self.frame(pair).alpha)
+        """Pair well as a function of the pair's scaled internal coordinate x = r sqrt(2 mu)."""
+        return self.potential(pair).dilated(1.0 / math.sqrt(2.0 * self.masses.mu(pair)))
 
     def with_couplings(self, couplings: CouplingConfig) -> "ModelSpec":
         return ModelSpec(self.masses, self.pot12, self.pot13, self.pot23, couplings)
@@ -297,13 +264,6 @@ class ModelSpec:
     def active_pairs(self) -> list[str]:
         """The pairs with a positive coupling and a nonzero well, in PAIRS order."""
         return [p for p in PAIRS if self.couplings.get(p) > 0 and not self.potential(p).is_zero()]
-
-
-@dataclass(frozen=True)
-class KernelConstants:
-    c: float
-    c_prime: float
-    c_tilde: float
 
 
 # ---------------------------------------------------------------------------
@@ -383,24 +343,6 @@ def _default_fractions(n_panels: int) -> tuple[float, ...]:
         return (1.0,)
     base = np.geomspace(2.0, 1.0, n_panels)
     return tuple(base / base.sum())
-
-
-# ---------------------------------------------------------------------------
-# kernel constants
-
-
-def kernel_constants(
-    pot12: PotentialSpec, pot23: PotentialSpec, frame: JacobiFrame
-) -> KernelConstants:
-    """Volume constants of the pair kernels.
-
-    c   : volume integral of the (12) well, given in its scaled internal coordinate,
-    c'  : volume integral of exp(-2|x|)/|x|^2, 2 pi (model independent),
-    c~  : Plancherel norm of the Fourier transform of sqrt(V23), folded with gamma.
-    """
-    return KernelConstants(
-        c=pot12.volume(), c_prime=2.0 * math.pi, c_tilde=pot23.volume() / frame.gamma**3
-    )
 
 
 # ---------------------------------------------------------------------------

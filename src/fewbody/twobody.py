@@ -65,10 +65,18 @@ def reduced_greens(k: float, r, rp):
 # product-corrected kernel assembly
 
 
-def _bary_weights(x: np.ndarray) -> np.ndarray:
+def _bary_weights(x: np.ndarray, width: float) -> np.ndarray:
+    """Barycentric weights of a panel's nodes x, up to a common factor.
+
+    The node differences are scaled by 2^-floor(log2(width)) before they are
+    multiplied, so their product neither under- nor overflows; a power of two
+    scales exactly, and the common factor cancels in _lagrange_at's
+    normalization (Berrut & Trefethen, SIAM Review 46, 2004).
+    """
+    scale = math.ldexp(1.0, 1 - math.frexp(width)[1])
     w = np.empty(x.size)
     for j in range(x.size):
-        w[j] = 1.0 / np.prod(x[j] - np.delete(x, j))
+        w[j] = 1.0 / np.prod((x[j] - np.delete(x, j)) * scale)
     return w
 
 
@@ -113,7 +121,7 @@ def _product_correction(quad: Quadrature) -> _ProductCorrection:
     rows, points, weights, lagrange, sizes, starts = [], [], [], [], [], []
     for a, b, lo, hi in quad.panels:
         nodes = r[lo:hi]
-        bw = _bary_weights(nodes)
+        bw = _bary_weights(nodes, b - a)
         for i in np.flatnonzero((a < r) & (r < b)):
             halves = ((a, r[i]), (r[i], b))
             t = np.concatenate([0.5 * (bb - aa) * xs + 0.5 * (aa + bb) for aa, bb in halves])

@@ -58,6 +58,15 @@ k_list = 1e-2,1e-3
 """
 
 
+def set_keys(text: str, section: str, **values) -> str:
+    """text with each key = value of values set first in section, its old line dropped."""
+    for key, value in values.items():
+        text = "".join(line for line in text.splitlines(keepends=True)
+                       if not line.startswith(f"{key} ="))
+        text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+    return text
+
+
 @pytest.fixture
 def cfg_file(tmp_path):
     p = tmp_path / "model.cfg"
@@ -292,9 +301,7 @@ class TestConfigValues:
                             command=("checks", "merkuriev")) -> str:
         """Run command on FULL with section.key = value; exit 2 naming the key."""
         cfg = tmp_path / "m.cfg"
-        text = "".join(line for line in FULL.splitlines(keepends=True)
-                       if not line.startswith(f"{key} ="))
-        cfg.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n"))
+        cfg.write_text(set_keys(FULL, section, **{key: value}))
         rc = main([*command, "--config", str(cfg), "--quiet"])
         assert rc == EXIT_CONFIG
         captured = capsys.readouterr()
@@ -510,6 +517,57 @@ class TestMainEntry:
         assert rc == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == "" and f"missing key {key}" in captured.err
+
+
+# an in-range extreme ends in exit 0, 2 or 3 with a message, never in a traceback
+# or a RuntimeWarning (which fails any test here)
+class TestExtremeValues:
+    @staticmethod
+    def run(tmp_path, capsys, text, command):
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text(text)
+        rc = main([*command, "--config", str(cfg), "--quiet"])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err and "RuntimeWarning" not in captured.err
+        return rc, captured
+
+    def test_green6_at_huge_xi_is_zero_over_zero(self, tmp_path, capsys):
+        # both sides underflow to 0; the exact value lies below the exact bound
+        rc, captured = self.run(tmp_path, capsys, set_keys(FULL, "experiment", xi_list="1e300"),
+                                ("checks", "green6"))
+        assert rc == EXIT_OK
+        assert captured.out.splitlines()[1].split(",")[1:] == ["0", "0", "True"]
+
+    def test_green6_at_tiny_xi_is_not_a_float64(self, tmp_path, capsys):
+        rc, captured = self.run(tmp_path, capsys, set_keys(FULL, "experiment", xi_list="1e-300"),
+                                ("checks", "green6"))
+        assert rc == EXIT_NUMERIC and captured.out == ""
+        assert "numeric failure: column value = inf is not a finite number" in captured.err
+
+    @pytest.mark.parametrize("command", [("three-body", "bs-radius"), ("checks", "bounds"),
+                                         ("checks", "jlog")], ids=lambda c: c[-1])
+    def test_z_with_an_infinite_square_exits_config(self, tmp_path, capsys, command):
+        rc, captured = self.run(tmp_path, capsys, set_keys(FULL, "experiment", z_list="1e300"),
+                                command)
+        assert rc == EXIT_CONFIG and captured.out == ""
+        assert ("config error: experiment.z_list = '1e300': values must be positive with a "
+                "finite square") in captured.err
+
+    def test_stochastic_basis_without_seed_exits_config(self, tmp_path, capsys):
+        text = set_keys(FULL, "numerics", **{"basis.n_random": "3"})
+        rc, captured = self.run(tmp_path, capsys, text, ("three-body", "ground"))
+        assert rc == EXIT_CONFIG and captured.out == ""
+        assert "config error: numerics.seed is required" in captured.err
+
+    @pytest.mark.parametrize("mass", ["1e-300", "1e308"])
+    @pytest.mark.parametrize("command", [("two-body", "threshold"), ("checks", "bounds"),
+                                         ("three-body", "ground")], ids=lambda c: c[-1])
+    def test_masses_without_finite_reduced_masses_exit_config(self, tmp_path, capsys, mass,
+                                                              command):
+        rc, captured = self.run(tmp_path, capsys, set_keys(FULL, "model", m1=mass, m2=mass),
+                                command)
+        assert rc == EXIT_CONFIG and captured.out == ""
+        assert "config error: invalid model values: reduced masses of pair 12" in captured.err
 
 
 CV_CFG = FULL.replace("basis.n_x = 6", "basis.n_x = 6\nfaddeev_nodes = 20\np_per_panel = 4")

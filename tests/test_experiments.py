@@ -290,7 +290,7 @@ class TestEfimovGuards:
 
 
 class TestCrossValidateReuse:
-    KW = dict(n_x=12, n_p_per_panel=4, z_pair=(2e-2, 5e-3))
+    KW = dict(n_x=12, n_p_per_panel=4)
 
     @pytest.mark.parametrize("bracket,n_grid", [((0.9, 1.2), 2), ((0.95, 1.15), 3)])
     def test_one_assembly_per_z(self, gauss_model_factory, tiny_basis, monkeypatch,
@@ -306,7 +306,7 @@ class TestCrossValidateReuse:
         m = gauss_model_factory(0.8)
         report = ex.cross_validate(m, tiny_basis, scale_bracket=bracket, n_grid=n_grid, **self.KW)
         assert len(report.rows) == n_grid
-        assert sorted(calls) == sorted(self.KW["z_pair"])
+        assert sorted(calls) == sorted(fd.THRESHOLD_Z)
 
     def test_variational_scale_matches_reference_bisection(self, gauss_model_factory,
                                                              tiny_basis, matrix_builds):
@@ -352,11 +352,10 @@ class TestCrossValidateReuse:
     def test_scan_matches_fresh_solves(self, gauss_model_factory, tiny_basis):
         m = gauss_model_factory(0.8)
         report = ex.cross_validate(m, tiny_basis, scale_bracket=(0.9, 1.2), n_grid=2, **self.KW)
-        grid_kw = {k: v for k, v in self.KW.items() if k != "z_pair"}
         for row in report.rows:
             scaled = m.with_couplings(m.couplings.scaled(row.scale))
             assert row.e_gr == vr.solve_ground(scaled, tiny_basis).energy
-            ref = fd.radius_at_zero(scaled, self.KW["z_pair"], **grid_kw)
+            ref = fd.radius_at_zero(scaled, **self.KW)
             assert row.bs_radius == pytest.approx(ref, rel=1e-12)
 
 

@@ -9,13 +9,23 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad as adaptive_quad
 
 from fewbody.model import (
-    MassSet, PotentialSpec, Quadrature, make_jacobi_frame, pair_separation_coeffs,
+    MassSet, PotentialSpec, Quadrature, _gauss_legendre_panels, pair_separation_coeffs,
 )
 from fewbody import faddeev as fd
 from fewbody import twobody as tb
 from tests.conftest import GAUSS_LAMBDA_STAR, make_model, relabelled_models
 
 masses_st = st.floats(min_value=0.1, max_value=20.0, allow_nan=False)
+
+
+def scaled_well(pot, masses, pair):
+    """pot in the pair's scaled internal coordinate x = r sqrt(2 mu)."""
+    return pot.dilated(1.0 / math.sqrt(2.0 * masses.mu(pair)))
+
+
+def operators(model, zs, **grid_kw):
+    """One block operator per z of zs, for the extrapolation from other z than fd.THRESHOLD_Z."""
+    return [fd.assemble_block_operator(model, z, **grid_kw) for z in zs]
 
 
 class TestTFunction:
@@ -50,13 +60,12 @@ class TestKinematics:
 
     def test_separation_coeffs_roundtrip(self):
         masses = MassSet(1.0, 2.0, 3.0)
-        # the pair-12 separation in the 12 frame is just alpha * x
+        # the pair-12 separation in the 12 frame is just alpha * x, alpha = 1/sqrt(2 mu)
         P, Q = pair_separation_coeffs(masses, "12")
-        frame = make_jacobi_frame(masses, "12")
-        assert np.isclose(P, frame.alpha) and abs(Q) < 1e-14
-        # the 23 separation must have the beta/gamma magnitudes of its pair relation
+        assert np.isclose(P, 1.0 / math.sqrt(2.0 * masses.mu("12"))) and abs(Q) < 1e-14
+        # the 23 separation carries the spectator scale gamma = 1/sqrt(2 M) on y
         P23, Q23 = pair_separation_coeffs(masses, "23")
-        assert np.isclose(abs(Q23), frame.gamma)
+        assert np.isclose(abs(Q23), 1.0 / math.sqrt(2.0 * masses.big_m("12")))
 
 
 class TestDiagonalBlock:
@@ -67,6 +76,16 @@ class TestDiagonalBlock:
             k = math.sqrt(p * p + 1.0)
             ref = tb.assemble_bs(gaussian_well, 1.3, k, grid.x_quad).matrix
             assert np.max(np.abs(stack[i] - ref)) < 1e-12
+
+    @pytest.mark.parametrize("z", [0.0, 1e160])
+    def test_z_needs_a_positive_finite_square(self, gaussian_well, z):
+        # z = 1e160 squares to inf: the blocks would vanish (ARPACK's start vector)
+        grid = fd.build_mixed_grid(gaussian_well, z=1.0, n_x=16)
+        with pytest.raises(ValueError, match="z must be positive with a finite square"):
+            fd.assemble_diagonal_block(gaussian_well, 1.0, z, grid)
+        with pytest.raises(ValueError, match="z must be positive with a finite square"):
+            fd.assemble_offdiagonal_block(MassSet(1, 1, 1), "12", "23", gaussian_well,
+                                          gaussian_well, 1.0, 1.0, z, grid, grid)
 
     def test_zero_coupling(self, gaussian_well):
         grid = fd.build_mixed_grid(gaussian_well, z=0.5, n_x=16)
@@ -127,12 +146,15 @@ class TestOffDiagonalBlock:
         # the whole coupling block reduces to a 1D resolvent integral
         eta, tau, z, lam = 0.5, 0.25, 0.5, 1.3
         row, col = "12", "23"
-        al_row = make_jacobi_frame(masses, row).alpha
-        al_col = make_jacobi_frame(masses, col).alpha
         pot = PotentialSpec("gaussian", depth=1.0, range=1.0)
-        pr, pc = pot.dilated(al_row), pot.dilated(al_col)
-        g_r = fd.build_mixed_grid(pr, z, n_x=24, n_p_per_panel=6, p_max=8.0)
-        g_c = fd.build_mixed_grid(pc, z, n_x=24, n_p_per_panel=6, p_max=8.0)
+        pr, pc = scaled_well(pot, masses, row), scaled_well(pot, masses, col)
+
+        def wide_grid(p):  # the momentum panels of z, with the last one ending at 8
+            edges = fd.momentum_edges(z)[:-1] + [8.0]
+            pn, pw, _ = _gauss_legendre_panels(edges, [6] * (len(edges) - 1))
+            return fd.MixedGrid(Quadrature.for_potential(p, n=24), pn, pw)
+
+        g_r, g_c = wide_grid(pr), wide_grid(pc)
         B = fd.assemble_offdiagonal_block(
             masses, row, col, pr, pc, lam, lam, z, g_r, g_c, n_angle=48
         )
@@ -180,8 +202,7 @@ class TestOffDiagonalBlock:
 
     def test_transpose_symmetry(self, gaussian_well):
         masses = MassSet(1.0, 2.0, 3.0)
-        pr = gaussian_well.dilated(make_jacobi_frame(masses, "12").alpha)
-        pc = gaussian_well.dilated(make_jacobi_frame(masses, "23").alpha)
+        pr, pc = scaled_well(gaussian_well, masses, "12"), scaled_well(gaussian_well, masses, "23")
         g_r = fd.build_mixed_grid(pr, 0.4, n_x=16, n_p_per_panel=4)
         g_c = fd.build_mixed_grid(pc, 0.4, n_x=16, n_p_per_panel=4)
         B = fd.assemble_offdiagonal_block(
@@ -210,8 +231,7 @@ class TestOffDiagonalBlock:
         # the default 32-node angle rule against its doubling: agreement to 1e-4
         # of the largest entry
         masses = MassSet(*masses)
-        pr = gaussian_well.dilated(make_jacobi_frame(masses, "12").alpha)
-        pc = gaussian_well.dilated(make_jacobi_frame(masses, "23").alpha)
+        pr, pc = scaled_well(gaussian_well, masses, "12"), scaled_well(gaussian_well, masses, "23")
         g_r = fd.build_mixed_grid(pr, 0.3, n_x=12, n_p_per_panel=4)
         g_c = fd.build_mixed_grid(pc, 0.3, n_x=12, n_p_per_panel=4)
         B32, B64 = (
@@ -233,22 +253,19 @@ class TestContinuityAndBounds:
 
     def test_hs_bound_all_z(self, gauss_model_factory):
         m = gauss_model_factory(0.8)
-        frame = m.frame("12")
         for z in (1e-3, 1e-2, 1e-1, 1.0):
-            res = fd.hs_norm_K2(m.scaled_potential("12"), m.potential("23"), frame, z)
+            res = fd.hs_norm_K2(m.scaled_potential("12"), m.potential("23"), m.masses, z)
             assert res.passed
 
     def test_hs_zero_v23(self, gaussian_well, equal_masses):
-        frame = make_jacobi_frame(equal_masses, "12")
         zero = PotentialSpec("gaussian", depth=0.0, range=1.0)
-        res = fd.hs_norm_K2(gaussian_well, zero, frame, 0.5)
+        res = fd.hs_norm_K2(gaussian_well, zero, equal_masses, 0.5)
         assert res.lhs == 0.0
 
     @pytest.mark.parametrize("z", [1e-12, 1e-6, 1e-3, 3e-2, 0.25, 1.0, 1e3])
     def test_hs_momentum_integral_matches_mpmath(self, gaussian_well, equal_masses, z):
         # hs / bound = I(z) / (4 pi), with I the integral over t = sqrt(p) in (0, 1]
-        frame = make_jacobi_frame(equal_masses, "12")
-        res = fd.hs_norm_K2(gaussian_well, gaussian_well, frame, z)
+        res = fd.hs_norm_K2(gaussian_well, gaussian_well, equal_masses, z)
         with mp.workdps(40):
             zm = mp.mpf(z)
             kinks = sorted({p for p in (zm, mp.sqrt(zm), 10 * zm) if p < 1})
@@ -310,6 +327,21 @@ class TestGreen6:
     def test_invalid_xi(self):
         with pytest.raises(ValueError):
             fd.green6_bound_check([0.0])
+
+    # from float64's smallest to its largest arguments: no xi raises or warns, a
+    # side beyond float64's range is infinite, and every row with finite sides
+    # passes as the 40-digit comparison does
+    def test_extreme_xi_against_mpmath(self):
+        xis = [1e-300, 1e-100, 1e-77, 1e-10, 700.0, 1400.0, 1500.0, 1e5, 1e160, 1e300, 1.7e308]
+        rows = fd.green6_bound_check(xis)
+        assert [math.isfinite(r.value) for r in rows] == [False, False] + [True] * 9
+        with mp.workdps(40):
+            for row in rows:
+                x = mp.mpf(row.xi)
+                exact = (mp.besselk(2, x) / (8 * mp.pi**3 * x**2)
+                         <= 4 / (9 * mp.pi * x**4) * mp.exp(-x / 2))
+                if math.isfinite(row.value) and math.isfinite(row.bound):
+                    assert row.passed == exact, row.xi
 
 
 class TestLogDivergence:
@@ -391,13 +423,13 @@ class TestFaddeevSolve:
     def test_threshold_bracket_error(self, gauss_model_factory):
         # the bracket (0.05, 0.2) did not straddle the threshold: the radius is
         # still below one at its upper end, and the threshold lies above it
-        kw = dict(z_pair=(1e-2, 3e-3), n_x=16, n_p_per_panel=4)
+        kw = dict(n_x=16, n_p_per_panel=4)
         m = gauss_model_factory(1.0)
         assert fd.radius_at_zero(m.with_couplings(m.couplings.scaled(0.2)), **kw) < 1.0
         assert fd.bs_threshold_coupling(m, **kw) > 0.2
 
     def test_threshold_bisection_straddles(self, gauss_model_factory):
-        kw = dict(z_pair=(2e-2, 5e-3), n_x=16, n_p_per_panel=4)
+        kw = dict(n_x=16, n_p_per_panel=4)
         m = gauss_model_factory(1.0)
         s = fd.bs_threshold_coupling(m, **kw)
         lo = fd.radius_at_zero(m.with_couplings(m.couplings.scaled(s * (1 - 1e-3))), **kw)
@@ -420,11 +452,12 @@ class TestFaddeevSolve:
         np.testing.assert_allclose(results, np.tile(results[0], (6, 1)), rtol=1e-12, atol=0.0)
 
 
-def reassembled_threshold(model, bracket, tol, z_pair, **grid_kw):
+def reassembled_threshold(model, bracket, tol, zs, **grid_kw):
     """The threshold bisection with both blocks reassembled at every coupling scale."""
 
     def radius(s):
-        return fd.radius_at_zero(model.with_couplings(model.couplings.scaled(s)), z_pair, **grid_kw)
+        scaled_model = model.with_couplings(model.couplings.scaled(s))
+        return fd.extrapolated_radius(operators(scaled_model, zs, **grid_kw))
 
     lo, hi = bracket
     assert radius(lo) < 1.0 <= radius(hi), "bracket does not straddle 1"
@@ -444,7 +477,7 @@ def unequal_model(gaussian_well):
     fractions = (0.75, 0.6, 0.85)
     lams = []
     for pair, f in zip(("12", "13", "23"), fractions):
-        pot = gaussian_well.dilated(make_jacobi_frame(masses, pair).alpha)
+        pot = scaled_well(gaussian_well, masses, pair)
         lams.append(f / tb.mu_max(pot, 1.0, 0.0, Quadrature.for_potential(pot)))
     return make_model(masses, gaussian_well, tuple(lams))
 
@@ -470,26 +503,26 @@ class TestCouplingScale:
 
     def test_threshold_equals_reassembled_bisection(self, gauss_model_factory):
         m = gauss_model_factory(0.9)
-        kw = dict(z_pair=(2e-2, 5e-3), **self.KW)
-        s = fd.bs_threshold_coupling(m, **kw)
-        ref = reassembled_threshold(m, (0.7, 1.05), 1e-4, **kw)
+        zs = (2e-2, 5e-3)
+        s = fd.threshold_scale(operators(m, zs, **self.KW))
+        ref = reassembled_threshold(m, (0.7, 1.05), 1e-4, zs, **self.KW)
         assert abs(s - ref) <= 1e-4 * ref
 
     def test_extrapolation_matches_radius_at_zero(self, unequal_model):
-        ops = fd.threshold_operators(unequal_model, (2e-2, 5e-3), **self.KW)
-        scaled = unequal_model.with_couplings(unequal_model.couplings.scaled(1.1))
-        ref = fd.radius_at_zero(scaled, (2e-2, 5e-3), **self.KW)
+        ops = fd.threshold_operators(unequal_model, **self.KW)
+        scaled_model = unequal_model.with_couplings(unequal_model.couplings.scaled(1.1))
+        ref = fd.radius_at_zero(scaled_model, **self.KW)
         assert fd.extrapolated_radius(ops, 1.1) == pytest.approx(ref, rel=1e-12)
 
     def test_zero_scale_is_the_zero_map(self, unequal_model):
         # no coupling left: radius 0, as for the zero-coupling model itself
-        ops = fd.threshold_operators(unequal_model, (2e-2, 5e-3), **self.KW)
+        ops = fd.threshold_operators(unequal_model, **self.KW)
         sol = fd.faddeev_solve(ops[0], scale=0.0)
         assert sol.spectral_radius == 0.0 and sol.residual == 0.0
         assert all(not np.any(c) for c in sol.components.values())
         assert fd.extrapolated_radius(ops, 0.0) == 0.0
         zero = unequal_model.with_couplings(unequal_model.couplings.scaled(0.0))
-        assert fd.radius_at_zero(zero, (2e-2, 5e-3), **self.KW) == 0.0
+        assert fd.radius_at_zero(zero, **self.KW) == 0.0
 
     @pytest.mark.parametrize("z", [0.1, 1e-2])
     def test_symmetric_solve_matches_iteration_map(self, unequal_model, z):
@@ -546,16 +579,15 @@ def reference_threshold_bisection(ops, bracket, tol):
 
 
 class TestThresholdEigensolve:
-    # the default z pair: the extrapolations of s_z and of the radius to z = 0
+    # at fd.THRESHOLD_Z: the extrapolations of s_z and of the radius to z = 0
     # differ at second order in z (2.6e-6 relative at z = 2e-2, 5e-3)
     KW = dict(n_x=12, n_p_per_panel=4)
-    Z_PAIR = (1e-2, 1e-3)
     BRACKET = {"equal": (0.6, 1.1), "unequal": (0.6, 1.15)}
 
     @pytest.fixture(scope="class", params=["equal", "unequal"])
     def case(self, request, gauss_model_factory, unequal_model):
         model = gauss_model_factory(0.9) if request.param == "equal" else unequal_model
-        ops = fd.threshold_operators(model, self.Z_PAIR, **self.KW)
+        ops = fd.threshold_operators(model, **self.KW)
         return request.param, ops
 
     def test_matches_reference_bisection(self, case):
@@ -581,12 +613,12 @@ class TestThresholdEigensolve:
 
     def test_fewer_than_two_pairs_raises(self, equal_masses, gaussian_well):
         m = make_model(equal_masses, gaussian_well, (0.9 * GAUSS_LAMBDA_STAR, 0.0, 0.0))
-        ops = fd.threshold_operators(m, self.Z_PAIR, **self.KW)
+        ops = fd.threshold_operators(m, **self.KW)
         with pytest.raises(fd.PairThresholdError, match="no three-body level"):
             fd.threshold_scale(ops)
 
     def test_power_iteration_fallback(self, unequal_model, monkeypatch):
-        ops = fd.threshold_operators(unequal_model, self.Z_PAIR, **self.KW)
+        ops = fd.threshold_operators(unequal_model, **self.KW)
         lanczos = fd.threshold_scale(ops)
         calls = []
 
@@ -663,12 +695,12 @@ def einsum_block(model, row, col, z, grid_row, grid_col, n_angle=32, mirror=True
     return T
 
 
-def per_pair_blocks(model, z, n_x, n_p_per_panel, p_max=4.0, n_angle=32):
+def per_pair_blocks(model, z, n_x, n_p_per_panel, n_angle=32):
     """Blocks assembled pair by pair, each pair on its own grid: no content keys."""
     pairs = [p for p in ("12", "13", "23") if model.couplings.get(p) > 0]
     pots = {p: model.scaled_potential(p) for p in pairs}
     lams = {p: model.couplings.get(p) for p in pairs}
-    grids = {p: fd.build_mixed_grid(pots[p], z, n_x, n_p_per_panel, p_max) for p in pairs}
+    grids = {p: fd.build_mixed_grid(pots[p], z, n_x, n_p_per_panel) for p in pairs}
     diagonal = {p: fd.assemble_diagonal_block(pots[p], lams[p], z, grids[p]) for p in pairs}
     offdiag = {}
     for i, row in enumerate(pairs):

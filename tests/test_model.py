@@ -10,11 +10,11 @@ from fewbody.model import (
     MassSet,
     PotentialSpec,
     Quadrature,
-    kernel_constants,
-    make_jacobi_frame,
     minimal_envelope_b1,
+    pair_separation_coeffs,
     validate_requirements,
 )
+from fewbody.faddeev import hs_norm_K2
 from tests.conftest import make_model
 
 masses_st = st.floats(min_value=0.05, max_value=50.0, allow_nan=False)
@@ -165,30 +165,39 @@ class TestMassesAndFrames:
             MassSet(1.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             MassSet(1.0, 1.0, math.inf)
+        # finite masses whose reduced masses underflow to 0 or overflow to nan
+        for m in (1e-300, 1e308):
+            with pytest.raises(ValueError, match="reduced masses of pair 12"):
+                MassSet(m, m, 1.0)
 
     def test_equal_masses_frame(self):
-        fr = make_jacobi_frame(MassSet(1, 1, 1), "12")
-        assert np.isclose(fr.alpha, 1.0)
-        assert np.isclose(fr.gamma, math.sqrt(3.0) / 2.0)
+        # the (12) frame scales 1/sqrt(2 mu) and 1/sqrt(2 M): the separations'
+        # coefficients in the (12)-frame coordinates
+        P, Q = pair_separation_coeffs(MassSet(1, 1, 1), "13")
+        assert pair_separation_coeffs(MassSet(1, 1, 1), "12") == pytest.approx((1.0, 0.0))
+        assert np.isclose(Q, math.sqrt(3.0) / 2.0) and np.isclose(P, 0.5)
 
     def test_asymmetric_example(self):
         ms = MassSet(1, 2, 3)
         assert np.isclose(ms.mu("12"), 2.0 / 3.0)
         assert np.isclose(ms.big_m("12"), 3.0 / 2.0)
-        fr = make_jacobi_frame(ms, "12")
-        assert np.isclose(fr.alpha, 1.0 / math.sqrt(4.0 / 3.0))
-        assert np.isclose(fr.gamma, 1.0 / math.sqrt(3.0))
+        P, _ = pair_separation_coeffs(ms, "12")
+        _, Q = pair_separation_coeffs(ms, "13")
+        assert np.isclose(P, 1.0 / math.sqrt(4.0 / 3.0))
+        assert np.isclose(Q, 1.0 / math.sqrt(3.0))
 
     @given(m1=masses_st, m2=masses_st, m3=masses_st)
     @settings(max_examples=30, deadline=None)
     def test_swap_symmetry(self, m1, m2, m3):
-        # swapping the pair members keeps alpha and splits alpha between the
-        # two beta magnitudes
-        fa = make_jacobi_frame(MassSet(m1, m2, m3), "12")
-        fb = make_jacobi_frame(MassSet(m2, m1, m3), "12")
-        assert np.isclose(fa.alpha, fb.alpha, rtol=1e-12)
-        assert np.isclose(abs(fa.beta) + abs(fb.beta), fa.alpha, rtol=1e-12)
-        assert fa.gamma != 0
+        # swapping the pair members keeps the (12) coefficient 1/sqrt(2 mu) and
+        # splits it between the (13) coefficients of x of the two labellings
+        (pa, _), (pa13, qa13) = (pair_separation_coeffs(MassSet(m1, m2, m3), p)
+                                 for p in ("12", "13"))
+        (pb, _), (pb13, _) = (pair_separation_coeffs(MassSet(m2, m1, m3), p)
+                              for p in ("12", "13"))
+        assert np.isclose(pa, pb, rtol=1e-12)
+        assert np.isclose(abs(pa13) + abs(pb13), pa, rtol=1e-12)
+        assert qa13 != 0
 
 
 class TestQuadrature:
@@ -199,24 +208,32 @@ class TestQuadrature:
 
 
 
+def hs_constants(pot12, pot23, masses):
+    """c c' c~ of hs_norm_K2: its bound times 2^5 pi^4."""
+    return hs_norm_K2(pot12, pot23, masses, 0.5).rhs * 2.0**5 * np.pi**4
+
+
 class TestKernelConstants:
+    # the volume constants c (the (12) well), c' = 2 pi and c~ (the (23) well)
+    # enter hs_norm_K2's bound as one product
     def test_c_prime(self, square_well, gaussian_well, equal_masses):
-        frame = make_jacobi_frame(equal_masses, "12")
-        kc = kernel_constants(square_well, gaussian_well, frame)
-        assert np.isclose(kc.c_prime, 2.0 * np.pi, rtol=1e-8)
+        gamma = 1.0 / math.sqrt(2.0 * equal_masses.big_m("12"))
+        c, c_tilde = square_well.volume(), gaussian_well.volume() / gamma**3
+        assert np.isclose(hs_constants(square_well, gaussian_well, equal_masses) / (c * c_tilde),
+                          2.0 * np.pi, rtol=1e-14)
 
     def test_c_zero_iff_zero_potential(self, gaussian_well, equal_masses):
-        frame = make_jacobi_frame(equal_masses, "12")
         zero = PotentialSpec("gaussian", depth=0.0, range=1.0)
-        kc = kernel_constants(zero, gaussian_well, frame)
-        assert kc.c == 0.0
+        assert hs_norm_K2(zero, gaussian_well, equal_masses, 0.5).rhs == 0.0
+        assert hs_norm_K2(gaussian_well, gaussian_well, equal_masses, 0.5).rhs > 0.0
 
     def test_c_tilde_gaussian_plancherel(self, gaussian_well):
-        # unit-gamma frame: c~ equals the volume integral pi^(3/2)
-        frame = make_jacobi_frame(MassSet(1, 1, 1), "12")
-        kc = kernel_constants(gaussian_well, gaussian_well, frame)
-        expected = np.pi**1.5 / frame.gamma**3
-        assert np.isclose(kc.c_tilde, expected, rtol=1e-9)
+        # c~ is the volume integral pi^(3/2) over gamma^3
+        masses = MassSet(1, 1, 1)
+        gamma = 1.0 / math.sqrt(2.0 * masses.big_m("12"))
+        c_tilde = hs_constants(gaussian_well, gaussian_well, masses) / (
+            gaussian_well.volume() * 2.0 * np.pi)
+        assert np.isclose(c_tilde, np.pi**1.5 / gamma**3, rtol=1e-9)
         # Plancherel cross-check through an explicit radial transform
         p = np.linspace(1e-4, 30.0, 6000)
         r = np.linspace(1e-6, 10.0, 8000)
@@ -226,25 +243,26 @@ class TestKernelConstants:
             axis=1,
         )
         norm_sq = 4 * np.pi * np.trapezoid(p**2 * ghat**2, p)
-        assert np.isclose(norm_sq / frame.gamma**3, kc.c_tilde, rtol=1e-5)
+        assert np.isclose(norm_sq / gamma**3, c_tilde, rtol=1e-5)
 
     def test_scale_covariance(self, gaussian_well, equal_masses):
-        # V(r/s) multiplies the volume constant by s^3
-        frame = make_jacobi_frame(equal_masses, "12")
+        # V(r/s) multiplies the volume constant c by s^3
         wide = PotentialSpec("gaussian", depth=1.0, range=2.0)
-        c1 = kernel_constants(gaussian_well, gaussian_well, frame).c
-        c2 = kernel_constants(wide, wide, frame).c
+        c1 = hs_constants(gaussian_well, gaussian_well, equal_masses)
+        c2 = hs_constants(wide, gaussian_well, equal_masses)
         assert np.isclose(c2, 8.0 * c1, rtol=1e-9)
-
 
     def test_c_is_the_scaled_well_volume(self, gaussian_well):
         # the (12) well is passed already in its scaled coordinate, x = r / alpha:
-        # c = int V(alpha x) d3x = volume / alpha^3
+        # c = int V(alpha x) d3x = volume / alpha^3, alpha = 1/sqrt(2 mu)
         m = make_model(MassSet(1.0, 0.7, 1.6), gaussian_well, (1.0, 1.0, 1.0))
-        kc = kernel_constants(m.scaled_potential("12"), m.potential("23"), m.frame("12"))
-        assert kc.c == m.scaled_potential("12").volume()
-        alpha = m.frame("12").alpha
-        assert kc.c == pytest.approx(np.pi**1.5 / alpha**3, rel=1e-14, abs=0)
+        alpha = 1.0 / math.sqrt(2.0 * m.masses.mu("12"))
+        gamma = 1.0 / math.sqrt(2.0 * m.masses.big_m("12"))
+        assert m.scaled_potential("12").volume() == pytest.approx(np.pi**1.5 / alpha**3,
+                                                                  rel=1e-14, abs=0)
+        c = hs_constants(m.scaled_potential("12"), m.potential("23"), m.masses) / (
+            2.0 * np.pi * np.pi**1.5 / gamma**3)
+        assert c == pytest.approx(np.pi**1.5 / alpha**3, rel=1e-14, abs=0)
 
 
 class TestValidation:

@@ -59,7 +59,7 @@ def reference_greens_matrix(k: float, quad: Quadrature) -> np.ndarray:
     xs, ws = np.polynomial.legendre.leggauss(24)
     for a, b, lo, hi in quad.panels:
         nodes = r[lo:hi]
-        bw = tb._bary_weights(nodes)
+        bw = tb._bary_weights(nodes, b - a)
         for i in range(r.size):
             ri = r[i]
             if not (a < ri < b):
@@ -137,6 +137,18 @@ class TestCriticalCoupling:
         quad = Quadrature.build(r_max=30.0, n=96, edges=[0, 1, 2, 4, 8, 16, 30])
         lam = tb.critical_coupling(exponential_well, quad)
         assert abs(lam - EXP_LAMBDA_STAR) / EXP_LAMBDA_STAR < 1e-8
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["gaussian", "exponential", "square_well"])
+    def test_range_covariant_from_1e_minus_60_to_1e60(self, kind):
+        # lambda* range^2 does not depend on the range, one range per decade:
+        # the self-panel rule's barycentric weights neither under- nor overflow
+        unit = PotentialSpec(kind)
+        ref = tb.critical_coupling(unit, Quadrature.for_potential(unit))
+        for e in range(-60, 61):
+            pot = PotentialSpec(kind, range=10.0**e)
+            lam = tb.critical_coupling(pot, Quadrature.for_potential(pot))
+            assert lam * pot.range**2 == pytest.approx(ref, rel=1e-12, abs=0), pot.range
 
     def test_zero_potential_raises(self, sw_quad):
         with pytest.raises(ZeroPotentialError):

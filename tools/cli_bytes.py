@@ -43,7 +43,9 @@ SUBCOMMANDS = [
 # the least radial grid and one with panels wider than 24 nodes, unequal
 # masses, a wide (23) well, large Green's-function arguments, and a (12)
 # coupling on each side of lam* = 2.684 above the Hilbert-Schmidt bound
-# 0.9863 lam*, where hvz_bottom shoots: unbound at 2.67, bound at 2.7
+# 0.9863 lam*, where hvz_bottom shoots: unbound at 2.67, bound at 2.7; then
+# in-range extremes: Green's-function arguments at float64's ends, a z whose
+# square overflows, a stochastic basis with no seed and a (12) well of range 1e-30
 VARIANTS = [
     ("model", "m1", "x"),
     ("model", "m1", "-1"),
@@ -75,6 +77,11 @@ VARIANTS = [
     ("experiment", "energy_targets", ""),
     ("experiment", "envelope_b1", "x"),
     ("experiment", "scale_grid", ""),
+    ("experiment", "xi_list", "1e300"),
+    ("experiment", "xi_list", "1e-300"),
+    ("experiment", "z_list", "1e300"),
+    ("numerics", "basis.n_random", "3"),
+    ("model", "pair12.range", "1e-30"),
 ]
 
 PLACEHOLDER = "<checkout>"
