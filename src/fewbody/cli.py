@@ -126,7 +126,7 @@ _KEYS = {
     ("experiment", "k_list"): ("1e-2,1e-3,1e-4", _float_list, None),  # range: _k_values
     ("experiment", "scale_grid"): (None, _float_list, "non-negative"),
     ("experiment", "envelope_b1"): ("2.0", _finite, None),
-    ("experiment", "envelope_b2"): ("1.0", _finite, None),
+    ("experiment", "envelope_b2"): ("1.0", _finite, "positive"),
     ("experiment", "eps0"): ("1.0", _finite, "positive"),
 }
 
@@ -707,7 +707,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ex.PairDriftError,
         fd.PairThresholdError,
         tb.IntegrationUnderresolvedError,
-        tb.NotAtThresholdError,
         tb.ResonanceWindowError,
         vr.IllConditionedBasisError,
         NonFiniteOutputError,

@@ -147,7 +147,7 @@ def assemble_diagonal_block(
     out = np.empty((grid.n_p, grid.n_x, grid.n_x))
     for i, p in enumerate(grid.p_nodes):
         k = math.sqrt(p * p + z * z)
-        out[i] = twobody.assemble_bs(pot, coupling, k, grid.x_quad).matrix
+        out[i] = twobody.assemble_bs(pot, coupling, k, grid.x_quad)
     return out
 
 
@@ -255,7 +255,6 @@ class BlockOperator:
     diagonal: dict  # pair -> (n_p, n_x, n_x)
     spectra: dict  # pair -> (Lambda, U) of the diagonal fibers
     offdiagonal: dict  # (row, col) -> matrix
-    couplings: dict
 
     def dim(self) -> int:
         return sum(self.grids[p].dim for p in self.pairs)
@@ -349,7 +348,6 @@ def assemble_block_operator(
         diagonal=diagonal,
         spectra=spectra,
         offdiagonal=offdiag,
-        couplings=lams,
     )
 
 
@@ -688,7 +686,7 @@ def continuity_modulus_check(
         if row_pair == col_pair:
             # the fiber difference norm is bounded by the difference at the
             # smallest wave number; evaluate the matrix difference directly
-            m1, m2 = (twobody.assemble_bs(pot_row, 1.0, z, quad).matrix for z in (z1, z2))
+            m1, m2 = (twobody.assemble_bs(pot_row, 1.0, z, quad) for z in (z1, z2))
             norm_diff = float(np.max(np.abs(np.linalg.eigvalsh(m1 - m2))))
         else:
             grids = [build_mixed_grid(p, min(z1, z2), **grid_kw) for p in (pot_row, pot_col)]

@@ -357,11 +357,18 @@ class RequirementCheck:
 
 
 def minimal_envelope_b1(pot: PotentialSpec, b2: float) -> float:
-    """Smallest b1 such that V(r) <= b1*exp(-b2*r) on a dense grid to 16 ranges."""
+    """Smallest b1 such that V(r) <= b1*exp(-b2*r) on a dense grid to 16 ranges.
+
+    Only points with V > 0 bound it, so a well with compact support never
+    meets 0 * inf; a b1 beyond float64 reads inf.
+    """
     if b2 <= 0:
         raise ValueError("b2 must be positive")
     r = np.linspace(0.0, 16.0 * pot.range, 20001)
-    return float(np.max(pot.value(r) * np.exp(b2 * r)))
+    v = pot.value(r)
+    pos = v > 0
+    with np.errstate(over="ignore"):
+        return float(np.max(v[pos] * np.exp(b2 * r[pos]), initial=0.0))
 
 
 def validate_requirements(

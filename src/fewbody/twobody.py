@@ -27,10 +27,6 @@ import numpy as np
 from .model import PotentialSpec, Quadrature, ZeroPotentialError
 
 K_ZERO_CUTOFF = 1e-12
-# Top-gap below which a principal eigenpair is flagged degenerate.
-_DEGENERACY_TOL = 1e-10
-# Distance of mu(0) from one beyond which a coupling is not at its threshold.
-_THRESHOLD_TOL = 1e-8
 # Least distance of the second eigenvalue below one in the W probe.
 _GAP_TOL = 1e-3
 # DOP853 tolerances of the radial shooting integration, and Brent's absolute
@@ -38,10 +34,6 @@ _GAP_TOL = 1e-3
 _SHOOTING_RTOL = 1e-11
 _SHOOTING_ATOL = 1e-14
 _SHOOTING_XTOL = 1e-11
-
-
-class NotAtThresholdError(ValueError):
-    """Resonance data requested away from the coupling-constant threshold."""
 
 
 class ResonanceWindowError(ValueError):
@@ -155,13 +147,8 @@ def greens_matrix(k: float, quad: Quadrature) -> np.ndarray:
     sum_j w_j G[i, j] f(r_j) ~ integral g_k(r_i, r') f(r') dr' to spectral
     accuracy for f smooth on each panel.  The k-independent sub-quadrature
     and Lagrange values of the correction are built once per grid; each k
-    applies them in one batched product.  Cached per (k, grid).
+    applies them in one batched product.
     """
-    key = ("G", float(k))
-    cached = quad._cache.get(key)
-    if cached is not None:
-        return cached
-
     r, w = quad.nodes, quad.weights
     omega = reduced_greens(k, r[:, None], r[None, :]) * w[None, :]
     corr = _product_correction(quad)
@@ -172,60 +159,27 @@ def greens_matrix(k: float, quad: Quadrature) -> np.ndarray:
     # the true kernel is pointwise non-negative; interpolation overshoot can
     # leave ~1e-8 negatives in the deep-decay tail of a wide panel
     np.clip(G, 0.0, None, out=G)
-    quad._cache[key] = G
     return G
-
-
-@dataclass(frozen=True, eq=False)
-class BSOperator:
-    """Discretized s-wave Birman-Schwinger operator at spectral point k."""
-
-    k: float
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        asym = np.max(np.abs(self.matrix - self.matrix.T))
-        if asym > 1e-12:
-            raise ValueError(f"matrix asymmetry {asym:.3e} exceeds 1e-12")
 
 
 def assemble_bs(
     pot: PotentialSpec, coupling: float, k: float, quad: Quadrature
-) -> BSOperator:
-    """sqrt(coupling*V) (-d2/dr2 + k^2)^-1 sqrt(coupling*V), weight-symmetrized."""
+) -> np.ndarray:
+    """sqrt(coupling*V) (-d2/dr2 + k^2)^-1 sqrt(coupling*V), weight-symmetrized.
+
+    The matrix is exactly symmetric: G is symmetrized and the outer product
+    of one vector with itself is symmetric bit for bit.
+    """
     if k < 0 or coupling < 0:
         raise ValueError("k and coupling must be >= 0")
     v = coupling * pot.value(quad.nodes)
     sq = np.sqrt(quad.weights * v)
-    M = np.outer(sq, sq) * greens_matrix(k, quad)
-    return BSOperator(k=float(k), matrix=M)
-
-
-@dataclass(frozen=True, eq=False)
-class EigenPair:
-    mu: float
-    phi: np.ndarray
-    gap: float
-    degenerate: bool
-    residual: float
-
-
-def principal_eigenpair(op: BSOperator) -> EigenPair:
-    """Largest eigenvalue with its Perron (sign-fixed, non-negative) eigenvector."""
-    vals, vecs = np.linalg.eigh(op.matrix)
-    mu = float(vals[-1])
-    phi = vecs[:, -1]
-    if phi[np.argmax(np.abs(phi))] < 0:
-        phi = -phi
-    gap = float(vals[-1] - vals[-2]) if vals.size > 1 else 0.0
-    residual = float(np.linalg.norm(op.matrix @ phi - mu * phi))
-    return EigenPair(
-        mu=mu, phi=phi, gap=gap, degenerate=gap < _DEGENERACY_TOL, residual=residual
-    )
+    return np.outer(sq, sq) * greens_matrix(k, quad)
 
 
 def mu_max(pot: PotentialSpec, coupling: float, k: float, quad: Quadrature) -> float:
-    return principal_eigenpair(assemble_bs(pot, coupling, k, quad)).mu
+    """Largest eigenvalue of the Birman-Schwinger matrix."""
+    return float(np.linalg.eigh(assemble_bs(pot, coupling, k, quad))[0][-1])
 
 
 def critical_coupling(pot: PotentialSpec, quad: Quadrature) -> float:
@@ -258,34 +212,26 @@ class ResonanceData:
             raise ValueError("a coefficient must be positive")
 
 
-def resonance_coefficient(
-    pot: PotentialSpec,
-    lambda_star: float,
-    phi0: np.ndarray,
-    quad: Quadrature,
-) -> float:
-    """Slope coefficient a = (phi0, sqrt(lam* V))^2 / (4 pi) in 3D normalization.
+def resonance_data(pot: PotentialSpec, quad: Quadrature) -> ResonanceData:
+    """Threshold coupling lam*, its Perron eigenvector phi0 and slope coefficient a.
 
-    phi0 is the grid eigenvector of the weight-symmetrized kernel (unit l2
-    norm == unit L2(R^3) norm of the radial eigenfunction); mapping the 3D
-    inner product through the s-wave reduction cancels the 4 pi.
+    phi0 is the top eigenvector at (lam*, k = 0), signed so its largest entry
+    is positive, clipped to be non-negative and renormalized.  As the grid
+    eigenvector of the weight-symmetrized kernel, unit l2 norm is unit
+    L2(R^3) norm of the radial eigenfunction, so mapping the 3D inner product
+    through the s-wave reduction cancels the 4 pi of
+    a = (phi0, sqrt(lam* V))^2 / (4 pi).
     """
-    mu = mu_max(pot, lambda_star, 0.0, quad)
-    if abs(mu - 1.0) > _THRESHOLD_TOL:
-        raise NotAtThresholdError(f"mu(0) = {mu} at coupling {lambda_star}")
-    v = lambda_star * pot.value(quad.nodes)
+    lam = critical_coupling(pot, quad)
+    phi = np.linalg.eigh(assemble_bs(pot, lam, 0.0, quad))[1][:, -1]
+    if phi[np.argmax(np.abs(phi))] < 0:
+        phi = -phi
+    phi0 = np.clip(phi, 0.0, None)
+    phi0 = phi0 / np.linalg.norm(phi0)
+    v = lam * pot.value(quad.nodes)
     a = float(np.sum(np.sqrt(quad.weights * v) * phi0 * quad.nodes) ** 2)
     if a <= 0:
         raise ZeroPotentialError("resonance coefficient vanished")
-    return a
-
-
-def resonance_data(pot: PotentialSpec, quad: Quadrature) -> ResonanceData:
-    lam = critical_coupling(pot, quad)
-    pair = principal_eigenpair(assemble_bs(pot, lam, 0.0, quad))
-    phi0 = np.clip(pair.phi, 0.0, None)
-    phi0 = phi0 / np.linalg.norm(phi0)
-    a = resonance_coefficient(pot, lam, phi0, quad)
     return ResonanceData(lambda_star=lam, phi0=phi0, a_coefficient=a)
 
 
@@ -315,8 +261,7 @@ def w_decomposition_probe(
     for k in k_list:
         if not k > 0:
             raise ValueError("probe needs k > 0")
-        op = assemble_bs(pot, res.lambda_star, k, quad)
-        vals, vecs = np.linalg.eigh(op.matrix)
+        vals, vecs = np.linalg.eigh(assemble_bs(pot, res.lambda_star, k, quad))
         mu1, mu2 = vals[-1], vals[-2]
         if 1.0 - mu2 < _GAP_TOL:
             raise ResonanceWindowError(

@@ -627,10 +627,10 @@ def ball_overlap(Ba, Bb, Bc2, R, frames: Optional[Frames] = None):
     hyperradial integral remains:
     2 pi^3 int_0^R rho^5 e^{-beta_min rho^2} [e^{-gap rho^2} I_1(gap rho^2)/(gap rho^2)] drho.
 
-    R is a scalar (one N x N result) or a 1-D array of radii (one matrix per
-    radius).  All radii come from one hyperradial pass: one cumulative
-    quadrature with a panel edge at every radius, in fixed-size blocks.  The
-    ball is O(6)-invariant, so an entry depends only on (beta_min, gap), the
+    R is a list of radii, and the result one N x N matrix per radius.  All
+    radii come from one hyperradial pass: one cumulative quadrature with a
+    panel edge at every radius, in fixed-size blocks.  The ball is
+    O(6)-invariant, so an entry depends only on (beta_min, gap), the
     pair_keys of the form (from the frames of a frames-mode basis, whose
     equal content is bit-equal whatever the frames): the quadrature runs
     once per bit-distinct key among the upper-triangle forms (the matrix is
@@ -639,8 +639,7 @@ def ball_overlap(Ba, Bb, Bc2, R, frames: Optional[Frames] = None):
     whose Gaussian lies wholly inside the ball (beta_min R^2 >= 50) takes the
     closed-form overlap pi^3/det^{3/2} of its form instead, as overlap_matrix does.
     """
-    radii = np.asarray(R, dtype=float)
-    r = np.atleast_1d(radii)[:, None]
+    r = np.atleast_1d(np.asarray(R, dtype=float))[:, None]
     iu = np.triu_indices(Ba.shape[0])
     beta_min, gap, beta_max = pair_keys(Ba, Bb, Bc2, frames)
     det = Ba[iu] * Bb[iu] - Bc2[iu] ** 2
@@ -664,7 +663,7 @@ def ball_overlap(Ba, Bb, Bc2, R, frames: Optional[Frames] = None):
     out = np.empty((r.shape[0], *Ba.shape))
     out[:, iu[0], iu[1]] = vals
     out[:, iu[1], iu[0]] = vals
-    return out[0] if radii.ndim == 0 else out
+    return out
 
 
 def ball_matrices(basis: GaussianBasis, R):
@@ -681,19 +680,18 @@ def ball_matrices(basis: GaussianBasis, R):
 def probability_inside(ball: np.ndarray, coefficients: np.ndarray):
     """P(R): probability mass of the normalized state inside the 6D ball |xi| <= R.
 
-    ball is ball_matrices(basis, R), coefficients a GroundState's on that
-    basis; a float for a scalar R, an array for a 1-D array of radii.  P is
-    clamped into [0, 1] only within the rounding estimate delta of the
-    quadratic form; beyond it IllConditionedBasisError is raised.
+    ball is ball_matrices(basis, radii), coefficients a GroundState's on that
+    basis; the result holds one probability per radius.  P is clamped into
+    [0, 1] only within the rounding estimate delta of the quadratic form;
+    beyond it IllConditionedBasisError is raised.
     """
     c, ac = coefficients, np.abs(coefficients)
-    p = np.atleast_1d(ball @ c @ c)
+    p = ball @ c @ c
     # ball entries integrate positive Gaussians, so |Ball| = Ball
-    delta = _ROUNDING_ULPS * np.finfo(float).eps * np.atleast_1d(ball @ ac @ ac)
+    delta = _ROUNDING_ULPS * np.finfo(float).eps * (ball @ ac @ ac)
     bad = (p < -delta) | (p > 1.0 + delta)
     if np.any(bad):
         raise IllConditionedBasisError(
             f"P(R) = {p[bad]} lies outside [0, 1] beyond its rounding estimate {delta[bad]}"
         )
-    p = np.clip(p, 0.0, 1.0)
-    return float(p[0]) if ball.ndim == 2 else p
+    return np.clip(p, 0.0, 1.0)

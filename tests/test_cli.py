@@ -169,6 +169,8 @@ class TestConfigValues:
         ("experiment", "z_list", "0,1e-2", "positive"),
         ("experiment", "xi_list", "-1,1", "positive"),
         ("experiment", "eps0", "-1", "positive"),
+        ("experiment", "envelope_b2", "0", "positive"),
+        ("experiment", "envelope_b2", "-1", "positive"),
     ])
     def test_out_of_range_exits_config(self, tmp_path, capsys, section, key, value, word):
         err = self.assert_config_error(tmp_path, capsys, section, key, value)
@@ -558,6 +560,16 @@ class TestExtremeValues:
         rc, captured = self.run(tmp_path, capsys, text, ("three-body", "ground"))
         assert rc == EXIT_CONFIG and captured.out == ""
         assert "config error: numerics.seed is required" in captured.err
+
+    def test_envelope_of_a_compact_well_is_finite(self, tmp_path, capsys):
+        # beyond the square well 0 * exp(100 r) used to read nan: b1 is about e^100
+        text = set_keys(set_keys(FULL, "experiment", envelope_b2="100", envelope_b1="1e50"),
+                        "model", **{"pair12.kind": "square_well"})
+        rc, captured = self.run(tmp_path, capsys, text, ("validate-config",))
+        assert rc == EXIT_OK
+        rows = {line.split(",")[0]: line for line in captured.out.splitlines()}
+        assert rows["envelope[12]"] == (
+            "envelope[12],True,minimal b1 at b2=100 is 2.68812e+43 (given 1e+50)")
 
     @pytest.mark.parametrize("mass", ["1e-300", "1e308"])
     @pytest.mark.parametrize("command", [("two-body", "threshold"), ("checks", "bounds"),

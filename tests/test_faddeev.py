@@ -74,7 +74,7 @@ class TestDiagonalBlock:
         stack = fd.assemble_diagonal_block(gaussian_well, 1.3, 1.0, grid)
         for i, p in enumerate(grid.p_nodes[:5]):
             k = math.sqrt(p * p + 1.0)
-            ref = tb.assemble_bs(gaussian_well, 1.3, k, grid.x_quad).matrix
+            ref = tb.assemble_bs(gaussian_well, 1.3, k, grid.x_quad)
             assert np.max(np.abs(stack[i] - ref)) < 1e-12
 
     @pytest.mark.parametrize("z", [0.0, 1e160])

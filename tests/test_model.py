@@ -275,6 +275,15 @@ class TestValidation:
         good = validate_requirements(model, (b1_min * 1.0001, 1.0))
         assert all(c.passed for c in good if c.requirement == "envelope[12]")
 
+    def test_compact_well_envelope_is_finite(self):
+        # beyond the well V = 0 meets exp(b2 r) = inf; only V > 0 bounds b1
+        square = PotentialSpec("square_well", depth=1.0, range=1.3)
+        b1_min = minimal_envelope_b1(square, 100.0)
+        assert math.isfinite(b1_min)
+        assert b1_min == pytest.approx(math.exp(100.0 * square.range), rel=0.1)
+        # a b1 beyond float64 reads inf, with no overflow warning
+        assert minimal_envelope_b1(PotentialSpec("gaussian"), 100.0) == math.inf
+
     def test_v23_zero_fails(self, equal_masses, gaussian_well):
         zero = PotentialSpec("gaussian", depth=0.0, range=1.0)
         model = make_model(equal_masses, gaussian_well, (1, 1, 1))

@@ -8,7 +8,7 @@ from scipy.special import jn_zeros
 from fewbody.model import PotentialSpec, Quadrature, ZeroPotentialError
 from fewbody import twobody as tb
 from tests.conftest import EXP_LAMBDA_STAR, GAUSS_LAMBDA_STAR, SW_LAMBDA_STAR
-from tests.test_model import BS_WELLS
+from tests.test_model import BS_WELLS, VOLUME_WELLS
 
 
 def sw_ground_energy(lam: float) -> float:
@@ -23,13 +23,16 @@ def sw_ground_energy(lam: float) -> float:
 
 class TestAssembly:
     def test_zero_coupling_gives_zero_matrix(self, square_well, sw_quad):
-        op = tb.assemble_bs(square_well, 0.0, 0.3, sw_quad)
-        assert np.all(op.matrix == 0.0)
+        assert np.all(tb.assemble_bs(square_well, 0.0, 0.3, sw_quad) == 0.0)
 
-    def test_matrix_symmetric_and_nonnegative(self, square_well, sw_quad):
-        op = tb.assemble_bs(square_well, 1.7, 0.4, sw_quad)
-        assert np.max(np.abs(op.matrix - op.matrix.T)) <= 1e-12
-        assert np.min(op.matrix) >= -1e-15
+    def test_matrix_symmetric_and_nonnegative(self):
+        # every analytic kind and one tabulated well, symmetric bit for bit
+        for pot in VOLUME_WELLS[:4]:
+            quad = Quadrature.for_potential(pot)
+            for k in (0.0, 0.4):
+                M = tb.assemble_bs(pot, 1.7, k, quad)
+                assert np.array_equal(M, M.T), (pot.kind, k)
+                assert np.min(M) >= 0.0, (pot.kind, k)
 
     def test_square_well_top_eigenvalue(self, square_well, sw_quad):
         mu = tb.mu_max(square_well, 1.0, 0.0, sw_quad)
@@ -97,21 +100,19 @@ class TestGreensMatrixReference:
         corr = quad._cache["product_correction"]
         tb.greens_matrix(0.2, quad)
         assert quad._cache["product_correction"] is corr
+        assert list(quad._cache) == ["product_correction"]  # no per-k matrix is kept
 
 
 class TestEigenpair:
     def test_zero_matrix_degenerate(self, square_well, sw_quad):
-        op = tb.assemble_bs(square_well, 0.0, 0.1, sw_quad)
-        pair = tb.principal_eigenpair(op)
-        assert pair.mu == 0.0 and pair.degenerate
-        assert np.isclose(np.linalg.norm(pair.phi), 1.0)
+        assert tb.mu_max(square_well, 0.0, 0.1, sw_quad) == 0.0
 
     def test_perron_positivity_and_residual(self, gaussian_well, gauss_quad):
-        op = tb.assemble_bs(gaussian_well, 2.0, 0.0, gauss_quad)
-        pair = tb.principal_eigenpair(op)
-        assert np.min(pair.phi) >= -1e-12
-        assert pair.residual <= 1e-10
-        assert not pair.degenerate
+        # phi0 is the top eigenvector at lam*, where the top eigenvalue is one
+        res = tb.resonance_data(gaussian_well, gauss_quad)
+        M = tb.assemble_bs(gaussian_well, res.lambda_star, 0.0, gauss_quad)
+        assert np.min(res.phi0) >= 0.0
+        assert np.linalg.norm(M @ res.phi0 - res.phi0) <= 1e-10
 
 
 class TestCriticalCoupling:
@@ -209,12 +210,6 @@ class TestResonance:
         assert np.min(sw_resonance.phi0) >= -1e-12
         assert sw_resonance.a_coefficient > 0
 
-    def test_not_at_threshold_raises(self, square_well, sw_quad, sw_resonance):
-        with pytest.raises(tb.NotAtThresholdError):
-            tb.resonance_coefficient(
-                square_well, 0.5 * sw_resonance.lambda_star, sw_resonance.phi0, sw_quad
-            )
-
     @pytest.mark.parametrize("well,quad_fix,res_fix", [
         ("square_well", "sw_quad", "sw_resonance"),
         ("gaussian_well", "gauss_quad", "gauss_resonance"),
@@ -241,7 +236,7 @@ class TestResonance:
         richardson = 2.0 * slopes[1] - slopes[0]
         assert abs(richardson - res.a_coefficient) / res.a_coefficient < 0.02
 
-    def test_resonance_coefficient_grid_convergence(self, square_well, sw_quad, sw_resonance):
+    def test_slope_coefficient_grid_convergence(self, square_well, sw_quad, sw_resonance):
         fine = Quadrature.for_potential(square_well, n=128)
         res2 = tb.resonance_data(square_well, fine)
         rel = abs(res2.a_coefficient - sw_resonance.a_coefficient) / sw_resonance.a_coefficient
@@ -264,8 +259,7 @@ class TestWProbe:
     def test_below_threshold_uniformly_bounded(self, square_well, sw_quad, sw_resonance):
         lam = 0.5 * sw_resonance.lambda_star
         for k in (1e-2, 1e-3, 1e-4):
-            op = tb.assemble_bs(square_well, lam, k, sw_quad)
-            mu = tb.principal_eigenpair(op).mu
+            mu = tb.mu_max(square_well, lam, k, sw_quad)
             assert 1.0 / (1.0 - mu) < 2.1
 
 

@@ -114,7 +114,7 @@ class TestMatrixElements:
         build = vr._pair_forms
         monkeypatch.setattr(vr, "_pair_forms", lambda b: builds.append(b) or build(b))
         hm = vr.hamiltonian_matrices(model, basis)
-        vr.ball_matrices(basis, 10.0)
+        vr.ball_matrices(basis, [10.0])
         assert builds == [basis, basis]
         np.testing.assert_array_equal(hm.kinetic, kinetic)
         assert hm.potentials.keys() == potentials.keys()
@@ -284,20 +284,20 @@ class TestBoundStateCount:
         assert bound_state_count(m, small_basis) == 0
 
 
-def p_of_state(basis, gs, R):
-    """P(R) of one state: one ball build, one quadratic form."""
-    return vr.probability_inside(vr.ball_matrices(basis, R), gs.coefficients)
+def p_of_state(basis, gs, radii):
+    """P(R) of one state at each radius: one ball build, one quadratic form."""
+    return vr.probability_inside(vr.ball_matrices(basis, radii), gs.coefficients)
 
 
 class TestLocalization:
     def test_limits(self, gauss_model_factory, small_basis):
         gs = vr.solve_ground(gauss_model_factory(1.0), small_basis)
-        assert p_of_state(small_basis, gs, 0.0) == 0.0
-        assert abs(p_of_state(small_basis, gs, 1e6) - 1.0) < 1e-8
+        assert p_of_state(small_basis, gs, [0.0])[0] == 0.0
+        assert abs(p_of_state(small_basis, gs, [1e6])[0] - 1.0) < 1e-8
 
     def test_deep_binding_compact(self, gauss_model_factory, small_basis):
         gs = vr.solve_ground(gauss_model_factory(1.3), small_basis)
-        assert p_of_state(small_basis, gs, 5.0) > 0.99
+        assert p_of_state(small_basis, gs, [5.0])[0] > 0.99
 
     def test_monotone_probe(self, gauss_model_factory, small_basis):
         gs = vr.solve_ground(gauss_model_factory(1.0), small_basis)
@@ -311,7 +311,7 @@ class TestLocalization:
 
         beta = 0.7
         Ba = np.array([[2 * beta]])
-        val = ball_overlap(Ba, Ba, np.array([[0.0]]), R=2.0)[0, 0]
+        val = ball_overlap(Ba, Ba, np.array([[0.0]]), R=[2.0])[0, 0, 0]
         from scipy.special import gammainc
 
         exact = np.pi**3 / (2 * beta) ** 3 * gammainc(3, 2 * beta * 4.0)
@@ -321,7 +321,7 @@ class TestLocalization:
         from fewbody.variational import _pair_forms, ball_overlap
 
         Ba, Bb, Bc2, *_ = _pair_forms(small_basis)
-        full = ball_overlap(Ba, Bb, Bc2, R=1e4)
+        full = ball_overlap(Ba, Bb, Bc2, R=[1e4])[0]
         S = vr.overlap_matrix(small_basis)
         sub = np.ix_(range(0, small_basis.size, 7), range(0, small_basis.size, 7))
         assert np.allclose(full[sub], S[sub], rtol=1e-6)
@@ -389,8 +389,9 @@ class TestBallOverlapReference:
         multi = vr.ball_overlap(Ba, Bb, Bc2, radii)
         assert multi.shape == (radii.size, small_basis.size, small_basis.size)
         for R, got in zip(radii, multi):
-            single = vr.ball_overlap(Ba, Bb, Bc2, float(R))
-            assert single.shape == (small_basis.size, small_basis.size)
+            single = vr.ball_overlap(Ba, Bb, Bc2, [R])
+            assert single.shape == (1, small_basis.size, small_basis.size)
+            single = single[0]
             np.testing.assert_allclose(got, single, rtol=1e-13, atol=0.0)
             np.testing.assert_array_equal(got, got.T)
 
@@ -724,8 +725,10 @@ def ground_small(gauss_model_factory, small_basis):
 
 class TestProbabilityInside:
     def test_scalar_in_scalar_out(self, ground_small, small_basis):
-        p = p_of_state(small_basis, ground_small, 5.0)
-        assert isinstance(p, float)
+        # one radius gives a one-entry array, like any list of radii
+        p = p_of_state(small_basis, ground_small, [5.0])
+        assert p.shape == (1,)
+        p = p[0]
         ps = p_of_state(small_basis, ground_small, [0.0, 5.0, 50.0])
         assert ps.shape == (3,)
         assert ps[0] == 0.0 and np.isclose(ps[1], p, rtol=1e-13)
@@ -754,7 +757,7 @@ class TestProbabilityInside:
     def test_out_of_range_raises(self, ground_small, small_basis, monkeypatch):
         monkeypatch.setattr(vr, "ball_overlap", inflated_ball)
         with pytest.raises(vr.IllConditionedBasisError, match="rounding estimate"):
-            p_of_state(small_basis, ground_small, 10.0)
+            p_of_state(small_basis, ground_small, [10.0])
 
     def test_radius_with_overflowing_square(self, tmp_path):
         # 1e300^2 overflows: every pair takes the closed form, with no warning

@@ -45,7 +45,11 @@ SUBCOMMANDS = [
 # coupling on each side of lam* = 2.684 above the Hilbert-Schmidt bound
 # 0.9863 lam*, where hvz_bottom shoots: unbound at 2.67, bound at 2.7; then
 # in-range extremes: Green's-function arguments at float64's ends, a z whose
-# square overflows, a stochastic basis with no seed and a (12) well of range 1e-30
+# square overflows, a stochastic basis with no seed and a (12) well of range 1e-30;
+# then the branches no other config reaches: a square (23) well (unbound at
+# 2.1472) and an exponential one (bound, so hvz_bottom and classify shoot), a
+# correlations-mode and a (12)-symmetrized basis, and envelope_b2 out of range
+# and at 100, where the envelope b1 of FULL's Gaussian (12) well overflows
 VARIANTS = [
     ("model", "m1", "x"),
     ("model", "m1", "-1"),
@@ -82,6 +86,12 @@ VARIANTS = [
     ("experiment", "z_list", "1e300"),
     ("numerics", "basis.n_random", "3"),
     ("model", "pair12.range", "1e-30"),
+    ("model", "pair23.kind", "square_well"),
+    ("model", "pair23.kind", "exponential"),
+    ("numerics", "basis.correlations", "-0.6,0.0,0.6"),
+    ("numerics", "basis.symmetrize_12", "true"),
+    ("experiment", "envelope_b2", "0"),
+    ("experiment", "envelope_b2", "100"),
 ]
 
 PLACEHOLDER = "<checkout>"

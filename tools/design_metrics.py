@@ -7,6 +7,9 @@ defaulted_params  parameters with a default, over every def in src/fewbody
 config_keys       keys the config parser accepts, over all sections
 cli_options       option flags summed over the subcommand parsers, --help excluded
 csv_headers       emit_csv calls in cli.py whose columns are written out, not a dataclass
+numeric_constants module-level names bound to one int or float literal, with an
+                  optional unary minus (tolerances and cutoffs; tuples and tables
+                  do not count)
 
 Standard library plus the fewbody package of this checkout.
 """
@@ -67,6 +70,25 @@ def csv_headers(text: str, namespace: dict) -> int:
     )
 
 
+def _is_number(node: ast.expr) -> bool:
+    """An int or float literal (not a bool), optionally negated."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    return (isinstance(node, ast.Constant) and isinstance(node.value, (int, float))
+            and not isinstance(node.value, bool))
+
+
+def numeric_constants(text: str) -> int:
+    """Module-level names of the source text bound to one number literal."""
+    count = 0
+    for node in ast.parse(text).body:
+        if isinstance(node, ast.Assign) and _is_number(node.value):
+            count += sum(isinstance(t, ast.Name) for t in node.targets)
+        elif isinstance(node, ast.AnnAssign) and node.value and _is_number(node.value):
+            count += isinstance(node.target, ast.Name)
+    return count
+
+
 def metrics() -> dict:
     texts = [p.read_text() for p in _sources()]
     return {
@@ -75,6 +97,7 @@ def metrics() -> dict:
         "config_keys": len(set().union(*cli._SECTION_KEYS.values())),
         "cli_options": cli_options(cli.build_parser()),
         "csv_headers": csv_headers(Path(cli.__file__).read_text(), vars(cli)),
+        "numeric_constants": sum(numeric_constants(t) for t in texts),
     }
 
 
