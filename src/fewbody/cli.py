@@ -180,7 +180,8 @@ def _check_range(name: str, text: str, value, rng) -> None:
     elif any(v < 0 or (v == 0 and rng != "non-negative")
              or ("square" in rng and not math.isfinite(v * v))
              for v in (value if isinstance(value, list) else [value])):
-        raise ConfigError(f"{name} = {text!r}: values must be {rng}")
+        noun = "values" if isinstance(value, list) else "value"
+        raise ConfigError(f"{name} = {text!r}: {noun} must be {rng}")
 
 
 def _k_values(cfg: RunConfig, args, word: str) -> list[float]:
@@ -706,6 +707,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ex.PathPointUnboundError,
         ex.PairDriftError,
         fd.PairThresholdError,
+        fd.LanczosNoConvergenceError,
         tb.IntegrationUnderresolvedError,
         tb.ResonanceWindowError,
         vr.IllConditionedBasisError,

@@ -410,44 +410,48 @@ def _exchange(op: BlockOperator, v: np.ndarray) -> np.ndarray:
     return out
 
 
-# Lanczos subspace of the symmetric solves: the top level is well separated,
-# so a small subspace restarts cheaply (Lehoucq, Sorensen & Yang, ARPACK
-# Users' Guide, 1998).  The same tolerance and iteration cap stop the power
-# iteration that takes over when ARPACK does not converge.
-_LANCZOS_NCV = 6
+# Lanczos solve of the symmetric eigenproblems: full reorthogonalization
+# (Paige; Parlett, The Symmetric Eigenvalue Problem, 1998), stopped by
+# ARPACK's Ritz-residual test (Lehoucq, Sorensen & Yang, ARPACK Users'
+# Guide, 1998).  The top level is well separated, so a solve takes a few
+# dozen vectors at most; past the cap the solve is refused, not guessed.
 _LANCZOS_TOL = 1e-10
-_LANCZOS_MAXITER = 2000
+_LANCZOS_VECTORS = 120
+
+
+class LanczosNoConvergenceError(ArithmeticError):
+    """The Lanczos solve did not converge within _LANCZOS_VECTORS vectors."""
 
 
 def _top_eigenpair(n: int, matvec):
     """(|eigenvalue|, unit eigenvector) of largest magnitude of a symmetric map on R^n.
 
-    A symmetric Lanczos solve (eigsh) from the all-ones vector; if ARPACK
-    does not converge, power iteration on the same map takes over and stops
-    once the Rayleigh-quotient residual is below _LANCZOS_TOL times the
-    eigenvalue.
+    Lanczos from the all-ones vector, each new vector orthogonalized twice
+    against all earlier ones.  It stops at the first step whose Ritz pair
+    (theta, u) of largest |theta| has residual |matvec(u) - theta u|
+    = beta |s_m| <= _LANCZOS_TOL |theta|, or whose Krylov space is all of
+    R^n; LanczosNoConvergenceError when neither happens within
+    _LANCZOS_VECTORS vectors.
     """
-    import scipy.sparse.linalg  # deferred: only the coupled solver loads scipy.sparse
-
-    v0 = np.ones(n)
-    lin = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=float)
-    try:
-        vals, vecs = scipy.sparse.linalg.eigsh(
-            lin, k=1, which="LM", v0=v0, ncv=_LANCZOS_NCV, maxiter=_LANCZOS_MAXITER,
-            tol=_LANCZOS_TOL,
-        )
-        return float(abs(vals[0])), vecs[:, 0]
-    except scipy.sparse.linalg.ArpackNoConvergence:
-        vec = v0 / np.linalg.norm(v0)
-        theta = 0.0
-        for _ in range(_LANCZOS_MAXITER):
-            w = matvec(vec)
-            theta = float(vec @ w)
-            nrm = np.linalg.norm(w)
-            if nrm == 0.0 or np.linalg.norm(w - theta * vec) <= _LANCZOS_TOL * abs(theta):
-                break
-            vec = w / nrm
-        return abs(theta), vec
+    V = np.empty((min(n, _LANCZOS_VECTORS), n))
+    T = np.zeros((len(V) + 1, len(V) + 1))  # tridiagonal; one spare row for the last beta
+    v = np.full(n, 1.0 / math.sqrt(n))
+    for m in range(len(V)):
+        V[m] = v
+        w = matvec(v)
+        T[m, m] = v @ w
+        for _ in range(2):
+            w = w - V[: m + 1].T @ (V[: m + 1] @ w)
+        beta = float(np.linalg.norm(w))
+        theta, S = np.linalg.eigh(T[: m + 1, : m + 1])
+        k = int(np.argmax(np.abs(theta)))
+        if beta * abs(S[m, k]) <= _LANCZOS_TOL * abs(theta[k]) or m + 1 == n:
+            return float(abs(theta[k])), S[:, k] @ V[: m + 1]
+        T[m, m + 1] = T[m + 1, m] = beta
+        v = w / beta
+    raise LanczosNoConvergenceError(
+        f"Lanczos solve not converged within {len(V)} vectors (n={n})"
+    )
 
 
 def faddeev_solve(op: BlockOperator, scale: float = 1.0) -> FaddeevSolution:
@@ -462,10 +466,10 @@ def faddeev_solve(op: BlockOperator, scale: float = 1.0) -> FaddeevSolution:
 
     The map is similar to the symmetric half-resolvent form C B C with
     C = U diag(sqrt(s/(1 - s Lambda))) U^T per fiber, from the stored
-    eigendecomposition D = U Lambda U^T, so a symmetric Lanczos solve (eigsh,
-    with power iteration as its fallback) finds the radius and phi = C y the
-    component vector.  The residual is the defect of the un-split component
-    identity in the original coordinates.
+    eigendecomposition D = U Lambda U^T, so a symmetric Lanczos solve
+    (_top_eigenpair) finds the radius and phi = C y the component vector.
+    The residual is the defect of the un-split component identity in the
+    original coordinates.
     """
     pairs = op.pairs
     for pair in pairs:
@@ -676,7 +680,9 @@ def continuity_modulus_check(
     """Norm continuity in z of the coupling-free block against the volume-constant bound.
 
     A diagonal block is the pair operator on the well's own n-node radial
-    grid; a cross block is assembled on the mixed grids of grid_kw.
+    grid; a cross block is assembled on the mixed grids of grid_kw, and the
+    spectral norm of its difference D is sqrt(mu_max(D^T D)) from the Lanczos
+    solve of the coupled solver.
     """
     pot_row, pot_col = (model.scaled_potential(p) for p in (row_pair, col_pair))
     ell = math.sqrt(pot_row.volume() * pot_col.volume()) / (4.0 * np.pi)
@@ -695,7 +701,8 @@ def continuity_modulus_check(
                                            1.0, 1.0, z, *grids, n_angle=n_angle)
                 for z in (z1, z2)
             )
-            norm_diff = float(np.linalg.norm(b1 - b2, 2))
+            d = b1 - b2
+            norm_diff = math.sqrt(_top_eigenpair(d.shape[1], lambda v: d.T @ (d @ v))[0])
         bound = ell * math.sqrt(abs(z2 * z2 - z1 * z1)) + _CONTINUITY_SLACK
         rows.append(BoundRow(f"continuity_{row_pair}_{col_pair}", float(z1), norm_diff, bound,
                              norm_diff <= bound))

@@ -18,10 +18,9 @@ costs one quadratic form.  A P(R) outside [0, 1] by more than its rounding
 estimate raises IllConditionedBasisError (CLI exit 3) instead of being
 clamped.
 
-The basis, the matrix elements, the ground state, hvz_bottom on unbound
-pairs and P(R) run on numpy alone; scipy.linalg loads on the first
-HamiltonianMatrices.crossing, and a pair that hvz_bottom has to shoot loads
-twobody's scipy solvers.
+The basis, the matrix elements, the ground state, the threshold crossings,
+hvz_bottom on unbound pairs and P(R) run on numpy alone; only a pair that
+hvz_bottom has to shoot loads twobody's scipy solvers.
 """
 
 from __future__ import annotations
@@ -366,19 +365,37 @@ class HamiltonianMatrices:
         H(t) = H(start) - t W with W = sum_p (end_p - start_p) V_p, so that is
         t* = 1/mu_max of the definite pencil W phi = mu (H(start) - level) phi
         (Birman-Schwinger in a finite basis; Parlett, The Symmetric Eigenvalue
-        Problem, 1998), or inf when mu_max <= 0.  numpy.linalg.LinAlgError if
-        H(start) - level is not positive definite (a level at or below it).
+        Problem, 1998), or inf when mu_max <= 0.  With the Cholesky factor
+        H(start) - level = L L^T the pencil's eigenvalues are those of
+        L^-1 W L^-T.  numpy.linalg.LinAlgError if H(start) - level is not
+        positive definite (a level at or below it).
         """
         A = self._reduced(start)
         A[np.diag_indices_from(A)] -= level
         W = self._project(
             sum((end.get(pair) - start.get(pair)) * V for pair, V in self.potentials.items())
         )
-        import scipy.linalg  # deferred: no other variational path needs scipy
-
-        n = A.shape[0]
-        mu = scipy.linalg.eigh(W, A, subset_by_index=[n - 1, n - 1], eigvals_only=True)[0]
+        Linv = _lower_inverse(np.linalg.cholesky(A))
+        mu = np.linalg.eigvalsh(Linv @ W @ Linv.T)[-1]
         return float(1.0 / mu) if mu > 0 else math.inf
+
+
+def _lower_inverse(L: np.ndarray) -> np.ndarray:
+    """Inverse of the lower-triangular L, halved recursively down to 48 rows.
+
+    [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]]: the off-diagonal
+    work is matrix products, where a dense inverse or solve of L would pay
+    a full LU factorization.
+    """
+    n = L.shape[0]
+    if n <= 48:
+        return np.linalg.inv(L)
+    h = n // 2
+    Ai, Ci = _lower_inverse(L[:h, :h]), _lower_inverse(L[h:, h:])
+    out = np.zeros_like(L)
+    out[:h, :h], out[h:, h:] = Ai, Ci
+    out[h:, :h] = -(Ci @ (L[h:, :h] @ Ai))
+    return out
 
 
 def hamiltonian_matrices(model: ModelSpec, basis: GaussianBasis) -> HamiltonianMatrices:

@@ -176,6 +176,20 @@ class TestConfigValues:
         err = self.assert_config_error(tmp_path, capsys, section, key, value)
         assert f"must be {word}" in err
 
+    # a scalar key names one value, a list key its values
+    @pytest.mark.parametrize("section,key,value,words", [
+        ("experiment", "envelope_b2", "0", "value must be positive"),
+        ("experiment", "eps0", "-1", "value must be positive"),
+        ("numerics", "resonance_tol", "0", "value must be positive"),
+        ("experiment", "r0", "-1", "value must be non-negative"),
+        ("experiment", "xi_list", "-1,1", "values must be positive"),
+        ("experiment", "radii", "-5,10", "values must be non-negative"),
+    ])
+    def test_range_error_names_value_or_values(self, tmp_path, capsys, section, key, value,
+                                               words):
+        err = self.assert_config_error(tmp_path, capsys, section, key, value)
+        assert f"{section}.{key} = {value!r}: {words}" in err
+
     # a bracket is two numbers lo < hi and the energy targets list one at least,
     # checked when the config is parsed, not by the solver that unpacks them
     @pytest.mark.parametrize("command,key,value,word", [
@@ -462,6 +476,19 @@ class TestMainEntry:
         captured = capsys.readouterr()
         assert rc == EXIT_NUMERIC and captured.out == ""
         assert "numeric failure: column lambda_star = nan is not a finite number" in captured.err
+
+    def test_unconverged_lanczos_exits_numeric(self, tmp_path, monkeypatch, capsys):
+        def unconverged(n, matvec):
+            raise fd.LanczosNoConvergenceError(f"Lanczos solve not converged within 120 "
+                                               f"vectors (n={n})")
+
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text(set_keys(FULL, "experiment", z_list="1e-2"))
+        monkeypatch.setattr(fd, "_top_eigenpair", unconverged)
+        rc = main(["three-body", "bs-radius", "--config", str(cfg), "--quiet"])
+        captured = capsys.readouterr()
+        assert rc == EXIT_NUMERIC and captured.out == ""
+        assert "numeric failure: Lanczos solve not converged within 120 vectors" in captured.err
 
     def test_config_error_exit(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
@@ -1007,9 +1034,8 @@ def test_config_docs_name_every_parser_key():
     assert documented_keys() == cli._SECTION_KEYS
 
 
-# scipy loads only when first used: the CLI and a ground state on unbound
-# pairs load no scipy module at all, and the coupled solver adds the sparse
-# eigensolver, none of the ODE solvers, root finders or special functions
+# scipy loads only when first used: the CLI, a ground state on unbound pairs
+# and the coupled solver (its own Lanczos) load no scipy module at all
 _FOOTPRINT = """
 import json, sys
 from fewbody import cli
@@ -1030,9 +1056,5 @@ def test_scipy_solvers_load_only_when_used(tmp_path):
                          env={**os.environ, "PYTHONPATH": path}, capture_output=True,
                          text=True, check=True).stdout
     loaded = {step: set(mods) for step, mods in json.loads(out).items()}
-    for step in ("import", "ground"):
+    for step in ("import", "ground", "bs-radius"):
         assert not {m for m in loaded[step] if m == "scipy" or m.startswith("scipy.")}, step
-    added = loaded["bs-radius"] - loaded["ground"]
-    assert "scipy.sparse.linalg" in added
-    unused = ("scipy.optimize", "scipy.integrate", "scipy.special")
-    assert not {m for m in added if m.startswith(unused)}, sorted(added)

@@ -251,6 +251,19 @@ class TestContinuityAndBounds:
         )
         assert all(r.passed for r in rows)
 
+    def test_cross_block_norm_matches_dense_svd(self, gauss_model_factory):
+        # the cross rows of checks bounds on the CLI tests' FULL config: its
+        # model, the default z_list and the default coupled-solver grid
+        m, kw = gauss_model_factory(0.8), dict(n_x=28, n_p_per_panel=6)
+        zs = [1e-3, 1e-2, 0.1, 1.0]
+        rows = fd.continuity_modulus_check(m, "12", "23", list(zip(zs, zs[1:])), 64, **kw)
+        pr, pc = m.scaled_potential("12"), m.scaled_potential("23")
+        for row, (z1, z2) in zip(rows, zip(zs, zs[1:])):
+            grids = [fd.build_mixed_grid(p, z1, **kw) for p in (pr, pc)]
+            b1, b2 = (fd.assemble_offdiagonal_block(m.masses, "12", "23", pr, pc, 1.0, 1.0, z,
+                                                    *grids) for z in (z1, z2))
+            assert row.lhs == pytest.approx(np.linalg.norm(b1 - b2, 2), rel=1e-12, abs=0)
+
     def test_hs_bound_all_z(self, gauss_model_factory):
         m = gauss_model_factory(0.8)
         for z in (1e-3, 1e-2, 1e-1, 1.0):
@@ -532,21 +545,13 @@ class TestCouplingScale:
             assert fd.faddeev_solve(op, scale=s).spectral_radius == pytest.approx(ref, rel=1e-12)
 
     def test_power_iteration_fallback(self, unequal_model, monkeypatch):
+        # there is no fallback: a Lanczos cut at three vectors raises out of
+        # faddeev_solve instead of handing back an unchecked Rayleigh quotient
         op = fd.assemble_block_operator(unequal_model, 1e-2, **self.KW)
-        lanczos = fd.faddeev_solve(op, scale=0.9)
-        calls = []
-
-        def no_convergence(*args, **kwargs):
-            calls.append(kwargs)
-            raise scipy.sparse.linalg.ArpackNoConvergence(
-                "ARPACK error -1: No convergence", np.empty(0), np.empty((0, 0))
-            )
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
-        power = fd.faddeev_solve(op, scale=0.9)
-        assert len(calls) == 1
-        assert power.spectral_radius == pytest.approx(lanczos.spectral_radius, rel=1e-8)
-        assert power.residual < 1e-8
+        assert op.dim() > 3
+        monkeypatch.setattr(fd, "_LANCZOS_VECTORS", 3)
+        with pytest.raises(fd.LanczosNoConvergenceError, match="not converged within 3"):
+            fd.faddeev_solve(op, scale=0.9)
 
     @given(s=st.floats(min_value=1e-3, max_value=1.5))
     @settings(max_examples=8, deadline=None)
@@ -618,19 +623,49 @@ class TestThresholdEigensolve:
             fd.threshold_scale(ops)
 
     def test_power_iteration_fallback(self, unequal_model, monkeypatch):
+        # there is no fallback: a Lanczos cut at three vectors raises out of
+        # threshold_scale instead of extrapolating unchecked Rayleigh quotients
         ops = fd.threshold_operators(unequal_model, **self.KW)
-        lanczos = fd.threshold_scale(ops)
+        monkeypatch.setattr(fd, "_LANCZOS_VECTORS", 3)
+        with pytest.raises(fd.LanczosNoConvergenceError, match="not converged within 3"):
+            fd.threshold_scale(ops)
+
+
+def symmetric_map(eigenvalues, seed=0):
+    """The symmetric matrix Q diag(eigenvalues) Q^T with a seeded random orthogonal Q."""
+    n = len(eigenvalues)
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    return (q * eigenvalues) @ q.T
+
+
+class TestTopEigenpair:
+    # the coupled solver's Lanczos against a dense eigvalsh of the same map
+    @pytest.mark.parametrize("eigenvalues,matvecs", [
+        (np.r_[-3.0, np.linspace(-1.0, 1.0, 199)], None),
+        (np.r_[2.0, 2.0, np.linspace(0.0, 1.0, 198)], None),
+        # n = 20 with ten eigenvalues within 1e-7 at the top: the Ritz residual
+        # stays large until the Krylov space is all of R^n (exact termination)
+        (np.r_[1.0 - 1e-8 * np.arange(10), np.linspace(0.0, 0.5, 10)], 20),
+        (np.zeros(30), 1),
+    ], ids=["dominant-negative", "degenerate-top", "exact-termination", "zero-map"])
+    def test_matches_dense_eigvalsh(self, eigenvalues, matvecs):
+        M = symmetric_map(eigenvalues)
         calls = []
+        value, vec = fd._top_eigenpair(len(M), lambda v: calls.append(v) or M @ v)
+        ref = np.max(np.abs(np.linalg.eigvalsh(M)))
+        assert abs(value - ref) <= 1e-12 * max(ref, 1.0)
+        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+        sign = np.sign(vec @ M @ vec) or 1.0
+        assert np.linalg.norm(M @ vec - sign * value * vec) <= 1e-9 * max(ref, 1.0)
+        assert matvecs is None or len(calls) == matvecs
 
-        def no_convergence(*args, **kwargs):
-            calls.append(kwargs)
-            raise scipy.sparse.linalg.ArpackNoConvergence(
-                "ARPACK error -1: No convergence", np.empty(0), np.empty((0, 0))
-            )
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
-        assert fd.threshold_scale(ops) == pytest.approx(lanczos, rel=1e-8)
-        assert len(calls) == 2
+    def test_unconverged_solve_raises(self):
+        # 199 of 200 eigenvalues in [0.947, 1], 5e-5 apart at the top: no Ritz
+        # pair settles within the cap
+        M = symmetric_map(np.linspace(0.0, 1.0, 200) ** 0.01)
+        assert len(M) > fd._LANCZOS_VECTORS
+        with pytest.raises(fd.LanczosNoConvergenceError, match="not converged within 120"):
+            fd._top_eigenpair(len(M), lambda v: M @ v)
 
 
 def reference_radius(op, scale):

@@ -15,3 +15,15 @@ def test_ground_runs_on_numpy_alone():
     for record in result["steps"].values():
         assert record["exit"] == 0 and record["scipy"] == []
         assert record["wall_s"] > 0.0 and record["peak_rss_mb"] > 0.0
+
+
+def test_solver_paths_run_on_numpy_alone():
+    # the coupled solver's Lanczos and the variational pencil solve are numpy code
+    commands = [("three-body", c) for c in ("bs-radius", "sweep", "dichotomy", "cross-validate")]
+    argv = [arg for command in commands for arg in ("--command", *command)]
+    done = subprocess.run([sys.executable, str(SCRIPT), *argv],
+                          capture_output=True, text=True, check=True)
+    steps = json.loads(done.stdout)["steps"]
+    assert list(steps) == ["import", *(" ".join(c) for c in commands)]
+    for name, record in steps.items():
+        assert record["exit"] == 0 and record["scipy"] == [], name

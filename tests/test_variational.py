@@ -220,6 +220,44 @@ class TestSolveGround:
             vr.solve_ground(gauss_model_factory(1.0), basis)
 
 
+class TestCrossing:
+    # t* = 1/mu_max of the pencil W phi = mu (H(start) - level) phi, on the
+    # 166-function basis: the Cholesky reduction recurses past 48 rows.  The
+    # gap of the level below the ground at start bounds the conditioning of
+    # H(start) - level; at a gap of 1e-3 the two routes differ by ~1e-12.
+    @pytest.fixture(scope="class")
+    def hm(self, equal_masses, gaussian_well, small_basis):
+        lam = GAUSS_LAMBDA_STAR
+        m = make_model(equal_masses, gaussian_well, (0.9 * lam, 0.7 * lam, 0.0))
+        return m.couplings, vr.hamiltonian_matrices(m, small_basis)
+
+    @pytest.mark.parametrize("gap", [0.5, 0.05])
+    def test_matches_scipy_pencil(self, hm, gap):
+        import scipy.linalg
+
+        couplings, hm = hm
+        start, end = couplings.scaled(0.5), couplings.scaled(1.5)
+        level = hm.ground(start).energy - gap
+        A = hm._reduced(start)
+        A[np.diag_indices_from(A)] -= level
+        W = hm._project(sum((end.get(p) - start.get(p)) * V for p, V in hm.potentials.items()))
+        n = len(A)
+        mu = scipy.linalg.eigh(W, A, subset_by_index=[n - 1, n - 1], eigvals_only=True)[0]
+        assert hm.crossing(start, end, level) == pytest.approx(1.0 / mu, rel=1e-12, abs=0)
+
+    def test_level_at_or_above_the_ground_raises(self, hm):
+        # H(start) - level is then not positive definite
+        couplings, hm = hm
+        start = couplings.scaled(0.5)
+        with pytest.raises(np.linalg.LinAlgError):
+            hm.crossing(start, couplings, hm.ground(start).energy + 1e-3)
+
+    def test_a_path_that_stands_still_never_crosses(self, hm):
+        # W = 0, so mu_max = 0
+        couplings, hm = hm
+        assert hm.crossing(couplings, couplings, hm.ground(couplings).energy - 0.1) == math.inf
+
+
 @pytest.fixture
 def shot(monkeypatch):
     """The couplings shooting_ground_energy is called at, in call order."""
