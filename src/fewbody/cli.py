@@ -76,13 +76,16 @@ def _bracket(text: str) -> tuple[float, ...]:
 
 # (section, key) -> (default text or None, conversion, range), every key the
 # parser accepts.  The range is the least value of an integer; "positive" or
-# "non-negative" for every number, or "positive with a finite square" for a
-# spectral point z at energy -z^2; the allowed names; "bracket" for two
+# "non-negative" for every number, "positive with a finite square" for a
+# spectral point z at energy -z^2, or _SCALE for a basis scale s, which sets a
+# width 1/s^2; the allowed names; "bracket" for two
 # numbers lo < hi; "non-empty" for a list with at least one value;
 # "correlation" for frames or one level at least, each in (-1, 1).  A pair
 # key has no conversion: _parse_potential reads it.  model._split_counts
 # gives each grid panel at least 4 nodes, so a count below 4 per panel (5
-# radial panels) would be raised silently.
+# radial panels) would be raised silently.  A scale ladder's min must not lie
+# above its max (_SCALE_LADDERS).
+_SCALE = "positive with a finite, positive inverse square"
 _KEYS = {
     ("model", "m1"): ("1.0", _finite, None),
     ("model", "m2"): ("1.0", _finite, None),
@@ -99,11 +102,11 @@ _KEYS = {
     ("numerics", "angle_nodes"): ("32", int, 1),
     ("numerics", "resonance_tol"): ("1e-4", _finite, "positive"),
     ("numerics", "seed"): (None, _blank_none(int), None),
-    ("numerics", "basis.scale_min_x"): ("0.25", _finite, "positive"),
-    ("numerics", "basis.scale_max_x"): ("15.0", _finite, "positive"),
+    ("numerics", "basis.scale_min_x"): ("0.25", _finite, _SCALE),
+    ("numerics", "basis.scale_max_x"): ("15.0", _finite, _SCALE),
     ("numerics", "basis.n_x"): ("9", int, 1),
-    ("numerics", "basis.scale_min_y"): ("0.25", _finite, "positive"),
-    ("numerics", "basis.scale_max_y"): ("600.0", _finite, "positive"),
+    ("numerics", "basis.scale_min_y"): ("0.25", _finite, _SCALE),
+    ("numerics", "basis.scale_max_y"): ("600.0", _finite, _SCALE),
     ("numerics", "basis.n_y"): ("15", int, 1),
     ("numerics", "basis.correlations"): (
         "frames", lambda t: "frames" if t == "frames" else tuple(_float_list(t)),
@@ -131,6 +134,8 @@ _KEYS = {
 }
 
 _SECTION_KEYS = {s: {k for t, k in _KEYS if t == s} for s, _ in _KEYS}
+_SCALE_LADDERS = (("basis.scale_min_x", "basis.scale_max_x"),
+                  ("basis.scale_min_y", "basis.scale_max_y"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,6 +184,7 @@ def _check_range(name: str, text: str, value, rng) -> None:
             raise ConfigError(f"{name} = {text!r}: must be frames or levels in (-1, 1)")
     elif any(v < 0 or (v == 0 and rng != "non-negative")
              or ("square" in rng and not math.isfinite(v * v))
+             or ("inverse" in rng and not (v * v > 0.0 and math.isfinite(1.0 / (v * v))))
              for v in (value if isinstance(value, list) else [value])):
         noun = "values" if isinstance(value, list) else "value"
         raise ConfigError(f"{name} = {text!r}: {noun} must be {rng}")
@@ -281,6 +287,10 @@ def parse_config(path, seed: Optional[int] = None) -> RunConfig:
             raise ConfigError(f"{built}invalid value {s}.{key} = {text!r} ({err})") from None
         if value is not None and rng is not None:
             _check_range(f"{s}.{key}", text, value, rng)
+    for lo, hi in _SCALE_LADDERS:
+        if values[("numerics", lo)] > values[("numerics", hi)]:
+            raise ConfigError(f"numerics.{lo} = {raw[('numerics', lo)]!r} lies above "
+                              f"numerics.{hi} = {raw[('numerics', hi)]!r}")
 
     try:
         masses = MassSet(*(values[("model", m)] for m in ("m1", "m2", "m3")))

@@ -5,7 +5,9 @@ coordinates (zero total angular momentum ansatz).  Overlap and kinetic
 matrix elements are closed form; pair potentials reduce to a 1D radial
 integral against the Gaussian pair-separation density.  None of these, nor
 the Gram reduction, depends on the couplings: hamiltonian_matrices builds
-them once and a coupling scan pays one reduced eigensolve per point.  The
+them once and a coupling scan pays one reduced eigensolve per point.  They
+and the ball matrices are filled one block of rows at a time straight from
+the width vectors, so a builder holds its outputs and one block.  The
 localization probability P(R) restricts the 6D density to a ball, which
 collapses to a 1D hyperradial quadrature with a Bessel weight.  The ball
 matrices of all radii come from one hyperradial pass per basis, with one
@@ -233,6 +235,22 @@ def build_basis(spec: BasisSpec, masses=None) -> GaussianBasis:
 # ---------------------------------------------------------------------------
 # matrix elements
 
+# Numbers per evaluation block.  The matrix builders fill their N x N outputs
+# one block of rows at a time (_row_blocks), so beside the outputs they hold
+# one block, not N x N pair forms or an N x N x n_r density; _i1e takes its
+# arguments in blocks, whose buffers stay in cache (a whole 2048-key ball
+# chunk at once ran about twice as slow per element on 2 cores).
+_BLOCK = 16384
+
+
+def _row_blocks(n: int, width: int = 1) -> list[np.ndarray]:
+    """Consecutive row ranges of an n x n matrix, each of max(1, _BLOCK // (n * width)) rows.
+
+    width is the numbers a block holds per entry (a quadrature's nodes).
+    """
+    rows = max(1, _BLOCK // (n * width))
+    return [np.arange(s, min(s + rows, n)) for s in range(0, n, rows)]
+
 
 class PairForms(NamedTuple):
     """Pairwise sums of width matrices Ba, Bb, Bc2 (= B12 entry), their det and the overlap."""
@@ -244,25 +262,25 @@ class PairForms(NamedTuple):
     overlap: np.ndarray
 
 
-def _pair_forms(basis: GaussianBasis) -> PairForms:
-    """The pair forms of a basis: build them once and pass them to every matrix element."""
+def _pair_forms(basis: GaussianBasis, i: np.ndarray, j: np.ndarray) -> PairForms:
+    """The pair forms of functions i with functions j, index arrays that broadcast.
+
+    Build them once per block and pass them to every matrix element.
+    """
     a, b, c = basis.a, basis.b, basis.c
-    Ba = a[:, None] + a[None, :]
-    Bb = b[:, None] + b[None, :]
-    Bc2 = 0.5 * (c[:, None] + c[None, :])
+    Ba = a[i] + a[j]
+    Bb = b[i] + b[j]
+    Bc2 = 0.5 * (c[i] + c[j])
     det = Ba * Bb - Bc2**2
     return PairForms(Ba, Bb, Bc2, det, np.pi**3 / det**1.5)
 
 
-def overlap_matrix(basis: GaussianBasis) -> np.ndarray:
-    return _pair_forms(basis).overlap
-
-
-def kinetic_matrix(basis: GaussianBasis, forms: Optional[PairForms] = None) -> np.ndarray:
+def _kinetic(basis: GaussianBasis, i: np.ndarray, j: np.ndarray, forms: PairForms) -> np.ndarray:
+    """<m| T |n> of the pairs (i, j) whose forms are given."""
     a, b, c = basis.a, basis.b, basis.c
-    Ba, Bb, Bc2, det, S = forms or _pair_forms(basis)
-    am, bm, cm2 = a[:, None], b[:, None], 0.5 * c[:, None]
-    an, bn, cn2 = a[None, :], b[None, :], 0.5 * c[None, :]
+    Ba, Bb, Bc2, det, S = forms
+    am, bm, cm2 = a[i], b[i], 0.5 * c[i]
+    an, bn, cn2 = a[j], b[j], 0.5 * c[j]
     tr = (
         (am * Bb - cm2 * Bc2) * an
         + (-am * Bc2 + cm2 * Ba) * cn2
@@ -272,35 +290,42 @@ def kinetic_matrix(basis: GaussianBasis, forms: Optional[PairForms] = None) -> n
     return 6.0 * tr * S
 
 
-def pair_width_matrix(
-    basis: GaussianBasis, coeffs: tuple[float, float], forms: Optional[PairForms] = None
-) -> np.ndarray:
+def _pair_width(coeffs: tuple[float, float], forms: PairForms) -> np.ndarray:
     """Inverse variance c_B of the pair-separation marginal |P x + Q y|."""
     P, Q = coeffs
-    Ba, Bb, Bc2, det, _ = forms or _pair_forms(basis)
+    Ba, Bb, Bc2, det, _ = forms
     quad_form = (P * P * Bb - 2.0 * P * Q * Bc2 + Q * Q * Ba) / det
     return 1.0 / quad_form
 
 
-def potential_matrix(
-    basis: GaussianBasis,
-    model: ModelSpec,
-    pair: str,
-    forms: Optional[PairForms] = None,
-) -> np.ndarray:
-    """<m| V_pair(|separation|) |n> without the coupling factor."""
-    forms = forms or _pair_forms(basis)
+def _potential_elements(model: ModelSpec, pair: str):
+    """<m| V_pair(|separation|) |n> without the coupling, as a function of a block's forms.
+
+    A Gaussian well is closed form; any other is a radial quadrature against
+    the Gaussian pair-separation density, whose nodes and weighted values are
+    built here, once per pair.  Returns the function and the numbers it
+    holds per entry (1, or the quadrature's node count).
+    """
     pot = model.potential(pair)
-    cb = pair_width_matrix(basis, pair_separation_coeffs(model.masses, pair), forms)
-    S = forms.overlap
+    coeffs = pair_separation_coeffs(model.masses, pair)
     if pot.kind == "gaussian":
-        return S * pot.depth * (cb / (cb + 1.0 / pot.range**2)) ** 1.5
+        def elements(forms: PairForms) -> np.ndarray:
+            cb = _pair_width(coeffs, forms)
+            return forms.overlap * pot.depth * (cb / (cb + 1.0 / pot.range**2)) ** 1.5
+
+        return elements, 1
     quad = Quadrature.for_potential(pot)
     w, r = quad.weights, quad.nodes
     integrand = r * r * pot.value(r)
-    dens = np.exp(-cb[..., None] * r[None, None, :] ** 2)
-    radial = 4.0 * np.pi * np.einsum("mnr,r->mn", dens, w * integrand)
-    return S * (cb / np.pi) ** 1.5 * radial
+    weights, r2 = w * integrand, r[None, None, :] ** 2
+
+    def elements(forms: PairForms) -> np.ndarray:
+        cb = _pair_width(coeffs, forms)
+        dens = np.exp(-cb[..., None] * r2)
+        radial = 4.0 * np.pi * np.einsum("mnr,r->mn", dens, weights)
+        return forms.overlap * (cb / np.pi) ** 1.5 * radial
+
+    return elements, r.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -402,15 +427,25 @@ def hamiltonian_matrices(model: ModelSpec, basis: GaussianBasis) -> HamiltonianM
     """Kinetic, overlap and pair-potential matrices plus the spectral-floor Gram reduction.
 
     None of them depends on the couplings, so a coupling scan or path builds
-    them once and pays one reduced eigensolve per point.
+    them once and pays one reduced eigensolve per point.  They are filled one
+    block of rows at a time (_row_blocks), every element of a block from the
+    block's pair forms: beside the N x N outputs only one block is held, a
+    well's quadrature density included.
     """
-    active = model.active_pairs()
-    forms = _pair_forms(basis)
-    kinetic = kinetic_matrix(basis, forms)
-    potentials = {pair: potential_matrix(basis, model, pair, forms=forms) for pair in active}
-    norm = 1.0 / np.sqrt(np.diag(forms.overlap))
-    S = forms.overlap * np.outer(norm, norm)
-    del forms  # freed before the Gram eigensolve, which needs none of it
+    n = basis.size
+    wells = {pair: _potential_elements(model, pair) for pair in model.active_pairs()}
+    kinetic, S = np.empty((n, n)), np.empty((n, n))
+    potentials = {pair: np.empty((n, n)) for pair in wells}
+    cols = np.arange(n)
+    for rows in _row_blocks(n, max((width for _, width in wells.values()), default=1)):
+        i = rows[:, None]
+        forms = _pair_forms(basis, i, cols)
+        kinetic[rows] = _kinetic(basis, i, cols, forms)
+        for pair, (elements, _) in wells.items():
+            potentials[pair][rows] = elements(forms)
+        S[rows] = forms.overlap
+    norm = 1.0 / np.sqrt(np.diag(S))
+    S *= np.outer(norm, norm)
     if not np.all(np.isfinite(S)):
         raise IllConditionedBasisError("non-finite matrix elements")
     vals, vecs = np.linalg.eigh(S)
@@ -456,7 +491,10 @@ def hvz_bottom(model: ModelSpec) -> float:
 _INTERIOR = 50.0
 # Gauss-Legendre nodes per hyperradial panel; panels span a ratio of at most 3.
 _NODES_PER_PANEL = 20
-# Pair forms per evaluation block: peak memory is O(_CHUNK * n_rho + N^2).
+# Distinct ball keys per _ball_kernel call, which holds about two
+# _CHUNK x n_rho arrays (n_rho, the hyperradial nodes, is 180 on the
+# localization bases): that scratch, not N, sets the ball's peak beside its
+# output.
 _CHUNK = 2048
 # Rounding allowance of P(R) in units of float64 eps * |c|^T Ball |c|.  A ball
 # entry is within ~20 eps (4.6e-15 measured) of a converged reference on its
@@ -503,10 +541,6 @@ _I1E_B = (
     -3.882564808877691e-06, -0.00011058893876262371, -0.009761097491361469,
     0.7785762350182801,
 )
-# Arguments per _i1e block: its buffers stay in cache (a whole 2048-key chunk
-# at once ran about twice as slow per element on 2 cores).
-_I1E_BLOCK = 16384
-
 
 def _chbevl(t: np.ndarray, coeffs: tuple) -> np.ndarray:
     """Cephes chbevl: the Chebyshev series at t by Clenshaw's steps, in Cephes' order."""
@@ -523,8 +557,8 @@ def _chbevl(t: np.ndarray, coeffs: tuple) -> np.ndarray:
 
 def _i1e(z: np.ndarray, out: np.ndarray) -> None:
     """out = exp(-z) I_1(z) for 1-D z >= 0, bit-equal to scipy.special.i1e."""
-    for s in range(0, z.size, _I1E_BLOCK):
-        zb, ob = z[s : s + _I1E_BLOCK], out[s : s + _I1E_BLOCK]
+    for s in range(0, z.size, _BLOCK):
+        zb, ob = z[s : s + _BLOCK], out[s : s + _BLOCK]
         small = zb <= 8.0
         if small.any():
             x = zb[small]
@@ -603,20 +637,19 @@ def _hyperradial_rule(beta_max: float, cuts: np.ndarray):
     return rho, (w * rho**5)[:, None] * (rho[:, None] < cuts[None, :])
 
 
-def pair_keys(Ba, Bb, Bc2, frames: Optional[Frames] = None):
-    """(beta_min, gap, beta_max) of the upper-triangle pair forms, in np.triu_indices order.
+def pair_keys(forms: PairForms, i: np.ndarray, j: np.ndarray,
+              frames: Optional[Frames] = None):
+    """(beta_min, gap, beta_max) of the pair forms of functions i and j, 1-D index arrays.
 
     beta_min <= beta_max are the eigenvalues of a form and gap their half
     difference.  A pair of two functions with a frame takes them from its
     frame content (Frames.keys); any other pair from its 2x2 form.
     """
-    iu = np.triu_indices(Ba.shape[0])
-    ba, bb, bc = Ba[iu], Bb[iu], Bc2[iu]
+    ba, bb, bc = forms.Ba, forms.Bb, forms.Bc2
     gap = np.sqrt(0.25 * (ba - bb) ** 2 + bc**2)
     beta_max = 0.5 * (ba + bb) + gap
-    beta_min = (ba * bb - bc**2) / beta_max  # avoids the tr - gap cancellation
+    beta_min = forms.det / beta_max  # avoids the tr - gap cancellation
     if frames is not None:
-        i, j = iu
         both = np.flatnonzero((frames.index[i] >= 0) & (frames.index[j] >= 0))
         beta_min[both], gap[both], beta_max[both] = frames.keys(i[both], j[both])
     return beta_min, gap, beta_max
@@ -636,50 +669,68 @@ def _below_interior(beta_min: np.ndarray, r: np.ndarray) -> np.ndarray:
     return b * r2 < _INTERIOR
 
 
-def ball_overlap(Ba, Bb, Bc2, R, frames: Optional[Frames] = None):
-    """Integral of exp(-xi^T B xi) over the 6D ball |xi| <= R, for symmetric N x N forms.
+def ball_overlap(basis: GaussianBasis, R):
+    """Integral of exp(-xi^T B xi) over the 6D ball |xi| <= R, for the pair forms B of a basis.
 
     Diagonalizing each 2x2 form gives eigenvalues beta_min <= beta_max with
     half-gap gap; the angular part integrates to a Bessel I_1 weight and one
     hyperradial integral remains:
     2 pi^3 int_0^R rho^5 e^{-beta_min rho^2} [e^{-gap rho^2} I_1(gap rho^2)/(gap rho^2)] drho.
 
-    R is a list of radii, and the result one N x N matrix per radius.  All
-    radii come from one hyperradial pass: one cumulative quadrature with a
-    panel edge at every radius, in fixed-size blocks.  The ball is
-    O(6)-invariant, so an entry depends only on (beta_min, gap), the
-    pair_keys of the form (from the frames of a frames-mode basis, whose
-    equal content is bit-equal whatever the frames): the quadrature runs
-    once per bit-distinct key among the upper-triangle forms (the matrix is
-    symmetric) and is scattered back to every form that shares it.  The
-    keys run through _ball_kernel in blocks sorted by gap.  A pair
-    whose Gaussian lies wholly inside the ball (beta_min R^2 >= 50) takes the
-    closed-form overlap pi^3/det^{3/2} of its form instead, as overlap_matrix does.
+    R is a list of radii, and the result one N x N matrix per radius.  The
+    matrix is symmetric, so only the upper-triangle pairs are evaluated, one
+    row block at a time (_row_blocks) straight from the basis: their forms,
+    pair_keys (from the frames of a frames-mode basis, whose equal content
+    is bit-equal whatever the frames) and the interior test.  A pair whose
+    Gaussian lies wholly inside the ball (beta_min R^2 >= 50) takes the
+    closed-form overlap pi^3/det^{3/2} of its form, as the Gram matrix does.
+    All radii of the others come from one hyperradial pass: one cumulative
+    quadrature with a panel edge at every radius.  The ball is
+    O(6)-invariant, so an entry depends only on (beta_min, gap): the
+    quadrature runs once per bit-distinct key, through _ball_kernel in
+    chunks sorted by gap, and is scattered back to every pair that shares
+    it.  Beside the output the pass holds one block and one key per
+    quadrature pair.
     """
     r = np.atleast_1d(np.asarray(R, dtype=float))[:, None]
-    iu = np.triu_indices(Ba.shape[0])
-    beta_min, gap, beta_max = pair_keys(Ba, Bb, Bc2, frames)
-    det = Ba[iu] * Bb[iu] - Bc2[iu] ** 2
-    vals = np.where(r > 0, np.pi**3 / det**1.5, 0.0)
-    quad = (r > 0) & _below_interior(beta_min, r)  # radii x pairs
-    pairs = np.flatnonzero(quad.any(axis=0))
-    if pairs.size:
+    n = basis.size
+    out = np.empty((r.shape[0], n, n))
+    cols = np.arange(n)
+    parts = []  # per block: rows, columns, keys and radii of its quadrature pairs
+    beta_top = 0.0
+    for rows in _row_blocks(n):
+        i, j = np.nonzero(cols >= rows[:, None])
+        i += rows[0]
+        forms = _pair_forms(basis, i, j)
+        beta_min, gap, beta_max = pair_keys(forms, i, j, basis.frames)
+        vals = np.where(r > 0, forms.overlap, 0.0)
+        out[:, i, j] = vals
+        out[:, j, i] = vals
+        quad = (r > 0) & _below_interior(beta_min, r)  # radii x pairs
+        pairs = np.flatnonzero(quad.any(axis=0))
+        if pairs.size:
+            # (gap, beta_min) as one complex key: it compares as the pair and
+            # sorts by gap, so each chunk spans a narrow band of gaps
+            parts.append((i[pairs], j[pairs], gap[pairs] + 1j * beta_min[pairs], quad[:, pairs]))
+            beta_top = max(beta_top, float(np.max(beta_max[pairs])))
+    if parts:
+        i, j, keys, quad = (np.concatenate(p, axis=-1) for p in zip(*parts))
+        del parts
         cuts = np.unique(r[quad.any(axis=1), 0])
-        rho, weights = _hyperradial_rule(float(np.max(beta_max[pairs])), cuts)
+        rho, weights = _hyperradial_rule(beta_top, cuts)
         rho2 = rho * rho
-        # (gap, beta_min) as one complex key: it compares as the pair and sorts
-        # by gap, so each block spans a narrow band of gaps
-        keys, inverse = np.unique(gap[pairs] + 1j * beta_min[pairs], return_inverse=True)
+        keys, inverse = np.unique(keys, return_inverse=True)
         acc = np.empty((keys.size, cuts.size))
         for s in range(0, keys.size, _CHUNK):
             k = keys[s : s + _CHUNK]
             acc[s : s + k.size] = _ball_kernel(k.real, k.imag, rho2) @ weights
-        acc = acc[inverse]
         col = np.minimum(np.searchsorted(cuts, r[:, 0]), cuts.size - 1)
-        vals[:, pairs] = np.where(quad[:, pairs], 2.0 * np.pi**3 * acc[:, col].T, vals[:, pairs])
-    out = np.empty((r.shape[0], *Ba.shape))
-    out[:, iu[0], iu[1]] = vals
-    out[:, iu[1], iu[0]] = vals
+        for s in range(0, i.size, _BLOCK):
+            b = slice(s, s + _BLOCK)
+            vals = np.where(quad[:, b], 2.0 * np.pi**3 * acc[inverse[b]][:, col].T,
+                            out[:, i[b], j[b]])
+            out[:, i[b], j[b]] = vals
+            out[:, j[b], i[b]] = vals
     return out
 
 
@@ -687,11 +738,13 @@ def ball_matrices(basis: GaussianBasis, R):
     """ball_overlap of the basis, in the unit-diagonal normalization of state coefficients.
 
     It depends on (basis, radii) only: build it once, then P(R) per state.
+    The output is normalized in place.
     """
-    Ba, Bb, Bc2, det, S = _pair_forms(basis)
-    snorm = 1.0 / np.sqrt(np.diag(S))
-    del det, S  # freed before the ball integrals
-    return ball_overlap(Ba, Bb, Bc2, R, basis.frames) * np.outer(snorm, snorm)
+    ball = ball_overlap(basis, R)
+    diag = np.arange(basis.size)
+    snorm = 1.0 / np.sqrt(_pair_forms(basis, diag, diag).overlap)
+    ball *= np.outer(snorm, snorm)
+    return ball
 
 
 def probability_inside(ball: np.ndarray, coefficients: np.ndarray):

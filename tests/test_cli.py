@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -306,6 +307,45 @@ class TestConfigValues:
         err = self.assert_config_error(tmp_path, capsys, "numerics", key, value,
                                        command=("three-body", "ground"))
         assert f"must be {word}" in err
+
+    # a basis scale s sets a width 1/s^2, which must be finite and positive:
+    # s^2 overflowed in build_basis, or 1/s^2 did, each a numeric failure
+    # (exit 3) after RuntimeWarnings
+    @pytest.mark.parametrize("key,value", [
+        ("basis.scale_max_y", "1e300"),
+        ("basis.scale_max_x", "1e-300"),
+        ("basis.scale_min_y", "1e-160"),
+        ("basis.scale_min_x", "2e154"),
+    ])
+    def test_basis_scale_without_a_finite_width_exits_config(self, tmp_path, capsys, key, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            err = self.assert_config_error(tmp_path, capsys, "numerics", key, value,
+                                           command=("three-body", "ground"))
+        assert f"numerics.{key} = {value!r}: value must be {cli._SCALE}" in err
+
+    @pytest.mark.parametrize("value", ["1e-154", "1e154", "1e-3", "1e3"])
+    def test_basis_scale_with_a_finite_width_parses(self, tmp_path, value):
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text(set_keys(FULL, "numerics", **{"basis.scale_min_x": value,
+                                                     "basis.scale_max_x": value}))
+        spec = parse_config(cfg).basis_spec
+        assert spec.scale_min_x == spec.scale_max_x == float(value)
+
+    # a ladder whose min lies above its max (parsed at the parent, and built
+    # as a descending ladder) names both keys; min = max is one scale
+    @pytest.mark.parametrize("lo,hi,text,hi_text", [
+        ("scale_min_x", "scale_max_x", "20", "15.0"),  # the default max
+        ("scale_min_y", "scale_max_y", "61", "60.0"),  # FULL's max
+    ])
+    def test_basis_scale_min_above_max_exits_config(self, tmp_path, capsys, lo, hi, text,
+                                                    hi_text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            err = self.assert_config_error(tmp_path, capsys, "numerics", f"basis.{lo}", text,
+                                           command=("three-body", "ground"))
+        assert (f"numerics.basis.{lo} = {text!r} lies above numerics.basis.{hi} = {hi_text!r}"
+                in err)
 
     @pytest.mark.parametrize("z_list", ["nan,1e-2", "-1e-3,1e-2"])
     def test_bs_radius_rejects_z_list_before_solving(self, tmp_path, capsys, z_list):

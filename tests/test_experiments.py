@@ -201,9 +201,9 @@ class TestDichotomyTargets:
         radii = []
         build = vr.ball_overlap
 
-        def counting(Ba, Bb, Bc2, R, frames=None):
+        def counting(basis, R):
             radii.append(tuple(np.atleast_1d(R)))
-            return build(Ba, Bb, Bc2, R, frames)
+            return build(basis, R)
 
         monkeypatch.setattr(vr, "ball_overlap", counting)
         report = ex.spreading_dichotomy(

@@ -27,3 +27,20 @@ def test_solver_paths_run_on_numpy_alone():
     assert list(steps) == ["import", *(" ".join(c) for c in commands)]
     for name, record in steps.items():
         assert record["exit"] == 0 and record["scipy"] == [], name
+
+
+def test_square_well_ground_runs_on_numpy_alone(tmp_path):
+    # the variant step: a non-Gaussian (23) well takes the radial quadrature,
+    # and hvz_bottom proves it unbound without shooting
+    sys.path.insert(0, str(SCRIPT.parent))
+    try:
+        import footprint
+    finally:
+        sys.path.remove(str(SCRIPT.parent))
+    [(command, (section, key, value))] = footprint.VARIANT_STEPS
+    config = tmp_path / "variant.cfg"
+    full = footprint.config_texts(SCRIPT.parents[1] / "tests" / "test_cli.py")["FULL"]
+    config.write_text(footprint.with_key(full, section, key, value))
+    assert "pair23.kind = square_well" in config.read_text()
+    record = footprint.step(config, command)
+    assert record["exit"] == 0 and record["scipy"] == []

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -69,57 +70,212 @@ class TestBasisBuild:
             vr.build_basis(vr.BasisSpec(correlations="frames"))
 
 
-class TestMatrixElements:
-    def test_kinetic_against_single_gaussian(self):
-        b = vr.GaussianBasis(a=np.array([0.7]), b=np.array([0.4]), c=np.array([0.0]))
-        S = vr.overlap_matrix(b)
-        T = vr.kinetic_matrix(b)
-        assert np.isclose(T[0, 0] / S[0, 0], 3 * 0.7 + 3 * 0.4, rtol=1e-12)
+def whole_forms(basis):
+    """The pair forms of every pair of functions as N x N matrices: the whole-matrix layout."""
+    a, b, c = basis.a, basis.b, basis.c
+    Ba = a[:, None] + a[None, :]
+    Bb = b[:, None] + b[None, :]
+    Bc2 = 0.5 * (c[:, None] + c[None, :])
+    det = Ba * Bb - Bc2**2
+    return vr.PairForms(Ba, Bb, Bc2, det, np.pi**3 / det**1.5)
 
-    def test_overlap_closed_form(self):
+
+def whole_kinetic(basis):
+    """The kinetic matrix from whole_forms, with the elementwise formula of the library."""
+    a, b, c = basis.a, basis.b, basis.c
+    Ba, Bb, Bc2, det, S = whole_forms(basis)
+    am, bm, cm2 = a[:, None], b[:, None], 0.5 * c[:, None]
+    an, bn, cn2 = a[None, :], b[None, :], 0.5 * c[None, :]
+    tr = (
+        (am * Bb - cm2 * Bc2) * an
+        + (-am * Bc2 + cm2 * Ba) * cn2
+        + (cm2 * Bb - bm * Bc2) * cn2
+        + (-cm2 * Bc2 + bm * Ba) * bn
+    ) / det
+    return 6.0 * tr * S
+
+
+def whole_pair_width(basis, coeffs):
+    """Inverse variance c_B of the pair-separation marginal |P x + Q y|, N x N."""
+    P, Q = coeffs
+    Ba, Bb, Bc2, det, _ = whole_forms(basis)
+    return 1.0 / ((P * P * Bb - 2.0 * P * Q * Bc2 + Q * Q * Ba) / det)
+
+
+def whole_potential(basis, model, pair):
+    """V_pair without its coupling, every non-Gaussian well on one N x N x n_r density."""
+    S = whole_forms(basis).overlap
+    pot = model.potential(pair)
+    cb = whole_pair_width(basis, vr.pair_separation_coeffs(model.masses, pair))
+    if pot.kind == "gaussian":
+        return S * pot.depth * (cb / (cb + 1.0 / pot.range**2)) ** 1.5
+    quad = vr.Quadrature.for_potential(pot)
+    w, r = quad.weights, quad.nodes
+    integrand = r * r * pot.value(r)
+    dens = np.exp(-cb[..., None] * r[None, None, :] ** 2)
+    radial = 4.0 * np.pi * np.einsum("mnr,r->mn", dens, w * integrand)
+    return S * (cb / np.pi) ** 1.5 * radial
+
+
+def raw_elements(model, basis):
+    """(S, T, V_12) of a one-function basis, from hamiltonian_matrices."""
+    hm = vr.hamiltonian_matrices(model, basis)
+    return 1.0 / hm.norm[0] ** 2, hm.kinetic[0, 0], hm.potentials["12"][0, 0]
+
+
+class TestMatrixElements:
+    def test_kinetic_against_single_gaussian(self, equal_masses, gaussian_well):
+        b = vr.GaussianBasis(a=np.array([0.7]), b=np.array([0.4]), c=np.array([0.0]))
+        S, T, _ = raw_elements(make_model(equal_masses, gaussian_well, (1, 1, 1)), b)
+        assert np.isclose(T / S, 3 * 0.7 + 3 * 0.4, rtol=1e-12)
+
+    def test_overlap_closed_form(self, equal_masses, gaussian_well):
         b = vr.GaussianBasis(a=np.array([0.5]), b=np.array([0.5]), c=np.array([0.3]))
-        S = vr.overlap_matrix(b)
+        S, _, _ = raw_elements(make_model(equal_masses, gaussian_well, (1, 1, 1)), b)
         det = 1.0 * 1.0 - 0.3**2
-        assert np.isclose(S[0, 0], np.pi**3 / det**1.5, rtol=1e-13)
+        assert np.isclose(S, np.pi**3 / det**1.5, rtol=1e-13)
 
     def test_gaussian_potential_element(self, equal_masses, gaussian_well):
         model = make_model(equal_masses, gaussian_well, (1, 1, 1))
         b = vr.GaussianBasis(a=np.array([0.7]), b=np.array([0.7]), c=np.array([0.0]))
-        V = vr.potential_matrix(b, model, "12")
-        S = vr.overlap_matrix(b)
-        assert np.isclose(V[0, 0] / S[0, 0], (1.4 / 2.4) ** 1.5, rtol=1e-12)
+        hm = vr.hamiltonian_matrices(model, b)
+        S, _, V = raw_elements(model, b)
+        assert np.isclose(V / S, (1.4 / 2.4) ** 1.5, rtol=1e-12)
         # equal masses and equal widths: all pair separations equidistributed
-        V23 = vr.potential_matrix(b, model, "23")
-        assert np.isclose(V[0, 0], V23[0, 0], rtol=1e-12)
+        assert np.isclose(V, hm.potentials["23"][0, 0], rtol=1e-12)
 
     def test_square_well_element_against_erf(self, equal_masses, square_well):
         model = make_model(equal_masses, square_well, (1, 1, 1))
         b = vr.GaussianBasis(a=np.array([0.9]), b=np.array([0.6]), c=np.array([0.2]))
-        V = vr.potential_matrix(b, model, "12")
-        S = vr.overlap_matrix(b)
-        cb = vr.pair_width_matrix(b, vr.pair_separation_coeffs(equal_masses, "12"))[0, 0]
+        S, _, V = raw_elements(model, b)
+        cb = whole_pair_width(b, vr.pair_separation_coeffs(equal_masses, "12"))[0, 0]
         R = square_well.range
         exact = erf(math.sqrt(cb) * R) - 2 * math.sqrt(cb / np.pi) * R * math.exp(-cb * R * R)
-        assert np.isclose(V[0, 0] / S[0, 0], exact, rtol=1e-8)
+        assert np.isclose(V / S, exact, rtol=1e-8)
 
     def test_pair_forms_built_once(self, equal_masses, gaussian_well, square_well, monkeypatch):
-        # one build per hamiltonian_matrices call, shared by every element,
-        # with the same bits as each element built on its own
+        # one build per block, shared by every element of it: the row blocks
+        # of hamiltonian_matrices cover each row once, those of ball_overlap
+        # each upper-triangle pair once (plus one build of the diagonal for
+        # the normalization), with the bits of the whole-matrix evaluation
         basis = frames_basis(equal_masses, n_random=4)
+        n = basis.size
         model = ModelSpec(equal_masses, gaussian_well, square_well, gaussian_well,
                           CouplingConfig(1.0, 1.0, 1.0))
-        kinetic = vr.kinetic_matrix(basis)
-        potentials = {pair: vr.potential_matrix(basis, model, pair) for pair in vr.PAIRS}
+        # one row per block with the square well's 64 nodes, seven per ball block
+        monkeypatch.setattr(vr, "_BLOCK", 7 * n)
         builds = []
         build = vr._pair_forms
-        monkeypatch.setattr(vr, "_pair_forms", lambda b: builds.append(b) or build(b))
+        monkeypatch.setattr(vr, "_pair_forms",
+                            lambda b, i, j: builds.append((b, i, j)) or build(b, i, j))
         hm = vr.hamiltonian_matrices(model, basis)
+        assert len(builds) == n and all(b is basis for b, _, _ in builds)
+        rows = np.concatenate([i[:, 0] for _, i, _ in builds])
+        np.testing.assert_array_equal(rows, np.arange(n))
+        assert all(np.array_equal(j, np.arange(n)) for _, _, j in builds)
+        np.testing.assert_array_equal(hm.kinetic, whole_kinetic(basis))
+        assert set(hm.potentials) == set(vr.PAIRS)
+        for pair, V in hm.potentials.items():
+            np.testing.assert_array_equal(V, whole_potential(basis, model, pair))
+
+        builds.clear()
         vr.ball_matrices(basis, [10.0])
-        assert builds == [basis, basis]
-        np.testing.assert_array_equal(hm.kinetic, kinetic)
-        assert hm.potentials.keys() == potentials.keys()
-        for pair, V in potentials.items():
-            np.testing.assert_array_equal(hm.potentials[pair], V)
+        *blocks, (_, d, e) = builds
+        assert np.array_equal(d, np.arange(n)) and np.array_equal(e, np.arange(n))
+        pairs = np.concatenate([np.stack([i, j]) for _, i, j in blocks], axis=1)
+        np.testing.assert_array_equal(pairs, np.stack(np.triu_indices(n)))
+
+
+WELLS = {
+    "gaussian": PotentialSpec("gaussian"),
+    "exponential": PotentialSpec("exponential"),
+    "square_well": PotentialSpec("square_well"),
+    "tabulated": PotentialSpec("tabulated", table=((0.5, 2.0), (1.0, 0.5), (1.5, 1.2), (3.0, 0.0))),
+}
+
+
+def first_functions(basis, n):
+    """The first n functions of a frames-mode basis, with their frames."""
+    f = basis.frames
+    return vr.GaussianBasis(a=basis.a[:n], b=basis.b[:n], c=basis.c[:n],
+                            frames=vr.Frames(f.masses, f.index[:n], f.widths[:n]))
+
+
+def edge_size(edge, width):
+    """A basis size whose row blocks of width numbers per entry lie at the given block edge.
+
+    below: all rows in one block with room to spare; exact: one block of
+    exactly n rows; ragged: blocks of a size that does not divide n.
+    """
+    side = math.isqrt(vr._BLOCK // width)
+    n = {"below": side * 3 // 4, "exact": side, "ragged": side * 5 // 4 + 3}[edge]
+    sizes = [rows.size for rows in vr._row_blocks(n, width)]
+    assert {"below": len(sizes) == 1 and vr._BLOCK // (n * width) > n,
+            "exact": sizes == [n] and vr._BLOCK // (n * width) == n,
+            "ragged": len(sizes) > 1 and n % sizes[0] != 0}[edge]
+    return n
+
+
+class TestBlockAssembly:
+    """Row blocks give the bits of the whole-matrix evaluation, at every block edge."""
+
+    @pytest.fixture(scope="class")
+    def basis(self):
+        # frame and random functions at unequal masses: 184 of them
+        basis = frames_basis(MassSet(1.0, 0.7, 1.6), n_random=60)
+        assert basis.size >= 170
+        return basis
+
+    @pytest.mark.parametrize("edge", ["below", "exact", "ragged"])
+    @pytest.mark.parametrize("kind", WELLS)
+    def test_hamiltonian_matrices(self, basis, kind, edge):
+        pot = WELLS[kind]
+        width = 1 if kind == "gaussian" else vr.Quadrature.for_potential(pot).nodes.size
+        basis = first_functions(basis, edge_size(edge, width))
+        model = ModelSpec(basis.frames.masses, pot, pot, pot, CouplingConfig(1.0, 0.8, 0.6))
+        hm = vr.hamiltonian_matrices(model, basis)
+        np.testing.assert_array_equal(hm.kinetic, whole_kinetic(basis))
+        assert set(hm.potentials) == set(vr.PAIRS)
+        for pair, V in hm.potentials.items():
+            np.testing.assert_array_equal(V, whole_potential(basis, model, pair))
+        S = whole_forms(basis).overlap
+        norm = 1.0 / np.sqrt(np.diag(S))
+        np.testing.assert_array_equal(hm.norm, norm)
+        np.testing.assert_array_equal(hm.gram, S * np.outer(norm, norm))
+
+    @pytest.mark.parametrize("edge", ["below", "exact", "ragged"])
+    @pytest.mark.parametrize("keyed", ["frames", "frameless"])
+    def test_ball_matrices(self, basis, keyed, edge):
+        basis = first_functions(basis, edge_size(edge, 1))
+        if keyed == "frameless":
+            basis = frameless(basis)
+        np.testing.assert_array_equal(vr.ball_matrices(basis, RADII),
+                                      whole_ball_matrices(basis, RADII))
+
+    def test_memory_is_outputs_plus_one_block(self, monkeypatch):
+        # with one square-well pair the whole-matrix layout held an N x N x 64
+        # density (64 N^2 numbers) beside five N x N pair forms; the blocks
+        # hold the outputs, the Gram eigenvectors and one block of pairs.  The
+        # Bessel kernel's scratch, about two _CHUNK x n_rho arrays whatever N,
+        # is kept small here.
+        masses = MassSet(1.0, 1.0, 1.0)
+        basis = vr.build_basis(vr.BasisSpec(0.25, 15.0, 6, 0.25, 600.0, 10, "frames",
+                                            n_random=20, seed=3), masses)
+        model = ModelSpec(masses, WELLS["gaussian"], WELLS["gaussian"], WELLS["square_well"],
+                          CouplingConfig(2.0, 2.0, 2.0))
+        monkeypatch.setattr(vr, "_CHUNK", 64)
+        n = basis.size
+        assert 190 <= n <= 210
+        tracemalloc.start()
+        try:
+            hm = vr.hamiltonian_matrices(model, basis)
+            ball = vr.ball_matrices(basis, [10.0, 30.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = sum(m.nbytes for m in (hm.kinetic, *hm.potentials.values(), hm.norm, hm.gram,
+                                         hm.reduction, ball))
+        assert peak <= outputs + 4 * n * n * 8 + 32 * vr._BLOCK * 8
 
 
 class TestSolveGround:
@@ -345,22 +501,17 @@ class TestLocalization:
 
     def test_ball_overlap_isotropic_analytic(self):
         # equal widths: the ball integral collapses to an incomplete gamma
-        from fewbody.variational import ball_overlap
-
         beta = 0.7
-        Ba = np.array([[2 * beta]])
-        val = ball_overlap(Ba, Ba, np.array([[0.0]]), R=[2.0])[0, 0, 0]
+        basis = vr.GaussianBasis(a=np.array([beta]), b=np.array([beta]), c=np.array([0.0]))
+        val = vr.ball_overlap(basis, R=[2.0])[0, 0, 0]
         from scipy.special import gammainc
 
         exact = np.pi**3 / (2 * beta) ** 3 * gammainc(3, 2 * beta * 4.0)
         assert np.isclose(val, exact, rtol=1e-10)
 
     def test_ball_overlap_matches_overlap_at_infinity(self, small_basis):
-        from fewbody.variational import _pair_forms, ball_overlap
-
-        Ba, Bb, Bc2, *_ = _pair_forms(small_basis)
-        full = ball_overlap(Ba, Bb, Bc2, R=[1e4])[0]
-        S = vr.overlap_matrix(small_basis)
+        full = vr.ball_overlap(frameless(small_basis), R=[1e4])[0]
+        S = whole_forms(small_basis).overlap
         sub = np.ix_(range(0, small_basis.size, 7), range(0, small_basis.size, 7))
         assert np.allclose(full[sub], S[sub], rtol=1e-6)
 
@@ -403,7 +554,7 @@ class TestBallOverlapReference:
     @pytest.mark.parametrize("basis_name", ["small_basis", "wide_basis"])
     def test_entries_match_reference(self, basis_name, request):
         basis = request.getfixturevalue(basis_name)
-        Ba, Bb, Bc2, det, _ = vr._pair_forms(basis)
+        Ba, Bb, Bc2, det, _ = whole_forms(basis)
         tr = 0.5 * (Ba + Bb)
         gap = np.sqrt(0.25 * (Ba - Bb) ** 2 + Bc2**2)
         beta_min = det / (tr + gap)
@@ -417,17 +568,17 @@ class TestBallOverlapReference:
         # the reference takes forms of any shape: the upper triangle suffices,
         # the mirror is checked by the symmetry and permutation tests
         iu = np.triu_indices(basis.size)
-        for R, got in zip(RADII, vr.ball_overlap(Ba, Bb, Bc2, np.array(RADII))):
+        for R, got in zip(RADII, vr.ball_overlap(frameless(basis), np.array(RADII))):
             ref = reference_ball_overlap(Ba[iu], Bb[iu], Bc2[iu], R)
             assert np.max(np.abs(got[iu] / ref - 1.0)) <= 1e-12, R
 
     def test_multi_radius_equals_per_radius(self, small_basis):
-        Ba, Bb, Bc2, *_ = vr._pair_forms(small_basis)
+        basis = frameless(small_basis)
         radii = np.array([30.0, 0.5, 10.0, 2.0, 1e4])  # unsorted on purpose
-        multi = vr.ball_overlap(Ba, Bb, Bc2, radii)
+        multi = vr.ball_overlap(basis, radii)
         assert multi.shape == (radii.size, small_basis.size, small_basis.size)
         for R, got in zip(radii, multi):
-            single = vr.ball_overlap(Ba, Bb, Bc2, [R])
+            single = vr.ball_overlap(basis, [R])
             assert single.shape == (1, small_basis.size, small_basis.size)
             single = single[0]
             np.testing.assert_allclose(got, single, rtol=1e-13, atol=0.0)
@@ -454,13 +605,13 @@ class TestI1e:
         np.testing.assert_array_equal(got.view(np.int64), i1e(z).view(np.int64))
 
     def test_dense_log_grid(self):
-        # 2^20 + 3 arguments: many _I1E_BLOCK blocks and a short last one
+        # 2^20 + 3 arguments: many _BLOCK blocks and a short last one
         self.assert_bit_equal(np.geomspace(2.0, 1e20, 2**20 + 3))
 
     def test_branch_edge(self):
         z = np.array([2.0, 8.0, np.nextafter(8.0, 0.0), np.nextafter(8.0, np.inf)])
         self.assert_bit_equal(z)
-        self.assert_bit_equal(np.repeat(z, 3 * vr._I1E_BLOCK // 4))  # mixed blocks
+        self.assert_bit_equal(np.repeat(z, 3 * vr._BLOCK // 4))  # mixed blocks
 
     def test_near_zero_and_beyond(self):
         self.assert_bit_equal(np.array([0.0, 5e-324, 1e-300, 1e-8, 1e100, 1e300, np.inf]))
@@ -549,7 +700,49 @@ class TestBallKernel:
         np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0.0)
 
 
-def undeduplicated_ball_overlap(Ba, Bb, Bc2, radii, frames=None):
+def frameless(basis):
+    """The functions of basis with no frames: every pair keyed by its 2x2 form."""
+    return vr.GaussianBasis(a=basis.a, b=basis.b, c=basis.c)
+
+
+def triu_keys(basis):
+    """pair_keys of every upper-triangle pair (np.triu_indices order), and those pairs' forms."""
+    iu = np.triu_indices(basis.size)
+    forms = vr.PairForms(*(f[iu] for f in whole_forms(basis)))
+    return vr.pair_keys(forms, *iu, basis.frames), forms
+
+
+def whole_ball_matrices(basis, radii):
+    """ball_matrices with every upper-triangle pair in one pass: the whole-matrix layout.
+
+    The keys, interior test, hyperradial rule, kernel chunks and scatter of
+    the library, on all pairs at once.
+    """
+    r = np.atleast_1d(np.asarray(radii, dtype=float))[:, None]
+    iu = np.triu_indices(basis.size)
+    (beta_min, gap, beta_max), forms = triu_keys(basis)
+    vals = np.where(r > 0, forms.overlap, 0.0)
+    quad = (r > 0) & vr._below_interior(beta_min, r)
+    pairs = np.flatnonzero(quad.any(axis=0))
+    if pairs.size:
+        cuts = np.unique(r[quad.any(axis=1), 0])
+        rho, weights = vr._hyperradial_rule(float(np.max(beta_max[pairs])), cuts)
+        keys, inverse = np.unique(gap[pairs] + 1j * beta_min[pairs], return_inverse=True)
+        acc = np.empty((keys.size, cuts.size))
+        for s in range(0, keys.size, vr._CHUNK):
+            k = keys[s : s + vr._CHUNK]
+            acc[s : s + k.size] = vr._ball_kernel(k.real, k.imag, rho * rho) @ weights
+        acc = acc[inverse]
+        col = np.minimum(np.searchsorted(cuts, r[:, 0]), cuts.size - 1)
+        vals[:, pairs] = np.where(quad[:, pairs], 2.0 * np.pi**3 * acc[:, col].T, vals[:, pairs])
+    out = np.empty((r.shape[0], basis.size, basis.size))
+    out[:, iu[0], iu[1]] = vals
+    out[:, iu[1], iu[0]] = vals
+    snorm = 1.0 / np.sqrt(np.diag(whole_forms(basis).overlap))
+    return out * np.outer(snorm, snorm)
+
+
+def undeduplicated_ball_overlap(basis, radii):
     """ball_overlap integrating every quadrature pair form on its own.
 
     The kernel before one integral per distinct eigenvalue pair: the same
@@ -557,9 +750,9 @@ def undeduplicated_ball_overlap(Ba, Bb, Bc2, radii, frames=None):
     with one kernel row per upper-triangle form.
     """
     r = np.asarray(radii, dtype=float)[:, None]
-    iu = np.triu_indices(Ba.shape[0])
-    beta_min, gap, beta_max = vr.pair_keys(Ba, Bb, Bc2, frames)
-    det = Ba[iu] * Bb[iu] - Bc2[iu] ** 2
+    iu = np.triu_indices(basis.size)
+    (beta_min, gap, beta_max), forms = triu_keys(basis)
+    det = forms.det
     quad = beta_min * r**2 < vr._INTERIOR
     pairs = np.flatnonzero(quad.any(axis=0))
     cuts = np.unique(r[quad.any(axis=1), 0])
@@ -569,7 +762,7 @@ def undeduplicated_ball_overlap(Ba, Bb, Bc2, radii, frames=None):
     vals = np.tile(np.pi**3 / det**1.5, (r.shape[0], 1))
     col = np.minimum(np.searchsorted(cuts, r[:, 0]), cuts.size - 1)
     vals[:, pairs] = np.where(quad[:, pairs], acc[:, col].T, vals[:, pairs])
-    out = np.empty((r.shape[0], *Ba.shape))
+    out = np.empty((r.shape[0], basis.size, basis.size))
     out[:, iu[0], iu[1]] = vals
     out[:, iu[1], iu[0]] = vals
     return out
@@ -580,9 +773,9 @@ def frames_basis(masses, n_random=0):
     return vr.build_basis(spec, masses)
 
 
-def quad_keys(basis, frames=None):
+def quad_keys(basis):
     """Bit-distinct (beta_min, gap) keys of the forms that take the quadrature; the form count."""
-    beta_min, gap, _ = vr.pair_keys(*vr._pair_forms(basis)[:3], frames)
+    (beta_min, gap, _), _ = triu_keys(basis)
     quad = beta_min * np.array(RADII)[:, None] ** 2 < vr._INTERIOR
     pairs = np.flatnonzero(quad.any(axis=0))
     return set(zip(beta_min[pairs].tolist(), gap[pairs].tolist())), pairs.size
@@ -612,18 +805,17 @@ class TestBallOverlapDistinctForms:
             "random": frames_basis(MassSet(1.0, 1.0, 1.0), n_random=12),
             "unequal": frames_basis(MassSet(1.0, 0.7, 1.6), n_random=6),
         }[case]
-        Ba, Bb, Bc2, *_ = vr._pair_forms(basis)
-        for frames in (None, basis.frames):
-            got = vr.ball_overlap(Ba, Bb, Bc2, np.array(RADII), frames)
-            ref = undeduplicated_ball_overlap(Ba, Bb, Bc2, RADII, frames)
+        for keyed in (frameless(basis), basis):
+            got = vr.ball_overlap(keyed, np.array(RADII))
+            ref = undeduplicated_ball_overlap(keyed, RADII)
             assert np.max(np.abs(got / ref - 1.0)) <= 1e-14
 
     def test_kernel_rows_are_distinct_keys(self, small_basis, monkeypatch):
         rows = counted_kernel_rows(monkeypatch)
-        for frames in (None, small_basis.frames):
+        for keyed in (frameless(small_basis), small_basis):
             rows.clear()
-            vr.ball_overlap(*vr._pair_forms(small_basis)[:3], np.array(RADII), frames)
-            keys, n_pairs = quad_keys(small_basis, frames)
+            vr.ball_overlap(keyed, np.array(RADII))
+            keys, n_pairs = quad_keys(keyed)
             assert sum(rows) == len(keys) < 0.6 * n_pairs
 
     def test_frame_keys_halve_the_kernel_rows(self, small_basis, monkeypatch):
@@ -631,13 +823,13 @@ class TestBallOverlapDistinctForms:
         # three frames share their keys
         rows = counted_kernel_rows(monkeypatch)
         vr.ball_matrices(small_basis, np.array(RADII))
-        form_keys, _ = quad_keys(small_basis)
+        form_keys, _ = quad_keys(frameless(small_basis))
         assert sum(rows) < 0.5 * len(form_keys)
 
     def test_duplicated_functions_bit_equal(self, small_basis):
         n = small_basis.size
         basis = small_basis.merged(small_basis)
-        ball = vr.ball_overlap(*vr._pair_forms(basis)[:3], np.array(RADII), basis.frames)
+        ball = vr.ball_overlap(basis, np.array(RADII))
         top = ball[:, :n, :n]
         for block in (ball[:, n:, :n], ball[:, :n, n:], ball[:, n:, n:]):
             np.testing.assert_array_equal(block, top)
@@ -657,9 +849,8 @@ class TestFrameKeys:
         # beta_min, 1.5 eps beta_max in gap).  Pairs with a random function
         # keep their form keys bit for bit.
         basis = frames_basis(MassSet(*MASS_SETS[masses]), n_random=6)
-        forms = vr._pair_forms(basis)[:3]
-        f_min, f_gap, f_max = vr.pair_keys(*forms, basis.frames)
-        g_min, g_gap, g_max = vr.pair_keys(*forms)
+        (f_min, f_gap, f_max), _ = triu_keys(basis)
+        (g_min, g_gap, g_max), _ = triu_keys(frameless(basis))
         eps = np.finfo(float).eps
         assert np.all(np.abs(f_min / g_min - 1.0) <= 8.0 * eps * g_max / g_min)
         assert np.all(np.abs(f_gap - g_gap) <= 8.0 * eps * g_max)
@@ -705,9 +896,7 @@ class TestFrameKeys:
     def test_probability_matches_form_keys(self, ground_small, small_basis):
         # the keys move quadrature entries by at most ~1e-12 relative, P(R) by a few ulp
         radii = np.array([2.0, 5.0, 10.0, 30.0])
-        Ba, Bb, Bc2, *_ = vr._pair_forms(small_basis)
-        snorm = 1.0 / np.sqrt(np.diag(vr.overlap_matrix(small_basis)))
-        by_forms = vr.ball_overlap(Ba, Bb, Bc2, radii) * np.outer(snorm, snorm)
+        by_forms = vr.ball_matrices(frameless(small_basis), radii)
         p = vr.probability_inside(vr.ball_matrices(small_basis, radii), ground_small.coefficients)
         ref = vr.probability_inside(by_forms, ground_small.coefficients)
         np.testing.assert_allclose(p, ref, rtol=4 * np.finfo(float).eps, atol=0.0)
@@ -721,12 +910,8 @@ class TestFrameKeys:
     def test_frameless_basis_keeps_form_keys(self, spec):
         basis = vr.build_basis(spec)
         assert basis.frames is None
-        Ba, Bb, Bc2, *_ = vr._pair_forms(basis)
-        snorm = 1.0 / np.sqrt(np.diag(vr.overlap_matrix(basis)))
-        np.testing.assert_array_equal(
-            vr.ball_matrices(basis, np.array(RADII)),
-            vr.ball_overlap(Ba, Bb, Bc2, np.array(RADII)) * np.outer(snorm, snorm),
-        )
+        np.testing.assert_array_equal(vr.ball_matrices(basis, np.array(RADII)),
+                                      whole_ball_matrices(basis, RADII))
 
     def test_frames_follow_the_functions(self, equal_masses):
         spec = vr.BasisSpec(0.4, 8.0, 3, 0.4, 8.0, 3, "frames", n_random=3, seed=2,
@@ -751,9 +936,9 @@ class TestFrameKeys:
                                       np.concatenate([index, [-1] * other.size]))
 
 
-def inflated_ball(Ba, Bb, Bc2, R, frames=None):
+def inflated_ball(basis, R):
     """1.01 x the full overlap: a P(R) of 1.01 whatever the radius."""
-    return 1.01 * np.pi**3 / (Ba * Bb - Bc2**2) ** 1.5
+    return 1.01 * whole_forms(basis).overlap
 
 
 @pytest.fixture(scope="module")

@@ -8,6 +8,9 @@ tests/test_cli.py (read with ast, as in cli_bytes.py), with this checkout's
 ``src`` first on the path and BLAS pinned to one thread.  The ``import``
 step imports ``fewbody.cli`` and stops; a subcommand step imports it and
 runs ``cli.main`` with ``--quiet`` and the CSV sent to the null device.
+Without ``--command`` the subcommands are followed by the VARIANT_STEPS:
+a subcommand on FULL with one key set, named like
+``three-body ground [model.pair23.kind=square_well]``.
 Each step reports its exit code, its wall time from before the import to
 the end of the command (``wall_s``), the interpreter's peak resident set
 (``peak_rss_mb``, ``ru_maxrss``) and the sorted ``scipy`` modules loaded by
@@ -26,7 +29,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pairs import ROOT  # noqa: E402
-from cli_bytes import SUBCOMMANDS, config_texts  # noqa: E402
+from cli_bytes import SUBCOMMANDS, config_texts, with_key  # noqa: E402
+
+# (subcommand, (section, key, value)) run on FULL with that key set: FULL's
+# wells are all Gaussian, whose matrix elements are closed form; a square
+# well takes the radial quadrature of every other kind
+VARIANT_STEPS = [(("three-body", "ground"), ("model", "pair23.kind", "square_well"))]
 
 _CHILD = """\
 import json, os, resource, sys, time
@@ -65,12 +73,19 @@ def main(argv=None) -> int:
         parser.error(f"unknown subcommand {' '.join(unknown[0])!r}")
 
     with tempfile.TemporaryDirectory() as tmp:
+        full = config_texts(ROOT / "tests" / "test_cli.py")["FULL"]
         config = Path(tmp) / "full.cfg"
-        config.write_text(config_texts(ROOT / "tests" / "test_cli.py")["FULL"])
+        config.write_text(full)
+        runs = [(" ".join(command), config, command) for command in commands]
+        for k, (command, (section, key, value)) in enumerate([] if args.command
+                                                              else VARIANT_STEPS):
+            variant = Path(tmp) / f"variant{k}.cfg"
+            variant.write_text(with_key(full, section, key, value))
+            runs.append((f"{' '.join(command)} [{section}.{key}={value}]", variant, command))
         steps = {"import": step(config, ())}
-        for command in commands:
-            steps[" ".join(command)] = step(config, command)
-            print(f"{' '.join(command)}: {json.dumps(steps[' '.join(command)])}", file=sys.stderr)
+        for name, path, command in runs:
+            steps[name] = step(path, command)
+            print(f"{name}: {json.dumps(steps[name])}", file=sys.stderr)
     print(json.dumps({"config": "FULL", "blas_threads": 1, "steps": steps}))
     return 0
 
