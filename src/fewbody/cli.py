@@ -210,10 +210,14 @@ def _k_values(cfg: RunConfig, args, word: str) -> list[float]:
     return ks
 
 
-def _find_line(path: Path, key: str) -> int:
-    base = key.split(".", 1)[0]
+def _find_line(path: Path, section: str, key: str) -> int:
+    """Line of the first key in [section] that is key or starts with key + "."; 0 if none."""
+    current = None
     for i, line in enumerate(path.read_text().splitlines(), start=1):
-        if line.strip().startswith(key) or line.strip().startswith(base):
+        name = line.split("=", 1)[0].split(":", 1)[0].strip()
+        if name.startswith("["):
+            current = name[1:name.find("]")]
+        elif current == section and (name == key or name.startswith(key + ".")):
             return i
     return 0
 
@@ -237,7 +241,7 @@ def _parse_potential(raw: dict, pair: str, path: Path) -> PotentialSpec:
         rng = _finite(raw.get(("model", f"pair{pair}.range"), "1.0"))
         return PotentialSpec(kind, depth=depth, range=rng)
     except (ValueError, KeyError) as err:
-        line = _find_line(path, f"pair{pair}")
+        line = _find_line(path, "model", f"pair{pair}")
         raise ConfigError(
             f"invalid potential model.pair{pair} (line {line}): {err}"
         ) from err
@@ -264,7 +268,7 @@ def parse_config(path, seed: Optional[int] = None) -> RunConfig:
             raise ConfigError(f"unknown section [{section}]")
         for key, value in cp.items(section):
             if key not in _SECTION_KEYS[section]:
-                line = _find_line(path, key)
+                line = _find_line(path, section, key)
                 raise ConfigError(f"unknown key {section}.{key} (line {line})")
             raw[(section, key)] = value.strip()
     if seed is not None:
@@ -562,6 +566,8 @@ def _cmd_three_body_dichotomy(cfg: RunConfig, args, out) -> int:
         floor=cfg["experiment", "floor"],
         ceiling_factor=cfg["experiment", "ceiling_factor"],
         scale_bracket=cfg["experiment", "scale_bracket"],
+        resonance_tol=cfg["numerics", "resonance_tol"],
+        radial_nodes=cfg["numerics", "radial_nodes"],
     )
     emit_csv(report.rows, ex.DichotomyRow, out)
     print(f"verdict: {report.verdict}", file=sys.stderr)
@@ -569,7 +575,8 @@ def _cmd_three_body_dichotomy(cfg: RunConfig, args, out) -> int:
 
 
 def _cmd_three_body_efimov(cfg: RunConfig, args, out) -> int:
-    rows = ex.efimov_scan(cfg.model, _basis(cfg), resonance_tol=cfg["numerics", "resonance_tol"])
+    rows = ex.efimov_scan(cfg.model, _basis(cfg), cfg["numerics", "resonance_tol"],
+                          cfg["numerics", "radial_nodes"])
     emit_csv(rows, ex.EfimovLevel, out)
     print(f"count: {len(rows)}", file=sys.stderr)
     return EXIT_OK
@@ -611,7 +618,7 @@ def _cmd_three_body_cross_validate(cfg: RunConfig, args, out) -> int:
 def _cmd_checks_bounds(cfg: RunConfig, args, out) -> int:
     rows = fd.inequality_suite(
         cfg.model, cfg["experiment", "z_list"], cfg["experiment", "xi_list"],
-        cfg["numerics", "radial_nodes"], **_grid_kw(cfg),
+        cfg["numerics", "radial_nodes"], cfg["numerics", "resonance_tol"], **_grid_kw(cfg),
     )
     emit_csv(rows, fd.BoundRow, out)
     return EXIT_OK if all(r.passed for r in rows) else EXIT_NUMERIC

@@ -106,7 +106,7 @@ def find_theta0(
     model: ModelSpec,
     theta_bracket: tuple[float, float],
     basis: vr.GaussianBasis,
-    pair: str = "13",
+    pair: str,
 ) -> float:
     """Coupling of `pair` at which the 3-body level detaches from threshold.
 
@@ -122,11 +122,13 @@ def spreading_dichotomy(
     scenario: Scenario,
     model: ModelSpec,
     basis: vr.GaussianBasis,
+    energy_targets: Sequence[float],
+    floor: float,
+    ceiling_factor: float,
+    scale_bracket: tuple[float, float],
+    resonance_tol: float,
+    radial_nodes: int,
     r0: Optional[float] = None,
-    energy_targets: Sequence[float] = (1e-1, 1e-2, 1e-3, 1e-4),
-    floor: float = 0.25,
-    ceiling_factor: float = 0.1,
-    scale_bracket: tuple[float, float] = (0.5, 1.5),
 ) -> DichotomyReport:
     """P(R0) along a coupling path whose ground energy rises to the threshold.
 
@@ -135,22 +137,22 @@ def spreading_dichotomy(
     inf P(R0) >= floor.  pair-resonance: pair (12) pinned at its coupling
     threshold and lambda13 tuned up to the model's value; the verdict demands
     a monotone drop of P(R0) below ceiling_factor times its first value.
-    Each row sits where one pencil eigensolve puts E_gr at its target; one
-    ball build serves P(R0) and P(3 R0) of every row.
+    Pairs are classified with resonance_tol on each well's own radial_nodes
+    grid.  Each row sits where one pencil eigensolve puts E_gr at its target;
+    one ball build serves P(R0) and P(3 R0) of every row.
     """
     depth = max(model.potential(p).depth for p in PAIRS)
     targets = sorted((abs(t) * depth for t in energy_targets), reverse=True)
     if r0 is None:
         r0 = 10.0 * model.max_range()
-    quads = {p: Quadrature.for_potential(model.scaled_potential(p)) for p in PAIRS}
+    quads = {p: Quadrature.for_potential(model.scaled_potential(p), n=radial_nodes)
+             for p in PAIRS}
 
     if scenario is Scenario.NO_PAIR_RESONANCE:
         knob, bracket = "scale", scale_bracket
     else:
-        lam12 = model.couplings.lambda12
-        cls = tb.classify_pair(
-            model.scaled_potential("12"), lam12, quads["12"], model.couplings.margin_epsilon
-        )
+        cls = tb.classify_pair(model.scaled_potential("12"), model.couplings.lambda12,
+                               quads["12"], model.couplings.margin_epsilon, resonance_tol)
         if cls.category is not tb.PairClass.RESONANT:
             raise PairDriftError(
                 f"pair 12 must sit at its coupling threshold (got {cls.category.value})"
@@ -167,13 +169,9 @@ def spreading_dichotomy(
         v = _knob_at_level(hm, model, knob, bracket, -tgt)
         m = model.with_couplings(_path_couplings(model, knob, v))
         if scenario is Scenario.NO_PAIR_RESONANCE:
-            for pair in PAIRS:
-                lam = m.couplings.get(pair)
-                if lam == 0.0:
-                    continue
-                cls = tb.classify_pair(
-                    m.scaled_potential(pair), lam, quads[pair], m.couplings.margin_epsilon
-                )
+            for pair in PAIRS:  # an uncoupled pair classifies as unbound with margin
+                cls = tb.classify_pair(m.scaled_potential(pair), m.couplings.get(pair),
+                                       quads[pair], m.couplings.margin_epsilon, resonance_tol)
                 if cls.category is not tb.PairClass.UNBOUND_WITH_MARGIN:
                     raise PairDriftError(
                         f"pair {pair} classified {cls.category.value} at scale path point"
@@ -205,7 +203,8 @@ class EfimovLevel:
 def efimov_scan(
     model: ModelSpec,
     basis: vr.GaussianBasis,
-    resonance_tol: float = 1e-4,
+    resonance_tol: float,
+    radial_nodes: int,
 ) -> list[EfimovLevel]:
     """Negative-energy levels with (at least) two pairs at their thresholds.
 
@@ -215,8 +214,8 @@ def efimov_scan(
     for pair in model.active_pairs():
         pot = model.scaled_potential(pair)
         cls = tb.classify_pair(
-            pot, model.couplings.get(pair), Quadrature.for_potential(pot),
-            model.couplings.margin_epsilon, resonance_tol=resonance_tol,
+            pot, model.couplings.get(pair), Quadrature.for_potential(pot, n=radial_nodes),
+            model.couplings.margin_epsilon, resonance_tol,
         )
         if cls.category is tb.PairClass.RESONANT:
             resonant += 1
@@ -288,7 +287,7 @@ class CrossValidationReport:
 def cross_validate(
     model: ModelSpec,
     basis: vr.GaussianBasis,
-    scale_bracket: tuple[float, float] = (0.5, 1.0),
+    scale_bracket: tuple[float, float],
     n_grid: int = 10,
     **grid_kw,
 ) -> CrossValidationReport:

@@ -119,8 +119,8 @@ def momentum_edges(z: float) -> list[float]:
 def build_mixed_grid(
     pot_scaled: PotentialSpec,
     z: float,
-    n_x: int = 28,
-    n_p_per_panel: int = 6,
+    n_x: int,
+    n_p_per_panel: int,
 ) -> MixedGrid:
     """Radial x grid of the pair well and the momentum panels of z.
 
@@ -162,7 +162,7 @@ def assemble_offdiagonal_block(
     z: float,
     grid_row: MixedGrid,
     grid_col: MixedGrid,
-    n_angle: int = 32,
+    n_angle: int,
 ) -> np.ndarray:
     """Cross-frame coupling block, shape (n_p*n_x of row, n_p*n_x of col).
 
@@ -289,8 +289,8 @@ class BlockOperator:
 def assemble_block_operator(
     model: ModelSpec,
     z: float,
-    n_x: int = 28,
-    n_p_per_panel: int = 6,
+    n_x: int,
+    n_p_per_panel: int,
     n_angle: int = 32,
 ) -> BlockOperator:
     """Build all active blocks of the coupled system for the given model.
@@ -379,10 +379,7 @@ def _fibered(op: BlockOperator, mats: dict, v: np.ndarray) -> np.ndarray:
     for group in op.fiber_groups:
         grid, M = op.grids[group[0]], mats[group[0]]
         x = [v[slices[p]].reshape(grid.n_p, grid.n_x) for p in group]
-        if len(group) == 1:
-            y = [np.einsum("pij,pj->pi", M, x[0])]
-        else:
-            y = np.moveaxis(M @ np.stack(x, axis=-1), -1, 0)
+        y = np.moveaxis(M @ np.stack(x, axis=-1), -1, 0)
         for pair, y_pair in zip(group, y):
             out[slices[pair]] = y_pair.ravel()
     return out
@@ -397,10 +394,7 @@ def _exchange(op: BlockOperator, v: np.ndarray) -> np.ndarray:
     comp = _split(op, v)
     prod = {}
     for M, cols in op.exchange_groups:
-        if len(cols) == 1:
-            rows = [M @ comp[cols[0]]]
-        else:
-            rows = np.stack([comp[c] for c in cols]) @ M.T  # row k: M @ comp[cols[k]]
+        rows = np.stack([comp[c] for c in cols]) @ M.T  # row k: M @ comp[cols[k]]
         prod.update(((id(M), c), y) for c, y in zip(cols, rows))
     out = np.zeros_like(v)
     for row, acc in _split(op, out).items():
@@ -645,19 +639,19 @@ def hs_norm_K2(
 
 
 def subthreshold_bound_check(
-    model: ModelSpec, pair: str, z_list: Sequence[float], n: int
+    model: ModelSpec, pair: str, z_list: Sequence[float], n: int, resonance_tol: float
 ) -> list[BoundRow]:
     """coupling * |pair resolvent-sandwich norm| <= 1 - eps/(coupling+eps) per z.
 
     The 3-body diagonal block norm is the small-momentum fiber, i.e. the
     2-body norm at k = z, taken on the pair well's own n-node radial grid.  A
     row passes within _SUBTHRESHOLD_TOL of its bound and only if the pair holds
-    the margin: a resonant or bound pair reports its rows as failed.
+    the margin: a resonant (within resonance_tol) or bound pair fails its rows.
     """
     pot = model.scaled_potential(pair)
     coupling, epsilon = model.couplings.get(pair), model.couplings.margin_epsilon
     quad = Quadrature.for_potential(pot, n=n)
-    cls = twobody.classify_pair(pot, coupling, quad, epsilon)
+    cls = twobody.classify_pair(pot, coupling, quad, epsilon, resonance_tol)
     pre = cls.category == twobody.PairClass.UNBOUND_WITH_MARGIN
     rhs = 1.0 - epsilon / (coupling + epsilon)
     rows = []
@@ -674,7 +668,7 @@ def continuity_modulus_check(
     col_pair: str,
     z_pairs: Sequence[tuple[float, float]],
     n: int,
-    n_angle: int = 32,
+    n_angle: int,
     **grid_kw,
 ) -> list[BoundRow]:
     """Norm continuity in z of the coupling-free block against the volume-constant bound.
@@ -742,7 +736,8 @@ def green6_bound_check(xi_list: Sequence[float]) -> list[Green6Row]:
 
 
 def inequality_suite(
-    model: ModelSpec, z_list: Sequence[float], xi_list: Sequence[float], n: int, **grid_kw
+    model: ModelSpec, z_list: Sequence[float], xi_list: Sequence[float], n: int,
+    resonance_tol: float, **grid_kw
 ) -> list[BoundRow]:
     """The operator inequalities of the absorption argument, one row per check and point.
 
@@ -750,7 +745,8 @@ def inequality_suite(
     coupling; norm continuity between consecutive z of the (12) diagonal and
     the (12)-(23) cross block; each pair's sub-threshold margin; then the 6D
     Green's-function bound per xi.  n is the node count of each pair well's
-    own radial grid, grid_kw the mixed grid of the cross block.
+    own radial grid, resonance_tol the sub-threshold rows' classification
+    tolerance, grid_kw the mixed grid of the cross block.
     """
     zs = sorted(z_list)
     rows = [hs_norm_K2(model.scaled_potential("12"), model.potential("23"), model.masses, z)
@@ -759,7 +755,7 @@ def inequality_suite(
         rows += continuity_modulus_check(model, "12", col_pair, list(zip(zs, zs[1:])), n,
                                          **grid_kw)
     for pair in PAIRS:
-        rows += subthreshold_bound_check(model, pair, zs, n)
+        rows += subthreshold_bound_check(model, pair, zs, n, resonance_tol)
     return rows + [BoundRow("green6", g.xi, g.value, g.bound, g.passed)
                    for g in green6_bound_check(xi_list)]
 

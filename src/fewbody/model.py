@@ -319,7 +319,7 @@ class Quadrature:
     def build(
         cls,
         r_max: float,
-        n: int = 64,
+        n: int,
         edges: Optional[Sequence[float]] = None,
     ) -> "Quadrature":
         if edges is None:

@@ -381,7 +381,7 @@ def shooting_ground_energy(pot: PotentialSpec, coupling: float) -> Optional[floa
     return float(e0)
 
 
-def shooting_critical_coupling(pot: PotentialSpec, tol: float = 1e-12) -> float:
+def shooting_critical_coupling(pot: PotentialSpec, tol: float) -> float:
     """Independent threshold oracle: the least coupling where the zero-energy solution flattens.
 
     The E = 0 node count is the number of levels, so couplings where it goes
@@ -437,7 +437,7 @@ def classify_pair(
     coupling: float,
     quad: Quadrature,
     margin_epsilon: float,
-    resonance_tol: float = 1e-4,
+    resonance_tol: float,
 ) -> PairClassification:
     """Classify a pair by its position relative to the coupling threshold."""
     if pot.is_zero() or coupling == 0.0:

@@ -181,14 +181,12 @@ class BasisSpec:
 _NO_FRAME = (-1, 0.0, 0.0)  # frame index and widths of a function with no frame
 
 
-def build_basis(spec: BasisSpec, masses=None) -> GaussianBasis:
+def build_basis(spec: BasisSpec, masses: MassSet) -> GaussianBasis:
     """Materialize a basis; frames mode needs the mass set for the rotations."""
     sx = np.geomspace(spec.scale_min_x, spec.scale_max_x, spec.n_x)
     sy = np.geomspace(spec.scale_min_y, spec.scale_max_y, spec.n_y)
     rows = []  # (a, b, c, frame, d1, d2)
     if spec.correlations == "frames":
-        if masses is None:
-            raise ValueError("frames-mode basis needs masses")
         for frame, pair in enumerate(PAIRS):
             R = kinematic_rotation(masses, "12", pair)
             for si in sx:

@@ -11,6 +11,7 @@ from fewbody.model import (
     PotentialSpec,
     Quadrature,
 )
+from fewbody import cli
 from fewbody import experiments as ex
 from fewbody import twobody as tb
 from fewbody import variational as vr
@@ -21,6 +22,24 @@ GAUSS_LAMBDA_STAR = 2.684004650924483
 SW_LAMBDA_STAR = np.pi**2 / 4.0
 # threshold of the unit exponential well: first zero of J0 fixes it analytically
 EXP_LAMBDA_STAR = 1.4457964907366963
+
+
+def config_default(section: str, key: str):
+    """The value the CLI gives section.key when a config leaves it out."""
+    default, convert, _ = cli._KEYS[section, key]
+    return convert(default)
+
+
+RESONANCE_TOL = config_default("numerics", "resonance_tol")
+# the (section, key) of the knobs a pair classification and the dichotomy take
+CLASSIFY_KNOBS = (("numerics", "resonance_tol"), ("numerics", "radial_nodes"))
+DICHOTOMY_KNOBS = tuple(("experiment", k) for k in (
+    "energy_targets", "floor", "ceiling_factor", "scale_bracket")) + CLASSIFY_KNOBS
+
+
+def knobs(keys, **given) -> dict:
+    """{key: its config default} for each (section, key) of keys, updated by given."""
+    return {key: config_default(section, key) for section, key in keys} | given
 
 
 @pytest.fixture(scope="session")

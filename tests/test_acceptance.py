@@ -19,7 +19,16 @@ from fewbody import faddeev as fd
 from fewbody import twobody as tb
 from fewbody import variational as vr
 from fewbody.cli import main as cli_main
-from tests.conftest import GAUSS_LAMBDA_STAR, SW_LAMBDA_STAR, bound_state_count, make_model
+from tests.conftest import (
+    CLASSIFY_KNOBS,
+    DICHOTOMY_KNOBS,
+    GAUSS_LAMBDA_STAR,
+    RESONANCE_TOL,
+    SW_LAMBDA_STAR,
+    bound_state_count,
+    knobs,
+    make_model,
+)
 
 _LINES: list[str] = []
 
@@ -122,7 +131,7 @@ def test_criterion_03_singular_decomposition(sw, sw_quad):
 def test_criterion_04_inequality_suite(default_model):
     t0 = time.time()
     rows = fd.inequality_suite(default_model, [1e-3, 1e-2, 1e-1, 1.0], [0.5, 1.0, 10.0], 64,
-                               n_x=16, n_p_per_panel=4)
+                               RESONANCE_TOL, n_x=16, n_p_per_panel=4, n_angle=32)
     violations = [f"{r.check}@{r.z}" for r in rows if not r.passed]
     dt = time.time() - t0
     ok = not violations and dt < 60.0
@@ -173,7 +182,8 @@ def dichotomy_reports(masses, gauss):
     m_nr = make_model(masses, gauss, (lam, lam, lam), eps=0.2)
     rep_nr = ex.spreading_dichotomy(
         ex.Scenario.NO_PAIR_RESONANCE, m_nr, basis_nr, r0=10.0,
-        energy_targets=(1e-1, 1e-2, 1e-3, 1e-4), scale_bracket=(0.9, 1.2),
+        **knobs(DICHOTOMY_KNOBS, energy_targets=(1e-1, 1e-2, 1e-3, 1e-4),
+                scale_bracket=(0.9, 1.2)),
     )
 
     basis_r = vr.build_basis(
@@ -186,7 +196,7 @@ def dichotomy_reports(masses, gauss):
     )
     rep_r = ex.spreading_dichotomy(
         ex.Scenario.PAIR_RESONANCE, m_r, basis_r, r0=10.0,
-        energy_targets=(2.5e-2, 1e-2, 1e-3, 1e-4),
+        **knobs(DICHOTOMY_KNOBS, energy_targets=(2.5e-2, 1e-2, 1e-3, 1e-4)),
     )
     return rep_nr, rep_r, time.time() - t0
 
@@ -237,7 +247,7 @@ def test_criterion_08_efimov_regime(masses, gauss):
     )
     lam = GAUSS_LAMBDA_STAR
     m_res = make_model(masses, gauss, (lam, lam, 0.9 * lam), eps=0.05)
-    rows = ex.efimov_scan(m_res, basis)
+    rows = ex.efimov_scan(m_res, basis, **knobs(CLASSIFY_KNOBS))
     m_detuned = make_model(masses, gauss, (lam, 0.9 * lam, 0.9 * lam), eps=0.05)
     count_detuned = bound_state_count(m_detuned, basis)
     dt = time.time() - t0

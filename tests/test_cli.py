@@ -93,6 +93,30 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unknown key model.spin"):
             parse_config(p)
 
+    # the line of the key itself, in its own section: not the basis.n_x line
+    # before it, which shares its first word, nor model's lambda12 line
+    @pytest.mark.parametrize("after,line", [
+        ("basis.n_x = 6", "basis.bogus = 3"),
+        ("[experiment]", "lambda12 = 2.0"),
+    ])
+    def test_unknown_key_names_its_line(self, tmp_path, after, line):
+        p = tmp_path / "m.cfg"
+        text = FULL.replace(f"{after}\n", f"{after}\n{line}\n")
+        p.write_text(text)
+        number = text.splitlines().index(line) + 1
+        section = "numerics" if line.startswith("basis.") else "experiment"
+        key = re.escape(line.split(" =")[0])
+        with pytest.raises(ConfigError, match=rf"unknown key {section}\.{key} \(line {number}\)$"):
+            parse_config(p)
+
+    def test_invalid_potential_names_the_first_line_of_its_pair(self, tmp_path):
+        p = tmp_path / "m.cfg"
+        text = FULL.replace("pair13.kind = gaussian\n", "pair13.kind = gaussian\npair13.depth = x\n")
+        p.write_text(text)
+        number = text.splitlines().index("pair13.kind = gaussian") + 1
+        with pytest.raises(ConfigError, match=rf"invalid potential model\.pair13 \(line {number}\)"):
+            parse_config(p)
+
     def test_unknown_section_rejected(self, tmp_path):
         p = tmp_path / "m.cfg"
         p.write_text("[magic]\nx = 1\n")
@@ -705,6 +729,55 @@ class TestChecksBounds:
 
         least = hs_rows(FULL.replace("[numerics]\n", "[numerics]\nradial_nodes = 20\n"))
         assert len(least) == 4 and least == hs_rows(FULL)
+
+
+class TestPairClassification:
+    """Every pair classification reads numerics.resonance_tol and numerics.radial_nodes."""
+
+    def test_dichotomy_agrees_with_classify(self, tmp_path, capsys):
+        # pair 12 at 0.999 lam*: resonant within the config's tolerance of 1e-2;
+        # both targets lie below the level at the model's lambda13
+        cfg = tmp_path / "near.cfg"
+        cfg.write_text(set_keys(set_keys(set_keys(
+            FULL, "model", lambda12="2.6813"), "numerics", resonance_tol="1e-2"),
+            "experiment", scenario="pair-resonance", energy_targets="1e-2,1e-3"))
+        assert main(["two-body", "classify", "--config", str(cfg), "--quiet"]) == EXIT_OK
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert (rows[0]["pair"], rows[0]["category"]) == ("12", "resonant")
+        rc = main(["three-body", "dichotomy", "--config", str(cfg), "--quiet"])
+        assert rc == cli.EXIT_INCONCLUSIVE
+        assert capsys.readouterr().err == "verdict: inconclusive\n"
+
+    def test_wide_tolerance_fails_bounds_and_dichotomy(self, tmp_path, capsys):
+        # resonance_tol = 0.5 calls every pair of FULL (at 0.8 lam*) resonant
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(set_keys(FULL, "numerics", resonance_tol="0.5"))
+        assert main(["two-body", "classify", "--config", str(cfg), "--quiet"]) == EXIT_OK
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [r["category"] for r in rows] == ["resonant"] * 3
+        assert main(["checks", "bounds", "--config", str(cfg), "--quiet"]) == EXIT_NUMERIC
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        failed = {r["check"] for r in rows if r["passed"] == "False"}
+        assert failed == {"subthreshold_12", "subthreshold_13", "subthreshold_23"}
+        rc = main(["three-body", "dichotomy", "--config", str(cfg), "--quiet"])
+        assert rc == EXIT_NUMERIC
+        assert "numeric failure: pair 12 classified resonant" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["dichotomy", "efimov"])
+    def test_classification_grids_take_radial_nodes(self, tmp_path, monkeypatch, command):
+        # one grid per pair; FULL's Gaussian wells need no variational well quadrature
+        seen = []
+        build = cli.Quadrature.for_potential
+
+        def spy(pot, **kw):
+            seen.append(kw.get("n"))
+            return build(pot, **kw)
+
+        monkeypatch.setattr(cli.Quadrature, "for_potential", spy)
+        cfg = tmp_path / "least.cfg"
+        cfg.write_text(set_keys(FULL, "numerics", radial_nodes="20"))
+        main(["three-body", command, "--config", str(cfg), "--quiet"])
+        assert seen == [20] * 3
 
 
 class TestChecksJlog:

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from fewbody import experiments as ex
 from fewbody import faddeev as fd
 from fewbody import variational as vr
-from tests.conftest import GAUSS_LAMBDA_STAR, make_model
+from tests.conftest import CLASSIFY_KNOBS, DICHOTOMY_KNOBS, GAUSS_LAMBDA_STAR, knobs, make_model
 
 
 @pytest.fixture(scope="module")
@@ -94,26 +94,26 @@ def matrix_builds(monkeypatch):
 class TestTheta0:
     def test_invalid_bracket_order(self, gauss_model_factory, tiny_basis):
         with pytest.raises(ex.BracketInvalidError, match="empty bracket"):
-            ex.find_theta0(gauss_model_factory(0.8), (2.0, 2.0), tiny_basis)
+            ex.find_theta0(gauss_model_factory(0.8), (2.0, 2.0), tiny_basis, "13")
 
     def test_bracket_must_straddle(self, gauss_model_factory, tiny_basis):
         # both ends far below binding: the level never reaches the target
         m = gauss_model_factory(0.3)
         with pytest.raises(ex.BracketInvalidError, match="still above"):
-            ex.find_theta0(m, (0.1, 0.2), tiny_basis)
+            ex.find_theta0(m, (0.1, 0.2), tiny_basis, "13")
 
     def test_upper_end_short_of_threshold(self, gauss_model_factory, tiny_basis):
         # the level detaches at ~0.95 lam*, just past the upper end
         lam = GAUSS_LAMBDA_STAR
         with pytest.raises(ex.BracketInvalidError, match="still above"):
-            ex.find_theta0(gauss_model_factory(0.7), (0.7 * lam, 0.9 * lam), tiny_basis)
+            ex.find_theta0(gauss_model_factory(0.7), (0.7 * lam, 0.9 * lam), tiny_basis, "13")
 
     def test_lower_end_already_bound(self, gauss_model_factory, tiny_basis):
         # the other pairs at 0.9 lam*: bound already at the lower end, so
         # H - E is not positive definite there
         lam = GAUSS_LAMBDA_STAR
         with pytest.raises(ex.BracketInvalidError, match="already at or below"):
-            ex.find_theta0(gauss_model_factory(0.9), (0.95 * lam, 0.99 * lam), tiny_basis)
+            ex.find_theta0(gauss_model_factory(0.9), (0.95 * lam, 0.99 * lam), tiny_basis, "13")
 
     def test_pair_binding_first_moves_the_bottom(self, equal_masses, gaussian_well, tiny_basis):
         # pair 13 alone: the 3-body level only follows the pair's own bound
@@ -121,12 +121,12 @@ class TestTheta0:
         lam = GAUSS_LAMBDA_STAR
         m = make_model(equal_masses, gaussian_well, (0.0, 0.5 * lam, 0.0))
         with pytest.raises(ex.BracketInvalidError, match="HVZ bottom moved"):
-            ex.find_theta0(m, (0.5 * lam, 1.5 * lam), tiny_basis)
+            ex.find_theta0(m, (0.5 * lam, 1.5 * lam), tiny_basis, "13")
 
     def test_finds_threshold(self, gauss_model_factory, tiny_basis):
         m = gauss_model_factory(0.7)  # vary pair 13 upward from 0.7 lam*
         lam = GAUSS_LAMBDA_STAR
-        theta0 = ex.find_theta0(m, (0.7 * lam, 1.3 * lam), tiny_basis)
+        theta0 = ex.find_theta0(m, (0.7 * lam, 1.3 * lam), tiny_basis, "13")
         e_below = vr.solve_ground(
             m.with_couplings(m.couplings.replace("13", 0.98 * theta0)), tiny_basis
         ).energy - vr.hvz_bottom(m.with_couplings(m.couplings.replace("13", 0.98 * theta0)))
@@ -138,7 +138,7 @@ class TestTheta0:
         m = gauss_model_factory(0.7)
         lam = GAUSS_LAMBDA_STAR
         bracket = (0.7 * lam, 1.3 * lam)
-        theta0 = ex.find_theta0(m, bracket, tiny_basis)
+        theta0 = ex.find_theta0(m, bracket, tiny_basis, "13")
         ref = reference_bisection(
             lambda t: energy_above_bottom(m, m.couplings.replace("13", t), tiny_basis),
             bracket, -ex.EPS_NUM, x_tol=1e-4,
@@ -155,7 +155,7 @@ class TestTheta0:
         m = make_model(equal_masses, gaussian_well, (1.5 * lam, 0.0, 0.0))
         assert vr.hvz_bottom(m) < -0.1
         bracket = (1e-3, 0.99 * lam)
-        theta0 = ex.find_theta0(m, bracket, tiny_basis)
+        theta0 = ex.find_theta0(m, bracket, tiny_basis, "13")
         ref = reference_bisection(
             lambda t: energy_above_bottom(m, m.couplings.replace("13", t), tiny_basis),
             bracket, -ex.EPS_NUM, x_tol=1e-4,
@@ -164,7 +164,7 @@ class TestTheta0:
 
     def test_one_matrix_build(self, gauss_model_factory, tiny_basis, matrix_builds):
         lam = GAUSS_LAMBDA_STAR
-        ex.find_theta0(gauss_model_factory(0.7), (0.7 * lam, 1.3 * lam), tiny_basis)
+        ex.find_theta0(gauss_model_factory(0.7), (0.7 * lam, 1.3 * lam), tiny_basis, "13")
         assert len(matrix_builds) == 1
 
 
@@ -178,7 +178,7 @@ class TestDichotomyTargets:
         model = gauss_model_factory(0.8)
         return model, ex.spreading_dichotomy(
             ex.Scenario.NO_PAIR_RESONANCE, model, tiny_basis,
-            energy_targets=self.TARGETS, scale_bracket=(0.9, 1.2),
+            **knobs(DICHOTOMY_KNOBS, energy_targets=self.TARGETS, scale_bracket=(0.9, 1.2)),
         )
 
     @pytest.fixture(scope="class")
@@ -186,7 +186,8 @@ class TestDichotomyTargets:
         lam = GAUSS_LAMBDA_STAR
         model = make_model(equal_masses, gaussian_well, (lam, 0.99 * lam, 0.5 * lam), eps=0.05)
         return model, ex.spreading_dichotomy(
-            ex.Scenario.PAIR_RESONANCE, model, tiny_basis, energy_targets=self.TARGETS[1:],
+            ex.Scenario.PAIR_RESONANCE, model, tiny_basis,
+            **knobs(DICHOTOMY_KNOBS, energy_targets=self.TARGETS[1:]),
         )
 
     def test_rows_hit_targets(self, margin_report, resonant_report):
@@ -208,7 +209,7 @@ class TestDichotomyTargets:
         monkeypatch.setattr(vr, "ball_overlap", counting)
         report = ex.spreading_dichotomy(
             ex.Scenario.NO_PAIR_RESONANCE, gauss_model_factory(0.8), tiny_basis,
-            energy_targets=self.TARGETS, scale_bracket=(0.9, 1.2),
+            **knobs(DICHOTOMY_KNOBS, energy_targets=self.TARGETS, scale_bracket=(0.9, 1.2)),
         )
         assert len(report.rows) == len(self.TARGETS)
         assert radii == [(report.r0, 3.0 * report.r0)]
@@ -250,9 +251,10 @@ class TestDichotomyTargets:
         else:
             model = make_model(equal_masses, gaussian_well, (lam, 0.99 * lam, 0.5 * lam),
                                eps=0.05)
-        report = ex.spreading_dichotomy(scenario, model, tiny_basis,
-                                        energy_targets=self.TARGETS[1:],
-                                        scale_bracket=(0.9, 1.2))
+        report = ex.spreading_dichotomy(
+            scenario, model, tiny_basis,
+            **knobs(DICHOTOMY_KNOBS, energy_targets=self.TARGETS[1:], scale_bracket=(0.9, 1.2)),
+        )
         assert len(report.rows) == 2
         assert len(matrix_builds) == 1
 
@@ -266,7 +268,7 @@ class TestDichotomyGuards:
                 ex.Scenario.PAIR_RESONANCE,
                 gauss_model_factory(0.8),
                 tiny_basis,
-                energy_targets=(1e-2,),
+                **knobs(DICHOTOMY_KNOBS, energy_targets=(1e-2,)),
             )
 
     def test_bracket_error_when_target_unreachable(
@@ -278,15 +280,14 @@ class TestDichotomyGuards:
                 ex.Scenario.NO_PAIR_RESONANCE,
                 gauss_model_factory(0.3),
                 tiny_basis,
-                energy_targets=(1e-1,),
-                scale_bracket=(0.5, 1.0),
+                **knobs(DICHOTOMY_KNOBS, energy_targets=(1e-1,), scale_bracket=(0.5, 1.0)),
             )
 
 
 class TestEfimovGuards:
     def test_needs_two_resonant_pairs(self, gauss_model_factory, tiny_basis):
         with pytest.raises(ex.PairDriftError):
-            ex.efimov_scan(gauss_model_factory(0.8), tiny_basis)
+            ex.efimov_scan(gauss_model_factory(0.8), tiny_basis, **knobs(CLASSIFY_KNOBS))
 
 
 class TestCrossValidateReuse:
@@ -370,7 +371,7 @@ class TestBorromeanDoubleResonance:
     def test_binds_with_all_pairs_unbound(self, equal_masses, gaussian_well, wide_basis):
         lam = GAUSS_LAMBDA_STAR
         m = make_model(equal_masses, gaussian_well, (lam, lam, 0.0), eps=0.05)
-        rows = ex.efimov_scan(m, wide_basis)
+        rows = ex.efimov_scan(m, wide_basis, **knobs(CLASSIFY_KNOBS))
         assert len(rows) >= 1
         assert rows[0].energy < -1e-5
 
@@ -389,5 +390,5 @@ class TestBorromeanDoubleResonance:
     ):
         lam = GAUSS_LAMBDA_STAR
         m = make_model(equal_masses, gaussian_well, (lam, lam, 0.0), eps=0.05)
-        rows = ex.efimov_scan(m, wide_basis)
+        rows = ex.efimov_scan(m, wide_basis, **knobs(CLASSIFY_KNOBS))
         assert len(rows) >= 2

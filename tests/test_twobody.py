@@ -7,7 +7,7 @@ from scipy.special import jn_zeros
 
 from fewbody.model import PotentialSpec, Quadrature, ZeroPotentialError
 from fewbody import twobody as tb
-from tests.conftest import EXP_LAMBDA_STAR, GAUSS_LAMBDA_STAR, SW_LAMBDA_STAR
+from tests.conftest import EXP_LAMBDA_STAR, GAUSS_LAMBDA_STAR, RESONANCE_TOL, SW_LAMBDA_STAR
 from tests.test_model import BS_WELLS, VOLUME_WELLS
 
 
@@ -123,14 +123,14 @@ class TestCriticalCoupling:
     def test_gaussian_pinned_by_shooting(self, gaussian_well, gauss_quad):
         lam = tb.critical_coupling(gaussian_well, gauss_quad)
         assert abs(lam - GAUSS_LAMBDA_STAR) < 1e-9
-        lam_shoot = tb.shooting_critical_coupling(gaussian_well)
+        lam_shoot = tb.shooting_critical_coupling(gaussian_well, tol=1e-12)
         assert abs(lam - lam_shoot) / lam < 1e-9
 
     @pytest.mark.parametrize("n", [192, 256, 384])
     def test_wide_panels_converge(self, gaussian_well, n):
         # the widest panel holds 53 to 104 nodes: its self-panel rule grows with it
         lam = tb.critical_coupling(gaussian_well, Quadrature.for_potential(gaussian_well, n=n))
-        lam_shoot = tb.shooting_critical_coupling(gaussian_well)
+        lam_shoot = tb.shooting_critical_coupling(gaussian_well, tol=1e-12)
         assert lam == pytest.approx(lam_shoot, rel=1e-11, abs=0)
 
     def test_exponential_bessel_zero(self, exponential_well):
@@ -188,20 +188,20 @@ class TestShootingOracle:
     # (at range 4 the exponential well has three thresholds below coupling 2)
     @pytest.mark.parametrize("a", [0.25, 1.0, 4.0])
     def test_exponential_is_the_bessel_zero(self, a):
-        lam = tb.shooting_critical_coupling(PotentialSpec("exponential", range=a))
+        lam = tb.shooting_critical_coupling(PotentialSpec("exponential", range=a), tol=1e-12)
         assert lam == pytest.approx(jn_zeros(0, 1)[0] ** 2 / 4.0 / a**2, rel=1e-11, abs=0)
 
     @pytest.mark.parametrize("kind", ["gaussian", "square_well"])
     @pytest.mark.parametrize("a", [0.25, 4.0])
     def test_scales_with_range(self, kind, a):
-        unit = tb.shooting_critical_coupling(PotentialSpec(kind))
-        lam = tb.shooting_critical_coupling(PotentialSpec(kind, range=a))
+        unit = tb.shooting_critical_coupling(PotentialSpec(kind), tol=1e-12)
+        lam = tb.shooting_critical_coupling(PotentialSpec(kind, range=a), tol=1e-12)
         assert lam == pytest.approx(unit / a**2, rel=1e-11, abs=0)
 
     # the top Birman-Schwinger eigenvalue, one at lam*, is at most lam* sqrt(T2)
     @pytest.mark.parametrize("pot", BS_WELLS, ids=lambda p: p.kind)
     def test_hilbert_schmidt_bound_is_sound(self, pot):
-        assert tb.shooting_critical_coupling(pot) * math.sqrt(pot.bs_hs2()) >= 1.0
+        assert tb.shooting_critical_coupling(pot, tol=1e-12) * math.sqrt(pot.bs_hs2()) >= 1.0
 
 
 class TestResonance:
@@ -265,20 +265,23 @@ class TestWProbe:
 
 class TestClassification:
     def test_unbound_with_margin(self, square_well, sw_quad):
-        cls = tb.classify_pair(square_well, 1.0, sw_quad, margin_epsilon=0.2)
+        cls = tb.classify_pair(square_well, 1.0, sw_quad, margin_epsilon=0.2,
+                               resonance_tol=RESONANCE_TOL)
         assert cls.category is tb.PairClass.UNBOUND_WITH_MARGIN
         assert (1.0 + 0.2) * cls.mu1 < 1.0
 
     def test_resonant(self, square_well, sw_quad, sw_resonance):
-        cls = tb.classify_pair(square_well, sw_resonance.lambda_star, sw_quad, 0.2)
+        cls = tb.classify_pair(square_well, sw_resonance.lambda_star, sw_quad, 0.2, RESONANCE_TOL)
         assert cls.category is tb.PairClass.RESONANT
 
     def test_bound(self, square_well, sw_quad, sw_resonance):
-        cls = tb.classify_pair(square_well, 2.0 * sw_resonance.lambda_star, sw_quad, 0.2)
+        cls = tb.classify_pair(square_well, 2.0 * sw_resonance.lambda_star, sw_quad, 0.2,
+                               RESONANCE_TOL)
         assert cls.category is tb.PairClass.BOUND
         assert cls.ground_energy < 0
 
     def test_unbound_without_margin(self, square_well, sw_quad, sw_resonance):
         lam = 0.99 * sw_resonance.lambda_star
-        cls = tb.classify_pair(square_well, lam, sw_quad, margin_epsilon=0.2)
+        cls = tb.classify_pair(square_well, lam, sw_quad, margin_epsilon=0.2,
+                               resonance_tol=RESONANCE_TOL)
         assert cls.category is tb.PairClass.UNBOUND_NO_MARGIN

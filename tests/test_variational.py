@@ -45,29 +45,25 @@ def wide_basis(equal_masses):
 
 
 class TestBasisBuild:
-    def test_counting(self):
+    def test_counting(self, equal_masses):
         spec = vr.BasisSpec(0.4, 12.0, 8, 0.4, 30.0, 8, (-0.6, 0.0, 0.6))
-        basis = vr.build_basis(spec)
+        basis = vr.build_basis(spec, equal_masses)
         assert basis.size == 192
 
-    def test_seeded_reproducibility(self):
+    def test_seeded_reproducibility(self, equal_masses):
         spec = vr.BasisSpec(n_random=25, seed=99)
-        b1, b2 = vr.build_basis(spec), vr.build_basis(spec)
+        b1, b2 = vr.build_basis(spec, equal_masses), vr.build_basis(spec, equal_masses)
         assert np.array_equal(b1.a, b2.a)
         assert np.array_equal(b1.b, b2.b)
         assert np.array_equal(b1.c, b2.c)
 
-    def test_random_needs_seed(self):
+    def test_random_needs_seed(self, equal_masses):
         with pytest.raises(ValueError):
-            vr.build_basis(vr.BasisSpec(n_random=5))
+            vr.build_basis(vr.BasisSpec(n_random=5), equal_masses)
 
     def test_positive_definiteness_enforced(self):
         with pytest.raises(ValueError):
             vr.GaussianBasis(a=np.array([1.0]), b=np.array([1.0]), c=np.array([2.5]))
-
-    def test_frames_mode_needs_masses(self):
-        with pytest.raises(ValueError):
-            vr.build_basis(vr.BasisSpec(correlations="frames"))
 
 
 def whole_forms(basis):
@@ -300,7 +296,7 @@ class TestSolveGround:
         # strictly nested bases: the enlarged span can never raise the minimum
         m = gauss_model_factory(1.0)
         small = vr.build_basis(vr.BasisSpec(0.4, 8.0, 5, 0.4, 30.0, 6, "frames"), equal_masses)
-        extra = vr.build_basis(vr.BasisSpec(0.3, 2.0, 3, 0.3, 5.0, 3, (0.0,)))
+        extra = vr.build_basis(vr.BasisSpec(0.3, 2.0, 3, 0.3, 5.0, 3, (0.0,)), equal_masses)
         big = small.merged(extra)
         e_small = vr.solve_ground(m, small).energy
         e_big = vr.solve_ground(m, big).energy
@@ -453,7 +449,7 @@ class TestHvzBottom:
     def test_equals_shooting_only(self, shot, equal_masses, pot, fraction):
         lam_star = {"gaussian": GAUSS_LAMBDA_STAR, "exponential": EXP_LAMBDA_STAR,
                     "square_well": SW_LAMBDA_STAR}.get(pot.kind)
-        lam = fraction * (lam_star or tb.shooting_critical_coupling(pot))
+        lam = fraction * (lam_star or tb.shooting_critical_coupling(pot, tol=1e-12))
         bottom = vr.hvz_bottom(make_model(equal_masses, pot, (lam, 0.0, 0.0)))
         assert bool(shot) == (lam**2 * pot.bs_hs2() >= 1.0)
         e0 = tb.shooting_ground_energy(pot, lam)
@@ -907,8 +903,8 @@ class TestFrameKeys:
         vr.BasisSpec(0.4, 12.0, 3, 0.4, 30.0, 3, (0.0,), n_random=20, seed=4),
         vr.BasisSpec(0.4, 12.0, 3, 0.4, 30.0, 3, (0.3,), symmetrize_12=True),
     ], ids=["correlations", "random", "symmetrized"])
-    def test_frameless_basis_keeps_form_keys(self, spec):
-        basis = vr.build_basis(spec)
+    def test_frameless_basis_keeps_form_keys(self, spec, equal_masses):
+        basis = vr.build_basis(spec, equal_masses)
         assert basis.frames is None
         np.testing.assert_array_equal(vr.ball_matrices(basis, np.array(RADII)),
                                       whole_ball_matrices(basis, RADII))
@@ -926,7 +922,8 @@ class TestFrameKeys:
             Q = R.T @ np.diag(widths[n]) @ R
             np.testing.assert_allclose([basis.a[n], basis.b[n], 0.5 * basis.c[n]],
                                        [Q[0, 0], Q[1, 1], Q[0, 1]], rtol=1e-14, atol=1e-15)
-        merged = vr.build_basis(vr.BasisSpec(n_x=2, n_y=2, correlations=(0.0,))).merged(basis)
+        isotropic = vr.BasisSpec(n_x=2, n_y=2, correlations=(0.0,))
+        merged = vr.build_basis(isotropic, equal_masses).merged(basis)
         np.testing.assert_array_equal(merged.frames.index, np.concatenate([[-1] * 4, index]))
         # frames of other masses are not this basis's frames: they are dropped
         other = vr.build_basis(spec, MassSet(1.0, 0.7, 1.6))

@@ -48,8 +48,9 @@ SUBCOMMANDS = [
 # square overflows, a stochastic basis with no seed and a (12) well of range 1e-30;
 # then the branches no other config reaches: a square (23) well (unbound at
 # 2.1472) and an exponential one (bound, so hvz_bottom and classify shoot), a
-# correlations-mode and a (12)-symmetrized basis, and envelope_b2 out of range
-# and at 100, where the envelope b1 of FULL's Gaussian (12) well overflows
+# correlations-mode and a (12)-symmetrized basis, envelope_b2 out of range
+# and at 100, where the envelope b1 of FULL's Gaussian (12) well overflows,
+# and a resonance tolerance wide enough that classify calls every pair resonant
 VARIANTS = [
     ("model", "m1", "x"),
     ("model", "m1", "-1"),
@@ -92,6 +93,7 @@ VARIANTS = [
     ("numerics", "basis.symmetrize_12", "true"),
     ("experiment", "envelope_b2", "0"),
     ("experiment", "envelope_b2", "100"),
+    ("numerics", "resonance_tol", "0.5"),
 ]
 
 PLACEHOLDER = "<checkout>"
